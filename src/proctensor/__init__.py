@@ -39,7 +39,7 @@ from .walk import (WalkCircuit, WalkState, align_frames, circuit_by_name,
                    run_protocol, save_circuit, tetra_circuit,
                    theta_circuit)
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "ConditionalProcess", "CountsTable", "DualFrame", "Instrument",

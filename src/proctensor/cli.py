@@ -26,7 +26,7 @@ from .instruments import (Instrument, dual_frame, gram_matrix,
                           instrument_to_json, validate as
                           validate_instrument)
 from .linalg import (fidelity, kron, mat_from_json, mat_to_json,
-                     partial_trace, trace_distance)
+                     partial_trace, path_or_handle, trace_distance)
 from .memory import (confusion_probability, markov_order_test,
                      memory_strength, non_markovianity, projective_survey,
                      quantum_cmi, quantum_cmi_choi)
@@ -110,29 +110,19 @@ def _flatten_rows(node, prefix, rows):
 
 
 def _emit(obj, out_path=None, fmt="json"):
-    if fmt == "json":
-        text = json.dumps(obj, indent=1, sort_keys=True,
-                          default=_jsonify) + "\n"
-        if out_path:
-            with open(out_path, "w") as fh:
-                fh.write(text)
+    if fmt not in ("json", "csv"):
+        raise ValueError(f"unknown format {fmt!r}")
+    with path_or_handle(out_path or sys.stdout, "w") as fh:
+        if fmt == "json":
+            fh.write(json.dumps(obj, indent=1, sort_keys=True,
+                                default=_jsonify) + "\n")
         else:
-            sys.stdout.write(text)
-    elif fmt == "csv":
-        rows = []
-        _flatten_rows(obj, "", rows)
-        close = out_path is not None
-        fh = open(out_path, "w", newline="") if close else sys.stdout
-        try:
+            rows = []
+            _flatten_rows(obj, "", rows)
             w = csv.writer(fh)
             w.writerow(["field", "value"])
             for path, val in rows:
                 w.writerow([path, json.dumps(val, default=_jsonify)])
-        finally:
-            if close:
-                fh.close()
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
 
 
 def _load_state(arg):
@@ -620,8 +610,7 @@ def _cmd_memory_strength(args) -> int:
 
 def _cmd_memory_survey(args) -> int:
     p = _load_process(args.process)
-    frac = projective_survey(p, args.cutoff, args.samples, args.seed,
-                             threads=args.threads)
+    frac = projective_survey(p, args.cutoff, args.samples, args.seed)
     _emit({
         "process": str(args.process),
         "cutoff": args.cutoff,
@@ -865,7 +854,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--cutoff", type=float, default=0.0125)
     sp.add_argument("--samples", type=int, default=100000)
     sp.add_argument("--seed", type=int, default=PRESET_SEEDS["survey"])
-    sp.add_argument("--threads", type=int, default=None)
     sp.add_argument("--out", default=None)
 
     rc = sub.add_parser("recover", help="instrument-span reconstruction")

@@ -6,7 +6,7 @@ treated as exact zeros when taking logarithms.
 """
 from __future__ import annotations
 
-import json
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,24 +43,8 @@ class LegLayout:
     def dims(self) -> tuple[int, ...]:
         return tuple(leg.dim for leg in self.legs)
 
-    @property
-    def total_dim(self) -> int:
-        return int(np.prod(self.dims))
-
     def labels(self) -> tuple[str, ...]:
         return tuple(leg.label for leg in self.legs)
-
-    def index(self, label: str) -> int:
-        for i, leg in enumerate(self.legs):
-            if leg.label == label:
-                return i
-        raise KeyError(f"unknown leg label {label!r}")
-
-    def subset(self, keep: set[str]) -> "LegLayout":
-        unknown = keep - set(self.labels())
-        if unknown:
-            raise KeyError(f"unknown leg labels {sorted(unknown)}")
-        return LegLayout(tuple(leg for leg in self.legs if leg.label in keep))
 
 
 def layout(*spec: tuple[str, int, str]) -> LegLayout:
@@ -106,32 +90,6 @@ def partial_trace(m: np.ndarray, dims: tuple[int, ...],
         t = np.trace(t, axis1=ax, axis2=ax + (n - off))
     d_keep = int(np.prod([dims[i] for i in keep])) if keep else 1
     return t.reshape(d_keep, d_keep)
-
-
-def partial_trace_layout(m: np.ndarray, lay: LegLayout,
-                         keep: set[str]) -> tuple[np.ndarray, LegLayout]:
-    idx = tuple(i for i, leg in enumerate(lay.legs) if leg.label in keep)
-    if len(idx) != len(keep):
-        lay.subset(keep)  # raises with the offending labels
-    return partial_trace(m, lay.dims, idx), lay.subset(keep)
-
-
-def hermitian_eig(m: np.ndarray, tol: float = 1e-10):
-    """Eigenvalues descending, eigenvectors as columns, phases fixed so the
-    first nonzero component of each vector is real positive."""
-    m = np.asarray(m, dtype=complex)
-    if not is_hermitian(m, tol):
-        raise ValueError("matrix is not Hermitian within tolerance")
-    w, v = np.linalg.eigh(hermitize(m))
-    order = np.argsort(w)[::-1]
-    w, v = w[order], v[:, order]
-    for k in range(v.shape[1]):
-        col = v[:, k]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
-        if nz.size:
-            ph = col[nz[0]] / abs(col[nz[0]])
-            v[:, k] = col / ph
-    return w, v
 
 
 def check_density(rho: np.ndarray, pos_tol: float = 1e-10,
@@ -206,14 +164,22 @@ def mat_to_json(m: np.ndarray) -> dict:
 
 def mat_from_json(obj: dict) -> np.ndarray:
     r, c = int(obj["rows"]), int(obj["cols"])
-    re = np.array(obj["re"], dtype=float).reshape(r, c)
-    im = np.array(obj["im"], dtype=float).reshape(r, c)
-    return re + 1j * im
+    parts = []
+    for key in ("re", "im"):
+        flat = np.array(obj[key], dtype=float).reshape(-1)
+        if flat.size != r * c:
+            raise ValueError(f"matrix field {key!r} holds {flat.size} "
+                             f"entries, expected rows*cols = {r * c}")
+        parts.append(flat.reshape(r, c))
+    return parts[0] + 1j * parts[1]
 
 
-def mat_dumps(m: np.ndarray) -> str:
-    return json.dumps(mat_to_json(m), sort_keys=True)
-
-
-def mat_loads(s: str) -> np.ndarray:
-    return mat_from_json(json.loads(s))
+@contextlib.contextmanager
+def path_or_handle(target, mode: str = "r"):
+    """Open a str path for the block and close it after, or pass an open
+    handle through untouched."""
+    if isinstance(target, (str, bytes)):
+        with open(target, mode, newline="") as fh:
+            yield fh
+    else:
+        yield target

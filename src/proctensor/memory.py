@@ -8,8 +8,6 @@ on input-leg states; the full-Choi equivalence is exercised by the tests.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,12 +169,12 @@ N_SURVEY_CHUNKS = 64
 
 
 def projective_survey(p: ProcessTensor, cutoff: float, samples: int,
-                      seed, threads: int | None = None) -> float:
+                      seed) -> float:
     """Fraction of Haar-random projective qubit instruments at the middle
     party whose worst-event memory strength stays below cutoff.
 
     Work is split into 64 fixed chunks, each with its own child seed, so
-    the result depends only on (samples, seed), not on thread count.
+    the result depends only on (samples, seed).
     """
     if cutoff <= 0:
         raise ValueError("cutoff must be positive")
@@ -190,16 +188,8 @@ def projective_survey(p: ProcessTensor, cutoff: float, samples: int,
     sizes = [samples // N_SURVEY_CHUNKS
              + (1 if i < samples % N_SURVEY_CHUNKS else 0)
              for i in range(N_SURVEY_CHUNKS)]
-    if threads is None:
-        threads = int(os.environ.get("PROCTENSOR_THREADS", "0")) or None
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            below = sum(ex.map(
-                lambda cs: _survey_chunk(gamma6, cs[1], cs[0], cutoff),
-                zip(children, sizes)))
-    else:
-        below = sum(_survey_chunk(gamma6, n, c, cutoff)
-                    for c, n in zip(children, sizes))
+    below = sum(_survey_chunk(gamma6, n, c, cutoff)
+                for c, n in zip(children, sizes))
     return below / samples
 
 

@@ -12,26 +12,44 @@ tr[(E_A x E_B x E_C) gamma], which the fast paths below use directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .instruments import Instrument
-from .linalg import Leg, LegLayout, hermitize, kron, partial_trace
+from .linalg import LegLayout, hermitize, kron, layout, partial_trace
 
 PARTIES = ("A", "B", "C")
 
-# (Ai,Bi,Ci,Ao,Bo) -> (Ai,Ao,Bi,Bo,Ci)
-_CANON_PERM = (0, 3, 1, 4, 2)
 
+def _choi(state: np.ndarray, parties: str, input_dims: tuple[int, ...],
+          output_dims: tuple[int, int]) -> tuple[np.ndarray, LegLayout]:
+    """Choi matrix of a state on the listed parties' input legs with an
+    identity on each of their output legs, in chronological leg order.
 
-def _permute_legs(m: np.ndarray, dims_from: tuple[int, ...],
-                  perm: tuple[int, ...]) -> np.ndarray:
-    n = len(dims_from)
-    t = m.reshape(*dims_from, *dims_from)
-    axes = list(perm) + [p + n for p in perm]
-    t = t.transpose(axes)
-    d = int(np.prod(dims_from))
-    return t.reshape(d, d)
+    parties lists the parties in time order, input_dims their input legs;
+    output_dims are the process's (A_out, B_out). The final party C has
+    no output leg.
+    """
+    spec = []
+    for party, d in zip(parties, input_dims):
+        spec.append((f"{party}_in", d, "input"))
+        if party != "C":
+            spec.append((f"{party}_out", output_dims[PARTIES.index(party)],
+                         "output"))
+    lay = layout(*spec)
+    n = len(spec)
+    # input legs come from the state, each output leg from an identity;
+    # the broadcast product lands every leg at its chronological axis
+    m = np.asarray(state).reshape(
+        [leg.dim if leg.direction == "input" else 1 for leg in lay.legs] * 2)
+    for i, leg in enumerate(lay.legs):
+        if leg.direction == "output":
+            shape = [1] * (2 * n)
+            shape[i] = shape[n + i] = leg.dim
+            m = m * np.eye(leg.dim).reshape(shape)
+    d = int(np.prod(lay.dims))
+    return m.reshape(d, d), lay
 
 
 @dataclass(frozen=True)
@@ -64,16 +82,9 @@ def build_common_cause(gamma: np.ndarray,
     """Promote a tripartite input-leg state to a full process tensor."""
     gamma = np.asarray(gamma, dtype=complex)
     dA, dB, dC = input_dims
-    dAo, dBo = output_dims
     if gamma.shape != (dA * dB * dC, dA * dB * dC):
         raise ValueError("state dimension does not match input_dims")
-    big = kron(gamma, np.eye(dAo), np.eye(dBo))
-    full = _permute_legs(big, (dA, dB, dC, dAo, dBo), _CANON_PERM)
-    lay = LegLayout((
-        Leg("A_in", dA, "input"), Leg("A_out", dAo, "output"),
-        Leg("B_in", dB, "input"), Leg("B_out", dBo, "output"),
-        Leg("C_in", dC, "input"),
-    ))
+    full, lay = _choi(gamma, "ABC", input_dims, output_dims)
     return ProcessTensor(full, lay, gamma, tuple(input_dims),
                          tuple(output_dims)).validate()
 
@@ -86,9 +97,7 @@ def check_causality(p: ProcessTensor) -> dict:
     # level 3: trace C_in, compare to 1_{B_out} x Upsilon_{2:1}
     g3 = partial_trace(p.matrix, dims, (0, 1, 2, 3))
     up2 = partial_trace(p.matrix, dims, (0, 1, 2)) / dBo
-    ref3 = _permute_legs(kron(up2, np.eye(dBo)),
-                         (dA, dAo, dB, dBo), (0, 1, 2, 3))
-    r3 = float(np.linalg.norm(g3 - ref3))
+    r3 = float(np.linalg.norm(g3 - kron(up2, np.eye(dBo))))
     # level 2: trace B_in of Upsilon_{2:1}, compare to 1_{A_out} x gamma_A
     g2 = partial_trace(up2, (dA, dAo, dB), (0, 1))
     up1 = partial_trace(up2, (dA, dAo, dB), (0,)) / dAo
@@ -155,67 +164,64 @@ def born_probability(p: ProcessTensor,
 
 @dataclass(frozen=True)
 class ConditionalProcess:
-    """Process left over after one party's instrument fires one event."""
-    matrix: np.ndarray = field(repr=False)  # remaining legs, unnormalized
-    layout: LegLayout
+    """Process left over after one party's instrument fires one event.
+
+    The normalized state and the Choi matrix on the remaining legs are
+    derived from the unnormalized conditional state on first access.
+    """
+    unnormalized: np.ndarray = field(repr=False)  # remaining-input state
     probability: float
     event_index: int
-    state: np.ndarray = field(repr=False)  # normalized remaining-input state
+    parties: str  # remaining parties in time order
     input_dims: tuple[int, ...]
+    output_dims: tuple[int, int]  # of the conditioned process
 
+    @cached_property
+    def state(self) -> np.ndarray:
+        """Normalized remaining-input state (left as is at probability 0)."""
+        if self.probability > 1e-14:
+            return self.unnormalized / self.probability
+        return self.unnormalized
 
-def _condition_gamma(gamma6, element):
-    # cond[ac,a'c'] = sum_{b,b''} E[b,b''] gamma[(a,b'',c),(a',b,c')]
-    return np.einsum('bD,aDcAbC->acAC', element, gamma6)
+    @cached_property
+    def _choi_and_layout(self) -> tuple[np.ndarray, LegLayout]:
+        return _choi(self.unnormalized, self.parties, self.input_dims,
+                     self.output_dims)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Unnormalized Choi matrix, identity on the remaining outputs."""
+        return self._choi_and_layout[0]
+
+    @property
+    def layout(self) -> LegLayout:
+        return self._choi_and_layout[1]
 
 
 def condition(p: ProcessTensor, party: str, element: np.ndarray,
               event_index: int = 0) -> ConditionalProcess:
     """Condition the process on one instrument event at one party.
 
-    The remaining parties keep their legs (identity output legs included);
-    probability is the trace after identity-leg normalization.
+    cond = tr_party[gamma (element at party)], one einsum for any party:
+    the party's ket index is summed against the element and its bra index
+    is tied to the ket. The remaining parties keep their legs; the
+    probability is the trace of cond.
     """
-    dA, dB, dC = p.input_dims
-    dAo, dBo = p.output_dims
-    element = np.asarray(element, dtype=complex)
-    g6 = p.gamma.reshape(dA, dB, dC, dA, dB, dC)
-    if party == "B":
-        cond = _condition_gamma(g6, element).reshape(dA * dC, dA * dC)
-        prob = float(np.real(np.trace(cond)))
-        c4 = cond.reshape(dA, dC, dA, dC)
-        mat = np.einsum('acAC,oO->aocAOC', c4, np.eye(dAo)
-                        ).reshape(dA * dAo * dC, dA * dAo * dC)
-        lay = LegLayout((Leg("A_in", dA, "input"), Leg("A_out", dAo, "output"),
-                         Leg("C_in", dC, "input")))
-        state = cond / prob if prob > 1e-14 else cond
-        return ConditionalProcess(mat, lay, prob, event_index, state,
-                                  (dA, dC))
-    if party == "A":
-        cond = np.einsum('aD,DbcaBC->bcBC', element, g6)
-        cond = cond.reshape(dB * dC, dB * dC)
-        prob = float(np.real(np.trace(cond)))
-        c4 = cond.reshape(dB, dC, dB, dC)
-        mat = np.einsum('bcBC,oO->bocBOC', c4, np.eye(dBo)
-                        ).reshape(dB * dBo * dC, dB * dBo * dC)
-        lay = LegLayout((Leg("B_in", dB, "input"), Leg("B_out", dBo, "output"),
-                         Leg("C_in", dC, "input")))
-        state = cond / prob if prob > 1e-14 else cond
-        return ConditionalProcess(mat, lay, prob, event_index, state,
-                                  (dB, dC))
-    if party == "C":
-        cond = np.einsum('cD,abDABc->abAB', element, g6)
-        cond = cond.reshape(dA * dB, dA * dB)
-        prob = float(np.real(np.trace(cond)))
-        c4 = cond.reshape(dA, dB, dA, dB)
-        mat = np.einsum('abAB,oO,pP->aobpAOBP', c4, np.eye(dAo), np.eye(dBo)
-                        ).reshape(dA * dAo * dB * dBo, dA * dAo * dB * dBo)
-        lay = LegLayout((Leg("A_in", dA, "input"), Leg("A_out", dAo, "output"),
-                         Leg("B_in", dB, "input"), Leg("B_out", dBo, "output")))
-        state = cond / prob if prob > 1e-14 else cond
-        return ConditionalProcess(mat, lay, prob, event_index, state,
-                                  (dA, dB))
-    raise KeyError(f"unknown party {party!r} (expected A, B, or C)")
+    if party not in PARTIES:
+        raise KeyError(f"unknown party {party!r} (expected A, B, or C)")
+    k = PARTIES.index(party)
+    x = "abc"[k]
+    rest = "abc".replace(x, "")
+    g_sub = "abc".replace(x, "D") + "ABC".replace(x.upper(), x)
+    dims = tuple(d for i, d in enumerate(p.input_dims) if i != k)
+    g6 = p.gamma.reshape(*p.input_dims, *p.input_dims)
+    cond = np.einsum(f"{x}D,{g_sub}->{rest}{rest.upper()}",
+                     np.asarray(element, dtype=complex), g6)
+    cond = cond.reshape(dims[0] * dims[1], dims[0] * dims[1])
+    prob = float(np.real(np.trace(cond)))
+    return ConditionalProcess(cond, prob, event_index,
+                              "".join(q for q in PARTIES if q != party),
+                              dims, p.output_dims)
 
 
 def condition_instrument(p: ProcessTensor, party: str,

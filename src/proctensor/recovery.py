@@ -16,9 +16,8 @@ import numpy as np
 
 from .instruments import (DualFrame, Instrument, PAULI, dual_frame,
                           span_project)
-from .linalg import Leg, LegLayout, kron, partial_trace
-from .process import (_CANON_PERM, ProcessTensor, _permute_legs,
-                      condition_instrument)
+from .linalg import kron, partial_trace, path_or_handle
+from .process import ProcessTensor, _choi, condition_instrument
 
 SPAN_TOL = 1e-10
 
@@ -27,26 +26,20 @@ _SIG = np.stack(PAULI[1:])
 
 
 @dataclass(frozen=True)
-class RecoveredProcess:
+class RecoveredProcess(ProcessTensor):
     """Process-shaped reconstruction valid on one instrument's span.
 
-    Shares the core field names of ProcessTensor so conditioning and the
-    Born fast path apply unchanged; positivity holds on the instrument
-    span only, not globally.
+    A ProcessTensor, so conditioning and the Born fast path apply
+    unchanged. Positivity holds on the instrument span only, not
+    globally, so recover() does not validate it.
     """
-    matrix: np.ndarray = field(repr=False)
-    layout: LegLayout
-    gamma: np.ndarray = field(repr=False)
-    input_dims: tuple[int, int, int]
-    output_dims: tuple[int, int]
     source_instrument: Instrument
     dual: DualFrame
     # per-event (probability, A marginal, C marginal) of the true process
     events: tuple = field(repr=False, default=())
 
 
-def recover(p: ProcessTensor | RecoveredProcess,
-            inst: Instrument) -> RecoveredProcess:
+def recover(p: ProcessTensor, inst: Instrument) -> RecoveredProcess:
     """Rebuild the process from the statistics of one middle instrument.
 
     The middle leg of each event is replaced by the instrument's dual
@@ -54,7 +47,6 @@ def recover(p: ProcessTensor | RecoveredProcess,
     normalized conditional marginals of the two outer parties.
     """
     dA, dB, dC = p.input_dims
-    dAo, dBo = p.output_dims
     if inst.dim != dB:
         raise ValueError("instrument dimension does not match middle leg")
     frame = dual_frame(inst)
@@ -70,14 +62,8 @@ def recover(p: ProcessTensor | RecoveredProcess,
         gC = partial_trace(cond.state, (dA, dC), (1,))
         gamma_rec = gamma_rec + prob * kron(gA, dual, gC)
         events.append((prob, gA, gC))
-    big = kron(gamma_rec, np.eye(dAo), np.eye(dBo))
-    full = _permute_legs(big, (dA, dB, dC, dAo, dBo), _CANON_PERM)
-    lay = LegLayout((
-        Leg("A_in", dA, "input"), Leg("A_out", dAo, "output"),
-        Leg("B_in", dB, "input"), Leg("B_out", dBo, "output"),
-        Leg("C_in", dC, "input"),
-    ))
-    return RecoveredProcess(full, lay, gamma_rec, (dA, dB, dC), (dAo, dBo),
+    full, lay = _choi(gamma_rec, "ABC", p.input_dims, p.output_dims)
+    return RecoveredProcess(full, lay, gamma_rec, p.input_dims, p.output_dims,
                             inst, frame, tuple(events))
 
 
@@ -110,8 +96,7 @@ def validate_observable(obs: Observable, inst: Instrument) -> dict:
             "pass": all(r < SPAN_TOL for r in residuals)}
 
 
-def expectation(p: ProcessTensor | RecoveredProcess,
-                obs: Observable) -> float:
+def expectation(p: ProcessTensor, obs: Observable) -> float:
     """Expectation value of a product observable against the process.
 
     Output legs carry the identity convention of the process contraction,
@@ -178,13 +163,7 @@ class ScanResult:
     argmax: dict
 
     def to_csv(self, path) -> None:
-        close = False
-        if isinstance(path, (str, bytes)):
-            fh = open(path, "w", newline="")
-            close = True
-        else:
-            fh = path
-        try:
+        with path_or_handle(path, "w") as fh:
             w = csv.writer(fh)
             w.writerow(["theta1", "phi", "theta2", "psi",
                         "true", "recovered", "abs_diff"])
@@ -192,9 +171,6 @@ class ScanResult:
                            self.true_values, self.recovered_values,
                            self.abs_diff):
                 w.writerow([f"{v:.12g}" for v in row])
-        finally:
-            if close:
-                fh.close()
 
 
 def deviation_scan(true_p, recovered_p, grid: int = 64,
@@ -254,13 +230,22 @@ def deviation_scan(true_p, recovered_p, grid: int = 64,
         argmax=ang)
 
 
-def noisy_replay(gamma: np.ndarray, dims, strengths, seed=None) -> np.ndarray:
+def _permute_legs(m: np.ndarray, dims_from: tuple[int, ...],
+                  perm: tuple[int, ...]) -> np.ndarray:
+    n = len(dims_from)
+    t = m.reshape(*dims_from, *dims_from)
+    axes = list(perm) + [p + n for p in perm]
+    t = t.transpose(axes)
+    d = int(np.prod(dims_from))
+    return t.reshape(d, d)
+
+
+def noisy_replay(gamma: np.ndarray, dims, strengths) -> np.ndarray:
     """Leg-local depolarizing noise on a multipartite state.
 
     strengths is one value per leg (a scalar applies to every leg). Each
     leg is mixed toward its maximally mixed marginal while the other legs
-    keep their joint state, so the trace is preserved exactly. The map is
-    deterministic; seed is accepted for interface stability and unused.
+    keep their joint state, so the trace is preserved exactly.
     """
     g = np.asarray(gamma, dtype=complex)
     dims = tuple(int(d) for d in dims)

@@ -15,7 +15,7 @@ from itertools import product as iproduct
 
 import numpy as np
 
-from .linalg import hermitize
+from .linalg import hermitize, path_or_handle
 
 _QUBIT = {
     "X": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
@@ -120,10 +120,14 @@ def _matrices_for(labels, dims) -> list[np.ndarray]:
     for lbl in labels:
         parts = lbl.split("/")
         if len(parts) != len(lookup):
-            raise KeyError(f"setting {lbl!r} does not match {len(lookup)} "
-                           "legs")
+            raise ValueError(f"setting {lbl!r} does not match {len(lookup)} "
+                             "legs")
         U = np.array([[1.0]], dtype=complex)
-        for leg, part in zip(lookup, parts):
+        for i, (leg, part) in enumerate(zip(lookup, parts)):
+            if part not in leg:
+                raise ValueError(
+                    f"setting {lbl!r}: unknown basis {part!r} on leg {i} "
+                    f"(dimension {dims[i]}; expected one of {list(leg)})")
             U = np.kron(U, leg[part])
         mats.append(U)
     return mats
@@ -197,36 +201,27 @@ def bootstrap(counts: CountsTable, dims, statistic, resamples: int = 500,
     return float(vals.mean()), float(vals.std())
 
 
+_CSV_COLUMNS = ("setting", "outcome", "count")
+
+
 def counts_to_csv(counts: CountsTable, path) -> None:
-    close = False
-    if isinstance(path, (str, bytes)):
-        fh = open(path, "w", newline="")
-        close = True
-    else:
-        fh = path
-    try:
+    with path_or_handle(path, "w") as fh:
         w = csv.writer(fh)
-        w.writerow(["setting", "outcome", "count"])
+        w.writerow(_CSV_COLUMNS)
         for lbl, c in zip(counts.labels, counts.counts):
             for k, n in enumerate(c):
                 w.writerow([lbl, k, int(n)])
-    finally:
-        if close:
-            fh.close()
 
 
 def counts_from_csv(path) -> CountsTable:
-    close = False
-    if isinstance(path, (str, bytes)):
-        fh = open(path, newline="")
-        close = True
-    else:
-        fh = path
-    try:
-        rows = list(csv.DictReader(fh))
-    finally:
-        if close:
-            fh.close()
+    with path_or_handle(path) as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    missing = [c for c in _CSV_COLUMNS if c not in (reader.fieldnames or ())]
+    if missing:
+        raise ValueError(f"counts table lacks column(s) {missing}")
+    if not rows:
+        raise ValueError("counts table has no rows")
     per = {}
     order = []
     for row in rows:

@@ -70,9 +70,8 @@ def test_criterion_01_non_markovianity():
     assert np.isclose(n_om, 1.1225562489182659, atol=1e-12)
     record(1, "FAIL",
            f"N(lambda)={n_lam:.6f} vs target 0.329 and N(omega)={n_om:.6f} "
-           f"vs target 0.5; runtimes {dt_lam * 1e3:.0f}ms/{dt_om * 1e3:.0f}"
-           "ms meet the 1s budget; the experimental reference 0.285(4) "
-           "does agree with the first value")
+           "vs target 0.5; runtimes meet the 1s budget; the experimental "
+           "reference 0.285(4) does agree with the first value")
 
 
 @pytest.mark.xfail(strict=True, reason=(
@@ -287,7 +286,7 @@ def test_criterion_08_tetra_literal_elements():
 def test_criterion_09_projective_survey():
     p = _process("lambda")
     t0 = time.perf_counter()
-    frac = projective_survey(p, 0.0125, 100000, 7, threads=8)
+    frac = projective_survey(p, 0.0125, 100000, 7)
     dt = time.perf_counter() - t0
     assert dt < 300.0
     assert np.isclose(frac, 0.41743, atol=1e-12)
@@ -295,7 +294,7 @@ def test_criterion_09_projective_survey():
     record(9, "FAIL",
            f"fraction of random projective instruments below the cutoff "
            f"is {frac:.5f} vs target 0.288 +- 0.01 at 1e5 samples "
-           f"({dt:.1f}s, within the 5 minute budget)")
+           "(within the 5 minute budget)")
 
 
 @pytest.mark.xfail(strict=True, reason=(

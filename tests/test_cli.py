@@ -82,7 +82,7 @@ def test_memory_commands(capsys):
     assert obj["markov_order_one"] is True
     assert obj["report"]["max_event"] < 1e-10
     code, out, _ = run_cli(capsys, ["memory", "survey", "--samples", "2000",
-                                    "--seed", "0", "--threads", "2"])
+                                    "--seed", "0"])
     assert code == 0
     frac = json.loads(out)["fraction_below_cutoff"]["value"]
     assert 0.0 < frac < 1.0
@@ -177,6 +177,47 @@ def test_tomo_custom_state_purity_fallback(tmp_path, capsys):
     assert json.loads(out)["statistic"] == "purity"
     code, _, err = run_cli(capsys, ["tomo", "reconstruct"])
     assert code == 2
+
+
+def _short_state():
+    g, dims = state_by_name("lambda")
+    matrix = mat_to_json(g)
+    matrix["re"] = matrix["re"][:-3]
+    return "state.json", json.dumps({"dims": list(dims), "matrix": matrix})
+
+
+HEADER_ONLY = ("counts.csv", "setting,outcome,count\n")
+NO_COUNT_COLUMN = ("counts.csv", "setting,outcome\nX/X/X,0\n")
+UNKNOWN_BASIS = ("counts.csv", "setting,outcome,count\nQ/X/X,0,5\n")
+SHORT_STATE = _short_state()
+BASES = "unknown basis 'Q' on leg 0 (dimension 2; expected one of " \
+    "['X', 'Y', 'Z'])"
+
+
+@pytest.mark.parametrize("argv, bad_input, expect", [
+    (["tomo", "reconstruct", "--counts"], HEADER_ONLY, "no rows"),
+    (["tomo", "bootstrap", "--counts"], HEADER_ONLY, "no rows"),
+    (["tomo", "reconstruct", "--counts"], NO_COUNT_COLUMN, "['count']"),
+    (["tomo", "bootstrap", "--counts"], NO_COUNT_COLUMN, "['count']"),
+    (["tomo", "reconstruct", "--counts"], UNKNOWN_BASIS, BASES),
+    (["tomo", "bootstrap", "--counts"], UNKNOWN_BASIS, BASES),
+    (["process", "build", "--state"], SHORT_STATE, "matrix field 're'"),
+    (["tomo", "reconstruct", "--state"], SHORT_STATE, "matrix field 're'"),
+    (["tomo", "bootstrap", "--state"], SHORT_STATE, "matrix field 're'"),
+], ids=["reconstruct-header-only", "bootstrap-header-only",
+        "reconstruct-no-count-column", "bootstrap-no-count-column",
+        "reconstruct-unknown-basis", "bootstrap-unknown-basis",
+        "build-short-matrix", "reconstruct-short-matrix",
+        "bootstrap-short-matrix"])
+def test_malformed_input_exits_two(tmp_path, capsys, argv, bad_input,
+                                   expect):
+    name, text = bad_input
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = run_cli(capsys, argv + [str(path)])
+    assert code == 2
+    assert out == ""
+    assert expect in err
 
 
 def test_preset_process1_values(tmp_path, capsys):

@@ -148,12 +148,12 @@ def test_qutrit_sharp_memory_frozen():
     assert abs(mis[4]) < 1e-12
 
 
-def test_survey_thread_invariance_and_determinism():
+def test_survey_determinism():
     p = lam_process()
-    f1 = projective_survey(p, 0.0125, 2000, seed=0, threads=1)
-    f2 = projective_survey(p, 0.0125, 2000, seed=0, threads=4)
+    f1 = projective_survey(p, 0.0125, 2000, seed=0)
+    f2 = projective_survey(p, 0.0125, 2000, seed=0)
     assert f1 == f2
-    f3 = projective_survey(p, 0.0125, 2000, seed=1, threads=1)
+    f3 = projective_survey(p, 0.0125, 2000, seed=1)
     assert f3 != f1
     # uneven split across the 64 chunks still counts every sample
     f4 = projective_survey(p, 0.0125, 1003, seed=0)

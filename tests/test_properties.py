@@ -1,0 +1,116 @@
+"""Property checks of the process core over random states and POVMs.
+
+Dims are drawn from {2,3} per party, states include rank-deficient ones,
+and POVMs come from random isometries. Each example draws one numpy seed,
+so a failure replays from the seed hypothesis reports.
+"""
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from proctensor.instruments import instrument
+from proctensor.linalg import kron, partial_trace
+from proctensor.process import born_probability, build_common_cause, condition
+from proctensor.recovery import recover
+
+PROPS = settings(max_examples=25, deadline=None)
+DIMS = st.tuples(*[st.sampled_from((2, 3))] * 3)
+SEEDS = st.integers(0, 2 ** 32 - 1)
+
+REMAINING_LABELS = {
+    "A": ("B_in", "B_out", "C_in"),
+    "B": ("A_in", "A_out", "C_in"),
+    "C": ("A_in", "A_out", "B_in", "B_out"),
+}
+
+
+def random_state(rng, d):
+    """Density matrix of random rank between 1 and d."""
+    rank = int(rng.integers(1, d + 1))
+    g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def random_povm(rng, d, n):
+    """n-outcome POVM E_i = V_i^dag V_i from a random isometry V."""
+    z = rng.normal(size=(n * d, d)) + 1j * rng.normal(size=(n * d, d))
+    v, _ = np.linalg.qr(z)
+    blocks = v.reshape(n, d, d)
+    return [b.conj().T @ b for b in blocks]
+
+
+def random_process(dims, seed):
+    rng = np.random.default_rng(seed)
+    out_dims = tuple(int(x) for x in rng.choice((2, 3), size=2))
+    gamma = random_state(rng, int(np.prod(dims)))
+    p = build_common_cause(gamma, dims, out_dims)
+    povms = [random_povm(rng, d, int(rng.integers(2, 4))) for d in dims]
+    return p, povms
+
+
+def embed(element, k, dims):
+    """element on party k, identity elsewhere."""
+    return kron(*[element if i == k else np.eye(d)
+                  for i, d in enumerate(dims)])
+
+
+@PROPS
+@given(DIMS, SEEDS)
+def test_condition_matches_born_and_partial_trace(dims, seed):
+    p, povms = random_process(dims, seed)
+    for k, party in enumerate("ABC"):
+        rest = tuple(i for i in range(3) if i != k)
+        total = 0
+        for e in povms[k]:
+            c = condition(p, party, e)
+            born = born_probability(p, *[e if i == k else None
+                                         for i in range(3)])
+            assert abs(c.probability - born) < 1e-12
+            total = total + c.probability * c.state
+            # tr_party[gamma (element at party)], built independently
+            ref = partial_trace(p.gamma @ embed(e, k, dims), dims, rest)
+            assert np.allclose(c.unnormalized, ref, atol=1e-12)
+            assert c.layout.labels() == REMAINING_LABELS[party]
+            # the Choi matrix reduces to the unnormalized state
+            legs = c.layout.legs
+            ins = tuple(i for i, leg in enumerate(legs)
+                        if leg.direction == "input")
+            norm = np.prod([leg.dim for leg in legs
+                            if leg.direction == "output"])
+            reduced = partial_trace(c.matrix, c.layout.dims, ins) / norm
+            assert np.allclose(reduced, ref, atol=1e-12)
+        assert np.allclose(total, partial_trace(p.gamma, dims, rest),
+                           atol=1e-10)
+
+
+@PROPS
+@given(DIMS, SEEDS)
+def test_common_cause_choi_reduces_to_gamma(dims, seed):
+    p, _ = random_process(dims, seed)
+    assert p.layout.labels() == ("A_in", "A_out", "B_in", "B_out", "C_in")
+    reduced = partial_trace(p.matrix, p.layout.dims, (0, 2, 4))
+    assert np.allclose(reduced / np.prod(p.output_dims), p.gamma,
+                       atol=1e-12)
+    # output legs alone carry the identity
+    assert np.allclose(partial_trace(p.matrix, p.layout.dims, (1, 3)),
+                       np.eye(int(np.prod(p.output_dims))), atol=1e-12)
+
+
+@PROPS
+@given(DIMS, SEEDS)
+def test_recover_preserves_event_probabilities(dims, seed):
+    p, povms = random_process(dims, seed)
+    inst = instrument(povms[1], "random")
+    rec = recover(p, inst)
+    assert np.allclose(partial_trace(rec.matrix, rec.layout.dims,
+                                     (0, 2, 4)) / np.prod(rec.output_dims),
+                       rec.gamma, atol=1e-12)
+    # each middle event, alone and jointly with either outer party's
+    # events; the recovered process keeps only the outer marginals, so
+    # three-party joint statistics are not part of the contract
+    for eb in inst.matrices():
+        outer = [(None, None)] + [(ea, None) for ea in povms[0]] \
+            + [(None, ec) for ec in povms[2]]
+        for ea, ec in outer:
+            assert abs(born_probability(p, ea, eb, ec)
+                       - born_probability(rec, ea, eb, ec)) < 1e-10
