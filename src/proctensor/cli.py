@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .instruments import (Instrument, dual_frame, gram_matrix,
+from .instruments import (INSTRUMENTS, Instrument, dual_frame, gram_matrix,
                           instrument_by_name, instrument_from_json,
                           instrument_to_json, validate as
                           validate_instrument)
@@ -32,23 +32,21 @@ from .memory import (confusion_probability, markov_order_test,
                      quantum_cmi, quantum_cmi_choi)
 from .process import (ProcessTensor, born_probability, build_common_cause,
                       check_causality, condition_instrument)
-from .recovery import (deviation_scan, noisy_replay, recover,
-                       reference_recovered_lambda,
+from .recovery import (_REF_THETA_WEIGHTS, deviation_scan, noisy_replay,
+                       recover, reference_recovered_lambda,
                        reference_recovered_omega)
 from .states import state_by_name, werner
-from .tomography import (CountsTable, bootstrap, counts_from_csv,
-                         counts_to_csv, reconstruct, simulate_counts)
-from .walk import (align_frames, circuit_by_name, extract_povm,
-                   load_circuit, port_probabilities)
+from .tomography import (bootstrap, counts_from_csv, counts_to_csv,
+                         reconstruct, simulate_counts)
+from .walk import (CIRCUITS, align_frames, circuit_by_name,
+                   circuit_from_json, extract_povm, port_probabilities)
 
-OUTPUT_DIMS = {"lambda": (2, 2), "omega": (2, 3)}
 STATE_NAMES = ("lambda", "omega")
 PRESET_SEEDS = {"process1": 0, "process2": 0, "walk_verify": 11,
                 "survey": 7, "tomo": 3}
 CONFIG_KEYS = {"preset", "seed", "output", "format", "tolerances",
                "command"}
 
-_RT2 = float(np.sqrt(2.0))
 # single-qubit change of frame carrying the sharp-instrument conditional
 # states onto Bell-diagonal form, with the event -> Bell index map
 _WERNER_FRAME = 0.5 * np.array([[1 + 1j, 1 + 1j], [-1 + 1j, 1 - 1j]])
@@ -125,13 +123,26 @@ def _emit(obj, out_path=None, fmt="json"):
                 w.writerow([path, json.dumps(val, default=_jsonify)])
 
 
-def _load_state(arg):
-    """Built-in state name or a state JSON file {dims, matrix}."""
-    key = str(arg).strip().lower()
-    if key in STATE_NAMES:
-        return state_by_name(key)
+def _resolve(arg, kind, names, by_name):
+    """(key, built-in object) for a built-in name, else (None, the parsed
+    JSON file named by arg). Built-in names win over files."""
+    key = str(arg).strip().lower().replace("-", "_")
+    if key in names:
+        return key, by_name(key)
+    if not os.path.isfile(arg):
+        raise ValueError(f"{kind} {arg!r} is not a built-in name (one of "
+                         f"{', '.join(sorted(names))}) and no such file "
+                         "exists")
     with open(arg) as fh:
-        obj = json.load(fh)
+        return None, json.load(fh)
+
+
+def _state_to_json(g, dims) -> dict:
+    return {"dims": list(dims), "matrix": mat_to_json(g)}
+
+
+def _state_from_json(obj, arg):
+    """(state, dims) from a state file's JSON {dims, matrix}."""
     if not isinstance(obj, dict) or "matrix" not in obj or "dims" not in obj:
         raise ValueError(f"state file {arg!r} needs 'dims' and 'matrix'")
     dims = tuple(int(d) for d in obj["dims"])
@@ -141,9 +152,11 @@ def _load_state(arg):
     return m, dims
 
 
-def _state_out_dims(arg, dims):
-    key = str(arg).strip().lower()
-    return OUTPUT_DIMS.get(key, (dims[0], dims[1]))
+def _load_state(arg):
+    """(state, dims, built-in key or None) for a state name or file."""
+    key, obj = _resolve(arg, "state", STATE_NAMES, state_by_name)
+    g, dims = obj if key else _state_from_json(obj, arg)
+    return g, dims, key
 
 
 def _process_to_json(p: ProcessTensor) -> dict:
@@ -179,50 +192,25 @@ def _process_from_json(obj: dict) -> ProcessTensor:
 
 
 def _load_process(arg):
-    """Built-in name, a process JSON file, or a state JSON file."""
-    key = str(arg).strip().lower()
-    if key in STATE_NAMES:
-        g, dims = state_by_name(key)
-        return build_common_cause(g, dims, OUTPUT_DIMS[key])
-    with open(arg) as fh:
-        obj = json.load(fh)
-    if isinstance(obj, dict) and "layout" in obj:
+    """Process from a state name, a process file or a state file."""
+    key, obj = _resolve(arg, "process", STATE_NAMES, state_by_name)
+    if key is None and isinstance(obj, dict) and "layout" in obj:
         return _process_from_json(obj)
-    if isinstance(obj, dict) and "dims" in obj and "matrix" in obj:
-        dims = tuple(int(d) for d in obj["dims"])
-        return build_common_cause(mat_from_json(obj["matrix"]), dims,
-                                  (dims[0], dims[1]))
-    raise ValueError(f"{arg!r} is neither a known process name nor a "
-                     "process/state JSON file")
+    g, dims = obj if key else _state_from_json(obj, arg)
+    return build_common_cause(g, dims, dims[:2])
 
 
 def _load_instrument(arg) -> Instrument:
-    key = str(arg).strip().lower().replace("-", "_")
-    try:
-        return instrument_by_name(key)
-    except KeyError:
-        if not os.path.exists(str(arg)):
-            raise
-    with open(arg) as fh:
-        return instrument_from_json(json.load(fh))
+    key, obj = _resolve(arg, "instrument", INSTRUMENTS, instrument_by_name)
+    return obj if key else instrument_from_json(obj)
 
 
-def _load_circuit_arg(arg):
-    key = str(arg).strip().lower()
-    try:
-        return circuit_by_name(key)
-    except KeyError:
-        if not os.path.exists(str(arg)):
-            raise
-    return load_circuit(arg)
+def _load_circuit(arg):
+    key, obj = _resolve(arg, "circuit", CIRCUITS, circuit_by_name)
+    return obj if key else circuit_from_json(obj)
 
 
 # ---------------------------------------------------------------- presets
-
-def _claimed_theta_probs():
-    w = 2.0 * (3.0 - 2.0 * _RT2)
-    return (w, w, 8.0 * _RT2 - 11.0)
-
 
 def _scan_pair(p, rec, grid=64):
     proj = deviation_scan(p, rec, grid=grid, convention="projector")
@@ -233,7 +221,7 @@ def _scan_pair(p, rec, grid=64):
 def preset_process1(seed=None, tols=None) -> dict:
     """Two-qubit common-cause process: memory metrics and recovery."""
     g, dims = state_by_name("lambda")
-    p = build_common_cause(g, dims, OUTPUT_DIMS["lambda"])
+    p = build_common_cause(g, dims, dims[:2])
     theta = instrument_by_name("theta")
     z = instrument_by_name("z")
     r = {"process": "lambda"}
@@ -255,7 +243,7 @@ def preset_process1(seed=None, tols=None) -> dict:
     r["theta_probabilities"] = [
         _entry(v, _ref("theoretical", c), key="theta_probabilities",
                tols=tols)
-        for v, c in zip(probs, _claimed_theta_probs())]
+        for v, c in zip(probs, _REF_THETA_WEIGHTS)]
     rep = memory_strength(p, theta)
     r["theta_memory"] = rep.as_dict()
     r["theta_max_event_memory"] = _entry(
@@ -286,7 +274,7 @@ def preset_process1(seed=None, tols=None) -> dict:
     noisy = []
     for strength in (0.01, 0.05):
         gn = noisy_replay(g, dims, strength)
-        pn = build_common_cause(gn, dims, OUTPUT_DIMS["lambda"])
+        pn = build_common_cause(gn, dims, dims[:2])
         recn = recover(pn, theta)
         # clean process against the noisy-data reconstruction
         projn, corrn = _scan_pair(p, recn)
@@ -303,7 +291,7 @@ def preset_process1(seed=None, tols=None) -> dict:
 def preset_process2(seed=None, tols=None) -> dict:
     """Qubit-qutrit common-cause process: exact Markov-order-one middle."""
     g, dims = state_by_name("omega")
-    p = build_common_cause(g, dims, OUTPUT_DIMS["omega"])
+    p = build_common_cause(g, dims, dims[:2])
     xi = instrument_by_name("xi")
     sharp = instrument_by_name("qutrit_sharp")
     r = {"process": "omega"}
@@ -433,7 +421,7 @@ def preset_survey(seed=None, samples=100000, cutoff=0.0125,
     """Projective-instrument survey on the two-qubit process."""
     seed = PRESET_SEEDS["survey"] if seed is None else seed
     g, dims = state_by_name("lambda")
-    p = build_common_cause(g, dims, OUTPUT_DIMS["lambda"])
+    p = build_common_cause(g, dims, dims[:2])
     frac = projective_survey(p, cutoff, samples, seed)
     return {
         "process": "lambda",
@@ -466,18 +454,17 @@ def preset_tomo(seed=None, shots=1000000, resamples=100,
                 key=f"{name}.fidelity", tols=tols),
         }
         if name == "lambda":
-            pn = build_common_cause(rho, dims, OUTPUT_DIMS[name])
+            pn = build_common_cause(rho, dims, dims[:2])
             block["non_markovianity_reconstructed"] = _entry(
                 non_markovianity(pn), _ref("theoretical", 0.329),
                 _ref("experimental", 0.285, uncertainty=0.004),
                 key="non_markovianity_reconstructed", tols=tols)
-            dims_l, counts_l = dims, counts
 
-            def stat(sigma, d=dims, od=OUTPUT_DIMS[name]):
-                return non_markovianity(build_common_cause(sigma, d, od))
+            def stat(sigma, d=dims):
+                return non_markovianity(build_common_cause(sigma, d, d[:2]))
 
-            mean, err = bootstrap(counts_l, dims_l, stat,
-                                  resamples=resamples, seed=seed)
+            mean, err = bootstrap(counts, dims, stat, resamples=resamples,
+                                  seed=seed)
             block["bootstrap"] = {
                 "statistic": "non_markovianity",
                 "resamples": resamples,
@@ -539,16 +526,13 @@ def _cmd_states_emit(args) -> int:
         raise ValueError(f"unknown state {args.name!r} "
                          f"(expected one of {list(STATE_NAMES)})")
     g, dims = state_by_name(name)
-    _emit({"name": name, "dims": list(dims), "matrix": mat_to_json(g)},
-          args.out, args.format)
+    _emit({"name": name, **_state_to_json(g, dims)}, args.out, "json")
     return 0
 
 
 def _cmd_process_build(args) -> int:
-    g, dims = _load_state(args.state)
-    out_dims = _state_out_dims(args.state, dims)
-    p = build_common_cause(g, dims, out_dims)
-    p.validate()
+    g, dims, _ = _load_state(args.state)
+    p = build_common_cause(g, dims, dims[:2])
     _emit(_process_to_json(p), args.out, "json")
     return 0
 
@@ -632,9 +616,7 @@ def _cmd_recover_build(args) -> int:
     _emit({
         "process": str(args.process),
         "instrument": inst.name or str(args.instrument),
-        "layout": [[leg.label, leg.dim, leg.direction]
-                   for leg in rec.layout.legs],
-        "matrix": mat_to_json(rec.matrix),
+        **_process_to_json(rec),
         "state_matrix": mat_to_json(rec.gamma),
         "events": [{"probability": pr} for pr, _, _ in rec.events],
         "fidelity_to_true": fidelity(rec.gamma, p.gamma),
@@ -669,7 +651,7 @@ def _cmd_recover_scan(args) -> int:
 
 
 def _cmd_walk_verify(args) -> int:
-    circuit = _load_circuit_arg(args.circuit)
+    circuit = _load_circuit(args.circuit)
     target = _load_instrument(args.target or args.circuit)
     block = _verify_circuit(circuit, target, args.seed)
     block = {"circuit": str(args.circuit),
@@ -681,25 +663,25 @@ def _cmd_walk_verify(args) -> int:
 
 
 def _counts_for(args):
-    if args.counts:
-        counts = counts_from_csv(args.counts)
-        dims = None
-        if args.state:
-            _, dims = _load_state(args.state)
-        return counts, dims
-    if not args.state:
+    """(counts, dims, built-in state key or None) for tomo commands.
+    Counts come from --counts, else are simulated from --state; dims from
+    --state, else from the first label (one-letter bases are qubits)."""
+    counts = counts_from_csv(args.counts) if args.counts else None
+    if args.state:
+        g, dims, key = _load_state(args.state)
+    elif counts is None:
         raise ValueError("need --counts or --state")
-    g, dims = _load_state(args.state)
-    return simulate_counts(g, dims, args.shots, args.seed), dims
-
-
-def _infer_dims(counts: CountsTable):
-    parts = counts.labels[0].split("/")
-    return tuple(2 if len(lbl) == 1 else 3 for lbl in parts)
+    else:
+        key = None
+        dims = tuple(2 if len(lbl) == 1 else 3
+                     for lbl in counts.labels[0].split("/"))
+    if counts is None:
+        counts = simulate_counts(g, dims, args.shots, args.seed)
+    return counts, dims, key
 
 
 def _cmd_tomo_simulate(args) -> int:
-    g, dims = _load_state(args.state)
+    g, dims, _ = _load_state(args.state)
     counts = simulate_counts(g, dims, args.shots, args.seed)
     counts_to_csv(counts, args.out)
     _emit({
@@ -714,26 +696,23 @@ def _cmd_tomo_simulate(args) -> int:
 
 
 def _cmd_tomo_reconstruct(args) -> int:
-    counts, dims = _counts_for(args)
-    if dims is None:
-        dims = _infer_dims(counts)
+    counts, dims, key = _counts_for(args)
     rho = reconstruct(counts, dims)
     out = {
         "settings": len(counts.labels),
         "total_shots": int(counts.total_shots),
         "dims": list(dims),
     }
-    key = str(args.state).strip().lower() if args.state else None
-    if key in STATE_NAMES:
+    if key is not None:
         g, _ = state_by_name(key)
         out["fidelity"] = {"value": fidelity(rho, g)}
-        pn = build_common_cause(rho, dims, OUTPUT_DIMS[key])
+        pn = build_common_cause(rho, dims, dims[:2])
         out["non_markovianity_reconstructed"] = {
             "value": non_markovianity(pn)}
     if args.matrix_out:
         with open(args.matrix_out, "w") as fh:
-            json.dump({"dims": list(dims), "matrix": mat_to_json(rho)},
-                      fh, indent=1, sort_keys=True)
+            json.dump(_state_to_json(rho, dims), fh, indent=1,
+                      sort_keys=True)
         out["matrix_file"] = str(args.matrix_out)
     else:
         out["matrix"] = mat_to_json(rho)
@@ -742,15 +721,10 @@ def _cmd_tomo_reconstruct(args) -> int:
 
 
 def _cmd_tomo_bootstrap(args) -> int:
-    counts, dims = _counts_for(args)
-    if dims is None:
-        dims = _infer_dims(counts)
-    key = str(args.state).strip().lower() if args.state else None
-    if key in STATE_NAMES:
-        od = OUTPUT_DIMS[key]
-
-        def stat(sigma, d=dims, o=od):
-            return non_markovianity(build_common_cause(sigma, d, o))
+    counts, dims, key = _counts_for(args)
+    if key is not None:
+        def stat(sigma):
+            return non_markovianity(build_common_cause(sigma, dims, dims[:2]))
 
         name = "non_markovianity"
     else:
@@ -814,7 +788,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add(states_sub, "emit", _cmd_states_emit,
              help="write a built-in state as JSON")
     sp.add_argument("--name", required=True)
-    sp.add_argument("--format", default="json", choices=["json"])
     sp.add_argument("--out", default=None)
 
     proc = sub.add_parser("process", help="process tensors")
@@ -845,8 +818,6 @@ def build_parser() -> argparse.ArgumentParser:
              help="instrument-specific memory report")
     sp.add_argument("--process", required=True)
     sp.add_argument("--instrument", required=True)
-    sp.add_argument("--json", action="store_true",
-                    help="accepted for compatibility; output is JSON")
     sp.add_argument("--out", default=None)
     sp = add(mem_sub, "survey", _cmd_memory_survey,
              help="Haar survey of projective middle instruments")

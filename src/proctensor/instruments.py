@@ -8,7 +8,7 @@ used everywhere downstream (recovery, span projections).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,7 +69,6 @@ class Instrument:
 @dataclass(frozen=True)
 class DualFrame:
     duals: tuple[np.ndarray, ...]
-    instrument: Instrument = field(repr=False, default=None)
 
 
 def instrument(mats, name: str = "") -> Instrument:
@@ -137,13 +136,15 @@ def z_basis(dim: int = 2) -> Instrument:
                        for k in range(dim)], "z")
 
 
+INSTRUMENTS = {"theta": theta_povm, "tetra": tetra_povm, "xi": xi_noisy,
+               "qutrit_sharp": qutrit_sharp, "z": z_basis}
+
+
 def instrument_by_name(name: str) -> Instrument:
     key = name.strip().lower().replace("-", "_")
-    table = {"theta": theta_povm, "tetra": tetra_povm, "xi": xi_noisy,
-             "qutrit_sharp": qutrit_sharp, "z": z_basis}
-    if key not in table:
+    if key not in INSTRUMENTS:
         raise KeyError(f"unknown instrument {name!r}")
-    return table[key]()
+    return INSTRUMENTS[key]()
 
 
 def validate(inst: Instrument) -> dict:
@@ -157,11 +158,6 @@ def validate(inst: Instrument) -> dict:
     return {"psd_violations": psd,
             "completeness_residual": residual,
             "ok": max(psd) <= 1e-10 and residual <= 1e-10}
-
-
-def completeness_residual(mats, dim: int) -> float:
-    """Frobenius distance of a raw element list from completeness."""
-    return float(np.linalg.norm(sum(mats) - np.eye(dim)))
 
 
 def gram_matrix(mats) -> np.ndarray:
@@ -194,7 +190,7 @@ def dual_frame(inst: Instrument) -> DualFrame:
     for x in range(len(mats)):
         d = sum(Ginv[y, x] * mats[y] for y in range(len(mats)))
         duals.append(hermitize(d))
-    return DualFrame(tuple(duals), inst)
+    return DualFrame(tuple(duals))
 
 
 def span_project(m: np.ndarray, mats) -> np.ndarray:
@@ -225,8 +221,8 @@ def instrument_from_json(obj: dict) -> Instrument:
 
 
 __all__ = [
-    "DualFrame", "Instrument", "PAULI", "PovmElement", "TETRA_SIGNS",
-    "completeness_residual", "dual_frame", "gram_matrix", "instrument",
+    "DualFrame", "INSTRUMENTS", "Instrument", "PAULI", "PovmElement",
+    "TETRA_SIGNS", "dual_frame", "gram_matrix", "instrument",
     "instrument_by_name", "instrument_from_json", "instrument_to_json",
     "kron", "qutrit_sharp", "random_projective", "span_project",
     "tetra_povm", "theta_povm", "validate", "xi_noisy", "z_basis",

@@ -66,10 +66,6 @@ def kron(*mats: np.ndarray) -> np.ndarray:
     return out
 
 
-def dagger(m: np.ndarray) -> np.ndarray:
-    return np.asarray(m).conj().T
-
-
 def partial_trace(m: np.ndarray, dims: tuple[int, ...],
                   keep: tuple[int, ...]) -> np.ndarray:
     """Trace out all legs not in keep; kept legs stay in their given order.

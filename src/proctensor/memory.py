@@ -15,7 +15,8 @@ import numpy as np
 from .instruments import Instrument
 from .linalg import (kron, partial_trace, relative_entropy, trace_distance,
                      von_neumann_entropy)
-from .process import ProcessTensor, condition_instrument, marginals
+from .process import (PROB_TOL, ProcessTensor, condition_instrument,
+                      marginals, markov_product)
 
 
 def non_markovianity(p: ProcessTensor) -> float:
@@ -35,7 +36,6 @@ def non_markovianity_choi(p: ProcessTensor) -> float:
     Kept as the cross-check path; agrees with non_markovianity to
     numerical precision.
     """
-    from .process import markov_product
     norm = p.trace_norm_target
     return relative_entropy(p.matrix / norm, markov_product(p).matrix / norm)
 
@@ -105,7 +105,7 @@ def memory_strength(p: ProcessTensor, inst: Instrument) -> MemoryReport:
     rows = []
     flags = []
     for cp in condition_instrument(p, "B", inst):
-        if cp.probability <= 1e-14:
+        if cp.probability <= PROB_TOL:
             rows.append((0.0, 0.0))
             flags.append(f"event {cp.event_index}: zero probability")
             continue
@@ -125,7 +125,7 @@ def markov_order_test(p: ProcessTensor, inst: Instrument,
     dA, _, dC = p.input_dims
     events = []
     for cp in condition_instrument(p, "B", inst):
-        if cp.probability <= 1e-14:
+        if cp.probability <= PROB_TOL:
             events.append({"event": cp.event_index, "probability": 0.0,
                            "trace_distance": 0.0, "mutual_information": 0.0})
             continue
@@ -180,10 +180,10 @@ def projective_survey(p: ProcessTensor, cutoff: float, samples: int,
         raise ValueError("cutoff must be positive")
     if samples < 100:
         raise ValueError("need at least 100 samples")
-    if p.input_dims[1] != 2:
-        raise ValueError("survey requires a qubit middle party")
-    dA, dB, dC = p.input_dims
-    gamma6 = p.gamma.reshape(dA, dB, dC, dA, dB, dC)
+    if tuple(p.input_dims) != (2, 2, 2):
+        raise ValueError("survey requires qubit legs for all three parties; "
+                         f"input dims are {tuple(p.input_dims)}")
+    gamma6 = p.gamma.reshape((2,) * 6)
     children = np.random.SeedSequence(seed).spawn(N_SURVEY_CHUNKS)
     sizes = [samples // N_SURVEY_CHUNKS
              + (1 if i < samples % N_SURVEY_CHUNKS else 0)

@@ -21,6 +21,9 @@ from .linalg import LegLayout, hermitize, kron, layout, partial_trace
 
 PARTIES = ("A", "B", "C")
 
+# events at or below this probability count as impossible
+PROB_TOL = 1e-14
+
 
 def _choi(state: np.ndarray, parties: str, input_dims: tuple[int, ...],
           output_dims: tuple[int, int]) -> tuple[np.ndarray, LegLayout]:
@@ -65,28 +68,25 @@ class ProcessTensor:
     def trace_norm_target(self) -> int:
         return int(np.prod(self.output_dims))
 
-    def validate(self, pos_tol: float = 1e-10, trace_tol: float = 1e-8):
-        w = np.linalg.eigvalsh(hermitize(self.matrix))
-        if w.min() < -pos_tol:
-            raise ValueError(f"process not PSD: min eigenvalue {w.min():.3e}")
-        tr = float(np.real(np.trace(self.matrix)))
-        if abs(tr - self.trace_norm_target) > trace_tol:
-            raise ValueError(
-                f"trace {tr} deviates from {self.trace_norm_target}")
-        return self
-
 
 def build_common_cause(gamma: np.ndarray,
                        input_dims: tuple[int, int, int],
                        output_dims: tuple[int, int]) -> ProcessTensor:
-    """Promote a tripartite input-leg state to a full process tensor."""
+    """Promote a tripartite input-leg state to a full process tensor.
+    Only gamma is validated: the Choi spectrum is gamma's, repeated."""
     gamma = np.asarray(gamma, dtype=complex)
     dA, dB, dC = input_dims
     if gamma.shape != (dA * dB * dC, dA * dB * dC):
         raise ValueError("state dimension does not match input_dims")
+    w_min = np.linalg.eigvalsh(hermitize(gamma))[0]
+    if w_min < -1e-10:
+        raise ValueError(f"process not PSD: min eigenvalue {w_min:.3e}")
+    tr = float(np.real(np.trace(gamma)))
+    if abs(tr - 1.0) > 1e-8:
+        raise ValueError(f"state trace {tr} deviates from 1")
     full, lay = _choi(gamma, "ABC", input_dims, output_dims)
     return ProcessTensor(full, lay, gamma, tuple(input_dims),
-                         tuple(output_dims)).validate()
+                         tuple(output_dims))
 
 
 def check_causality(p: ProcessTensor) -> dict:
@@ -179,7 +179,7 @@ class ConditionalProcess:
     @cached_property
     def state(self) -> np.ndarray:
         """Normalized remaining-input state (left as is at probability 0)."""
-        if self.probability > 1e-14:
+        if self.probability > PROB_TOL:
             return self.unnormalized / self.probability
         return self.unnormalized
 
@@ -210,13 +210,17 @@ def condition(p: ProcessTensor, party: str, element: np.ndarray,
     if party not in PARTIES:
         raise KeyError(f"unknown party {party!r} (expected A, B, or C)")
     k = PARTIES.index(party)
+    element = np.asarray(element, dtype=complex)
+    dk = p.input_dims[k]
+    if element.shape != (dk, dk):
+        raise ValueError(f"element of shape {element.shape} does not fit "
+                         f"party {party}'s input leg of dimension {dk}")
     x = "abc"[k]
     rest = "abc".replace(x, "")
     g_sub = "abc".replace(x, "D") + "ABC".replace(x.upper(), x)
     dims = tuple(d for i, d in enumerate(p.input_dims) if i != k)
     g6 = p.gamma.reshape(*p.input_dims, *p.input_dims)
-    cond = np.einsum(f"{x}D,{g_sub}->{rest}{rest.upper()}",
-                     np.asarray(element, dtype=complex), g6)
+    cond = np.einsum(f"{x}D,{g_sub}->{rest}{rest.upper()}", element, g6)
     cond = cond.reshape(dims[0] * dims[1], dims[0] * dims[1])
     prob = float(np.real(np.trace(cond)))
     return ConditionalProcess(cond, prob, event_index,

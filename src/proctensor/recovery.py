@@ -17,7 +17,7 @@ import numpy as np
 from .instruments import (DualFrame, Instrument, PAULI, dual_frame,
                           span_project)
 from .linalg import kron, partial_trace, path_or_handle
-from .process import ProcessTensor, _choi, condition_instrument
+from .process import PROB_TOL, ProcessTensor, _choi, condition_instrument
 
 SPAN_TOL = 1e-10
 
@@ -47,15 +47,13 @@ def recover(p: ProcessTensor, inst: Instrument) -> RecoveredProcess:
     normalized conditional marginals of the two outer parties.
     """
     dA, dB, dC = p.input_dims
-    if inst.dim != dB:
-        raise ValueError("instrument dimension does not match middle leg")
     frame = dual_frame(inst)
     conds = condition_instrument(p, "B", inst)
     gamma_rec = np.zeros((dA * dB * dC, dA * dB * dC), dtype=complex)
     events = []
     for cond, dual in zip(conds, frame.duals):
         prob = cond.probability
-        if prob <= 1e-14:
+        if prob <= PROB_TOL:
             events.append((0.0, np.eye(dA) / dA, np.eye(dC) / dC))
             continue
         gA = partial_trace(cond.state, (dA, dC), (0,))
@@ -230,16 +228,6 @@ def deviation_scan(true_p, recovered_p, grid: int = 64,
         argmax=ang)
 
 
-def _permute_legs(m: np.ndarray, dims_from: tuple[int, ...],
-                  perm: tuple[int, ...]) -> np.ndarray:
-    n = len(dims_from)
-    t = m.reshape(*dims_from, *dims_from)
-    axes = list(perm) + [p + n for p in perm]
-    t = t.transpose(axes)
-    d = int(np.prod(dims_from))
-    return t.reshape(d, d)
-
-
 def noisy_replay(gamma: np.ndarray, dims, strengths) -> np.ndarray:
     """Leg-local depolarizing noise on a multipartite state.
 
@@ -261,13 +249,15 @@ def noisy_replay(gamma: np.ndarray, dims, strengths) -> np.ndarray:
     for k, s in enumerate(strengths):
         if s == 0.0:
             continue
-        others = tuple(i for i in range(n) if i != k)
-        rest = partial_trace(g, dims, others)
-        mixed = kron(rest, np.eye(dims[k]) / dims[k])
-        order = list(others) + [k]
-        perm = tuple(order.index(j) for j in range(n))
-        from_dims = tuple(dims[i] for i in order)
-        g = (1.0 - s) * g + s * _permute_legs(mixed, from_dims, perm)
+        # the other legs' joint marginal times a maximally mixed leg k,
+        # broadcast so every leg keeps its axis
+        rest = partial_trace(g, dims, tuple(i for i in range(n) if i != k))
+        rest = rest.reshape([1 if i == k else d
+                             for i, d in enumerate(dims)] * 2)
+        shape = [1] * (2 * n)
+        shape[k] = shape[n + k] = dims[k]
+        mixed = rest * (np.eye(dims[k]) / dims[k]).reshape(shape)
+        g = (1.0 - s) * g + s * mixed.reshape(g.shape)
     return g
 
 

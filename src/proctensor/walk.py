@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .instruments import Instrument, instrument
+from .instruments import PAULI, Instrument, instrument
 from .linalg import mat_from_json, mat_to_json
 
 NORM_TOL = 1e-12
@@ -223,12 +223,14 @@ def tetra_circuit() -> WalkCircuit:
     return WalkCircuit(steps, {0: 1, 2: 4, 4: 3, 6: 2}, "tetra")
 
 
+CIRCUITS = {"theta": theta_circuit, "tetra": tetra_circuit}
+
+
 def circuit_by_name(name: str) -> WalkCircuit:
-    builders = {"theta": theta_circuit, "tetra": tetra_circuit}
-    if name not in builders:
+    if name not in CIRCUITS:
         raise KeyError(f"unknown circuit {name!r} "
-                       f"(expected one of {sorted(builders)})")
-    return builders[name]()
+                       f"(expected one of {sorted(CIRCUITS)})")
+    return CIRCUITS[name]()
 
 
 def circuit_to_json(circuit: WalkCircuit) -> dict:
@@ -251,17 +253,12 @@ def circuit_from_json(obj: dict) -> WalkCircuit:
     return WalkCircuit(tuple(steps), ports, obj.get("name", ""))
 
 
-_SIGMA = (np.array([[0, 1], [1, 0]], dtype=complex),
-          np.array([[0, -1j], [1j, 0]], dtype=complex),
-          np.array([[1, 0], [0, -1]], dtype=complex))
-
-
 def bloch_vector(element: np.ndarray) -> np.ndarray:
     """Pauli components (tr[E sigma_j] / 2) of a Hermitian qubit operator."""
     e = np.asarray(element, dtype=complex)
     if e.shape != (2, 2):
         raise ValueError("qubit operator expected")
-    return np.array([np.trace(e @ s).real / 2.0 for s in _SIGMA])
+    return np.array([np.trace(e @ s).real / 2.0 for s in PAULI[1:]])
 
 
 def _su2_from_rotation(rot: np.ndarray) -> np.ndarray:
@@ -282,7 +279,7 @@ def _su2_from_rotation(rot: np.ndarray) -> np.ndarray:
         q[1 + j] = (rot[j, i] + rot[i, j]) / (2.0 * s)
         q[1 + k] = (rot[k, i] + rot[i, k]) / (2.0 * s)
         w, x, y, z = q
-    return w * np.eye(2) - 1j * (x * _SIGMA[0] + y * _SIGMA[1] + z * _SIGMA[2])
+    return w * np.eye(2) - 1j * (x * PAULI[1] + y * PAULI[2] + z * PAULI[3])
 
 
 def align_frames(target_mats, mats) -> tuple[np.ndarray, float]:
@@ -328,9 +325,9 @@ def load_circuit(path) -> WalkCircuit:
 
 
 __all__ = [
-    "BITFLIP", "WalkCircuit", "WalkState", "align_frames", "apply_coins",
-    "bloch_vector", "circuit_by_name", "circuit_from_json", "circuit_to_json",
-    "coin_state", "extract_povm", "load_circuit", "port_probabilities",
-    "run_protocol", "save_circuit", "tetra_circuit", "theta_circuit",
-    "translate",
+    "BITFLIP", "CIRCUITS", "WalkCircuit", "WalkState", "align_frames",
+    "apply_coins", "bloch_vector", "circuit_by_name", "circuit_from_json",
+    "circuit_to_json", "coin_state", "extract_povm", "load_circuit",
+    "port_probabilities", "run_protocol", "save_circuit", "tetra_circuit",
+    "theta_circuit", "translate",
 ]

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from proctensor.cli import _WERNER_EVENT_BELL, _WERNER_FRAME, OUTPUT_DIMS
+from proctensor.cli import _WERNER_EVENT_BELL, _WERNER_FRAME
 from proctensor.instruments import (
     dual_frame, instrument_by_name, random_projective,
 )
@@ -54,7 +54,7 @@ def record(num: int, status: str, text: str) -> None:
 
 def _process(name: str):
     g, dims = state_by_name(name)
-    return build_common_cause(g, dims, OUTPUT_DIMS[name])
+    return build_common_cause(g, dims, dims[:2])
 
 
 def test_criterion_01_non_markovianity():
@@ -323,7 +323,7 @@ def test_criterion_10_deviation_scans():
     noisy_lines = []
     for strength in (0.01, 0.05):
         gn = noisy_replay(g, dims, strength)
-        pn = build_common_cause(gn, dims, OUTPUT_DIMS["lambda"])
+        pn = build_common_cause(gn, dims, dims[:2])
         recn = recover(pn, theta)
         cn = deviation_scan(p_lam, recn, convention="correlator")
         assert 0.005 < cn.max_abs_diff < 0.1
@@ -352,7 +352,7 @@ def test_criterion_11_tomography():
 
     def stat(rho):
         return non_markovianity(
-            build_common_cause(rho, dims_lam, OUTPUT_DIMS["lambda"]))
+            build_common_cause(rho, dims_lam, dims_lam[:2]))
 
     mean1, err1 = bootstrap(counts, dims_lam, stat, resamples=100, seed=3)
     assert np.isclose(mean1, 0.2845258218672355, atol=1e-12)

@@ -1,5 +1,7 @@
 """End-to-end CLI behavior: exit codes, determinism, config handling."""
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -186,10 +188,19 @@ def _short_state():
     return "state.json", json.dumps({"dims": list(dims), "matrix": matrix})
 
 
+def _mixed_state(dims):
+    d = int(np.prod(dims))
+    return "state.json", json.dumps({"dims": list(dims),
+                                     "matrix": mat_to_json(np.eye(d) / d)})
+
+
 HEADER_ONLY = ("counts.csv", "setting,outcome,count\n")
 NO_COUNT_COLUMN = ("counts.csv", "setting,outcome\nX/X/X,0\n")
 UNKNOWN_BASIS = ("counts.csv", "setting,outcome,count\nQ/X/X,0,5\n")
 SHORT_STATE = _short_state()
+WRONG_DIMS = ("state.json", json.dumps({"dims": [2, 3, 2], "matrix":
+                                        mat_to_json(np.eye(8) / 8)}))
+XI = ("inst.json", json.dumps(instrument_to_json(instrument_by_name("xi"))))
 BASES = "unknown basis 'Q' on leg 0 (dimension 2; expected one of " \
     "['X', 'Y', 'Z'])"
 
@@ -204,11 +215,22 @@ BASES = "unknown basis 'Q' on leg 0 (dimension 2; expected one of " \
     (["process", "build", "--state"], SHORT_STATE, "matrix field 're'"),
     (["tomo", "reconstruct", "--state"], SHORT_STATE, "matrix field 're'"),
     (["tomo", "bootstrap", "--state"], SHORT_STATE, "matrix field 're'"),
+    (["memory", "strength", "--instrument", "z", "--process"], WRONG_DIMS,
+     "state matrix size disagrees with dims"),
+    (["memory", "strength", "--process", "lambda", "--instrument"], XI,
+     "element of shape (3, 3) does not fit party B's input leg of "
+     "dimension 2"),
+    (["memory", "survey", "--samples", "100", "--process"],
+     _mixed_state((3, 2, 2)), "input dims are (3, 2, 2)"),
+    (["memory", "survey", "--samples", "100", "--process"],
+     _mixed_state((2, 2, 3)), "input dims are (2, 2, 3)"),
 ], ids=["reconstruct-header-only", "bootstrap-header-only",
         "reconstruct-no-count-column", "bootstrap-no-count-column",
         "reconstruct-unknown-basis", "bootstrap-unknown-basis",
         "build-short-matrix", "reconstruct-short-matrix",
-        "bootstrap-short-matrix"])
+        "bootstrap-short-matrix", "strength-wrong-dims",
+        "strength-instrument-dim", "survey-qutrit-first",
+        "survey-qutrit-last"])
 def test_malformed_input_exits_two(tmp_path, capsys, argv, bad_input,
                                    expect):
     name, text = bad_input
@@ -218,6 +240,46 @@ def test_malformed_input_exits_two(tmp_path, capsys, argv, bad_input,
     assert code == 2
     assert out == ""
     assert expect in err
+
+
+@pytest.mark.parametrize("argv, kind, names", [
+    (["process", "build", "--state", "lamda"], "state", "lambda, omega"),
+    (["tomo", "simulate", "--out", "c.csv", "--state", "lamda"], "state",
+     "lambda, omega"),
+    (["process", "check", "--process", "lamda"], "process",
+     "lambda, omega"),
+    (["memory", "strength", "--process", "lambda", "--instrument", "huh"],
+     "instrument", "qutrit_sharp, tetra, theta, xi, z"),
+    (["walk", "verify", "--circuit", "huh"], "circuit", "tetra, theta"),
+    (["walk", "verify", "--circuit", "theta", "--target", "huh"],
+     "instrument", "qutrit_sharp, tetra, theta, xi, z"),
+], ids=["state", "tomo-state", "process", "instrument", "circuit",
+        "target"])
+def test_unknown_name_exits_two(tmp_path, monkeypatch, capsys, argv, kind,
+                                names):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: {kind} {argv[-1]!r} is not a built-in name "
+                   f"(one of {names}) and no such file exists\n")
+
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" \
+    / "cli_reference.json"
+
+
+def test_reference_commands_byte_identical(tmp_path, monkeypatch, capsys):
+    """The recorded benchmark commands print byte-identical stdout."""
+    reference = json.loads(REFERENCE.read_text())
+    monkeypatch.chdir(tmp_path)
+    # the simulate commands write the counts the reconstructions read
+    order = sorted(reference, key=lambda c: not c.startswith("tomo simulate"))
+    for cmd in order:
+        code, out, _ = run_cli(capsys, cmd.split())
+        assert code == 0, cmd
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == reference[cmd]["sha256"], cmd
 
 
 def test_preset_process1_values(tmp_path, capsys):

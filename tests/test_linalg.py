@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from proctensor.linalg import (
-    Leg, LegLayout, check_density, dagger, fidelity, hermitize,
+    Leg, LegLayout, check_density, fidelity, hermitize,
     is_hermitian, kron, layout, mat_from_json, mat_to_json, partial_trace,
     relative_entropy, sqrtm_psd, trace_distance, trace_norm,
     von_neumann_entropy)
@@ -34,7 +34,6 @@ def test_kron_matches_numpy_and_chains():
 def test_dagger_and_hermitize():
     rng = np.random.default_rng(1)
     m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    assert np.allclose(dagger(m), m.conj().T)
     h = hermitize(m)
     assert is_hermitian(h)
     assert not is_hermitian(m + np.diag([1j, 0, 0]))
