@@ -145,7 +145,12 @@ def _state_from_json(obj, arg):
     """(state, dims) from a state file's JSON {dims, matrix}."""
     if not isinstance(obj, dict) or "matrix" not in obj or "dims" not in obj:
         raise ValueError(f"state file {arg!r} needs 'dims' and 'matrix'")
-    dims = tuple(int(d) for d in obj["dims"])
+    dims = obj["dims"]
+    if not isinstance(dims, list) or not all(
+            isinstance(d, (int, float)) for d in dims):
+        raise ValueError(f"state file {arg!r}: 'dims' must be a list of leg "
+                         f"dimensions, got {dims!r}")
+    dims = tuple(int(d) for d in dims)
     m = mat_from_json(obj["matrix"])
     if m.shape[0] != int(np.prod(dims)):
         raise ValueError("state matrix size disagrees with dims")
@@ -170,8 +175,12 @@ def _process_to_json(p: ProcessTensor) -> dict:
 _CANON_LEGS = ("A_in", "A_out", "B_in", "B_out", "C_in")
 
 
-def _process_from_json(obj: dict) -> ProcessTensor:
+def _process_from_json(obj: dict, arg) -> ProcessTensor:
     legs = obj["layout"]
+    if not isinstance(legs, list) or not all(
+            isinstance(l, list) and len(l) == 3 for l in legs):
+        raise ValueError(f"process file {arg!r}: 'layout' must list "
+                         f"[label, dim, direction] legs, got {legs!r}")
     names = [l[0] for l in legs]
     if names != list(_CANON_LEGS):
         raise ValueError(f"layout must list legs {_CANON_LEGS}")
@@ -195,7 +204,7 @@ def _load_process(arg):
     """Process from a state name, a process file or a state file."""
     key, obj = _resolve(arg, "process", STATE_NAMES, state_by_name)
     if key is None and isinstance(obj, dict) and "layout" in obj:
-        return _process_from_json(obj)
+        return _process_from_json(obj, arg)
     g, dims = obj if key else _state_from_json(obj, arg)
     return build_common_cause(g, dims, dims[:2])
 
@@ -206,8 +215,9 @@ def _load_instrument(arg) -> Instrument:
 
 
 def _load_circuit(arg):
+    """(built-in key or None, circuit) for a circuit name or file."""
     key, obj = _resolve(arg, "circuit", CIRCUITS, circuit_by_name)
-    return obj if key else circuit_from_json(obj)
+    return key, (obj if key else circuit_from_json(obj))
 
 
 # ---------------------------------------------------------------- presets
@@ -651,8 +661,12 @@ def _cmd_recover_scan(args) -> int:
 
 
 def _cmd_walk_verify(args) -> int:
-    circuit = _load_circuit(args.circuit)
-    target = _load_instrument(args.target or args.circuit)
+    key, circuit = _load_circuit(args.circuit)
+    if not args.target and key is None:
+        raise ValueError(f"circuit file {args.circuit!r} needs --target; "
+                         "only a built-in circuit defaults to its own "
+                         "instrument")
+    target = _load_instrument(args.target or key)
     block = _verify_circuit(circuit, target, args.seed)
     block = {"circuit": str(args.circuit),
              "target": (target.name or str(args.target)), **block}

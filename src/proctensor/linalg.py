@@ -56,7 +56,7 @@ def is_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> bool:
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
-    return (m + m.conj().T) / 2
+    return (m + m.conj().swapaxes(-1, -2)) / 2
 
 
 def kron(*mats: np.ndarray) -> np.ndarray:

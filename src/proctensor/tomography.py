@@ -55,15 +55,33 @@ def _leg_bases(d: int) -> list[tuple[str, np.ndarray]]:
 
 def product_settings(dims) -> list[tuple[str, np.ndarray]]:
     """All products of per-leg bases; labels join leg labels with '/'."""
-    per_leg = [_leg_bases(int(d)) for d in dims]
-    settings = []
-    for combo in iproduct(*per_leg):
-        lbl = "/".join(l for l, _ in combo)
-        U = np.array([[1.0]], dtype=complex)
-        for _, B in combo:
-            U = np.kron(U, B)
-        settings.append((lbl, U))
-    return settings
+    per_leg = [[lbl for lbl, _ in _leg_bases(int(d))] for d in dims]
+    labels = ["/".join(combo) for combo in iproduct(*per_leg)]
+    return list(zip(labels, _unitaries(labels, dims)))
+
+
+def _unitaries(labels, dims) -> np.ndarray:
+    """(n, d, d) stack of the product unitaries the labels name, built by
+    one broadcast multiply per leg: the products np.kron forms."""
+    lookup = [dict(_leg_bases(int(d))) for d in dims]
+    parts = [lbl.split("/") for lbl in labels]
+    for lbl, part in zip(labels, parts):
+        if len(part) != len(lookup):
+            raise ValueError(f"setting {lbl!r} does not match {len(lookup)} "
+                             "legs")
+        for i, (leg, name) in enumerate(zip(lookup, part)):
+            if name not in leg:
+                raise ValueError(
+                    f"setting {lbl!r}: unknown basis {name!r} on leg {i} "
+                    f"(dimension {dims[i]}; expected one of {list(leg)})")
+    n = len(labels)
+    U = np.ones((n, 1, 1), dtype=complex)
+    for i, leg in enumerate(lookup):
+        a, b = U.shape[1], int(dims[i])
+        B = np.array([leg[part[i]] for part in parts]).reshape(n, b, b)
+        U = (U[:, :, None, :, None] * B[:, None, :, None, :]).reshape(
+            n, a * b, a * b)
+    return U
 
 
 def born_probabilities(rho: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -105,6 +123,8 @@ def simulate_counts(gamma: np.ndarray, dims, shots: int,
     shots is the total budget, split evenly across settings (at least one
     shot per setting).
     """
+    if shots < 1:
+        raise ValueError(f"shots must be at least 1, got {shots}")
     settings = product_settings(dims)
     shots_per = max(1, int(round(shots / len(settings))))
     rng = np.random.default_rng(seed)
@@ -114,70 +134,85 @@ def simulate_counts(gamma: np.ndarray, dims, shots: int,
                        (shots_per,) * len(settings))
 
 
-def _matrices_for(labels, dims) -> list[np.ndarray]:
-    lookup = [dict(_leg_bases(int(d))) for d in dims]
-    mats = []
-    for lbl in labels:
-        parts = lbl.split("/")
-        if len(parts) != len(lookup):
-            raise ValueError(f"setting {lbl!r} does not match {len(lookup)} "
-                             "legs")
-        U = np.array([[1.0]], dtype=complex)
-        for i, (leg, part) in enumerate(zip(lookup, parts)):
-            if part not in leg:
-                raise ValueError(
-                    f"setting {lbl!r}: unknown basis {part!r} on leg {i} "
-                    f"(dimension {dims[i]}; expected one of {list(leg)})")
-            U = np.kron(U, leg[part])
-        mats.append(U)
-    return mats
-
-
 def inversion_matrix(mats, d: int) -> np.ndarray:
     """Rows map vec(rho) to outcome probabilities, one row per outcome."""
-    rows = []
-    for U in mats:
-        for k in range(d):
-            P = np.outer(U[:, k], U[:, k].conj())
-            rows.append(P.conj().reshape(-1))
-    return np.array(rows)
+    cols = np.asarray(mats).swapaxes(-1, -2)  # cols[n, k] = U_n[:, k]
+    P = cols[:, :, :, None] * cols.conj()[:, :, None, :]
+    return np.conjugate(P, out=P).reshape(-1, d * d)
+
+
+def _pseudo_inverse(labels, dims, d: int) -> np.ndarray:
+    """Pseudo-inverse of the settings' inversion matrix.
+
+    One SVD gives both the rank (matrix_rank's tolerance) and the inverse
+    (pinv's formula). Raises when the settings are informationally
+    incomplete for the dimensions.
+    """
+    A = inversion_matrix(_unitaries(labels, dims), d)
+    u, s, vt = np.linalg.svd(A.conj(), full_matrices=False)
+    smax = s.max(initial=0.0)
+    rank = int(np.count_nonzero(
+        s > smax * (max(A.shape) * np.finfo(s.dtype).eps)))
+    if rank < d * d:
+        raise ValueError(
+            f"settings are informationally incomplete: rank {rank} < {d * d}")
+    # rank d * d takes d + 1 settings or more (each adds at most d - 1
+    # independent rows), so A has 6 rows or more, the rank tolerance
+    # max(A.shape) * eps exceeds pinv's 1e-15 cutoff and pinv keeps every
+    # singular value
+    return vt.T @ ((1 / s)[:, None] * u.T)
+
+
+def _frequencies(counts: CountsTable, d: int) -> np.ndarray:
+    """(settings, d) outcome frequencies of a table whose every setting has
+    d outcomes and at least one shot."""
+    for lbl, c in zip(counts.labels, counts.counts):
+        if len(c) != d:
+            raise ValueError(f"setting {lbl!r} has {len(c)} outcomes; "
+                             f"expected {d}")
+        if not c.sum():
+            raise ValueError(f"setting {lbl!r} has no shots")
+    c = np.array(counts.counts)
+    return c / c.sum(axis=-1, keepdims=True)
 
 
 def simplex_projection(evals: np.ndarray) -> np.ndarray:
-    """Euclidean projection of a real spectrum onto the unit simplex."""
-    u = np.sort(evals)[::-1]
-    css = np.cumsum(u)
-    ks = np.arange(1, len(u) + 1)
-    k = ks[u - (css - 1) / ks > 0][-1]
-    tau = (css[k - 1] - 1) / k
-    return np.clip(evals - tau, 0, None)
+    """Euclidean projection of real spectra onto the unit simplex, along the
+    last axis (Smolin, Gambetta and Smith, PRL 108, 070502)."""
+    u = np.sort(evals, axis=-1)[..., ::-1]
+    css = np.cumsum(u, axis=-1)
+    ks = np.arange(1, u.shape[-1] + 1)
+    # k: the largest index (from 1) with u_k > (css_k - 1) / k
+    k = ks[-1] - np.argmax((u - (css - 1) / ks > 0)[..., ::-1], axis=-1)
+    tau = (np.take_along_axis(css, k[..., None] - 1, axis=-1)[..., 0] - 1) / k
+    return np.clip(evals - tau[..., None], 0, None)
+
+
+def _estimate(inv: np.ndarray, freqs: np.ndarray, d: int) -> np.ndarray:
+    """(m, d, d) states from m stacked frequency vectors: linear inversion,
+    then each spectrum projected onto the simplex."""
+    # one matvec per row: a single stacked matmul rounds differently
+    rho = hermitize(np.array([inv @ f for f in freqs]).reshape(-1, d, d))
+    w, v = np.linalg.eigh(rho)
+    w = simplex_projection(w)
+    return (v * w[:, None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def reconstruct(counts: CountsTable, dims) -> np.ndarray:
     """Linear inversion of outcome frequencies, projected to a state.
 
     Raises when the settings in the table are informationally incomplete
-    for the requested dimensions.
+    for the requested dimensions, or when a setting lacks outcomes or shots.
     """
     d = int(np.prod([int(x) for x in dims]))
-    mats = _matrices_for(counts.labels, dims)
-    A = inversion_matrix(mats, d)
-    if np.linalg.matrix_rank(A) < d * d:
-        raise ValueError(
-            f"settings are informationally incomplete: rank "
-            f"{np.linalg.matrix_rank(A)} < {d * d}")
-    freqs = np.concatenate([c / c.sum() for c in counts.counts])
-    rho = (np.linalg.pinv(A) @ freqs).reshape(d, d)
-    rho = hermitize(rho)
-    w, v = np.linalg.eigh(rho)
-    w = simplex_projection(w)
-    return (v * w) @ v.conj().T
+    inv = _pseudo_inverse(counts.labels, dims, d)
+    return _estimate(inv, _frequencies(counts, d).reshape(1, -1), d)[0]
 
 
 def resample_counts(counts: CountsTable, rng) -> CountsTable:
     """One bootstrap resample: multinomial redraw per setting."""
-    new = [rng.multinomial(s, c / c.sum())
-           for c, s in zip(counts.counts, counts.shots)]
+    c = np.array(counts.counts)
+    new = rng.multinomial(counts.shots, c / c.sum(axis=-1, keepdims=True))
     return CountsTable(counts.labels, tuple(new), counts.shots)
 
 
@@ -185,19 +220,23 @@ def bootstrap(counts: CountsTable, dims, statistic, resamples: int = 500,
               seed=None) -> tuple[float, float]:
     """Bootstrap mean and standard error of statistic(reconstructed state).
 
-    Each resample redraws every setting's counts and reruns the full
-    reconstruction; per-resample seeds are spawned from seed so the result
-    does not depend on evaluation order.
+    Each resample redraws every setting's counts with its own generator,
+    spawned from seed, so the result does not depend on evaluation order.
+    The table's pseudo-inverse is built once and all resamples are
+    projected as one batch; each state is the one reconstruct() gives for
+    the same redrawn counts.
     """
     if resamples < 2:
         raise ValueError("need at least 2 resamples")
+    d = int(np.prod([int(x) for x in dims]))
+    inv = _pseudo_inverse(counts.labels, dims, d)
+    p = _frequencies(counts, d)
     children = np.random.SeedSequence(seed).spawn(resamples)
-    vals = []
-    for child in children:
-        rng = np.random.default_rng(child)
-        vals.append(float(statistic(reconstruct(
-            resample_counts(counts, rng), dims))))
-    vals = np.array(vals)
+    draws = np.array([np.random.default_rng(child).multinomial(
+        counts.shots, p) for child in children])
+    freqs = draws / draws.sum(axis=-1, keepdims=True)
+    states = _estimate(inv, freqs.reshape(resamples, -1), d)
+    vals = np.array([float(statistic(rho)) for rho in states])
     return float(vals.mean()), float(vals.std())
 
 

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: exit codes, determinism, config handling."""
 import hashlib
+import io
 import json
 from pathlib import Path
 
@@ -10,6 +11,8 @@ from proctensor.cli import main
 from proctensor.instruments import instrument_by_name, instrument_to_json
 from proctensor.linalg import mat_from_json, mat_to_json
 from proctensor.states import lambda_state, state_by_name
+from proctensor.tomography import counts_to_csv, simulate_counts
+from proctensor.walk import circuit_by_name, save_circuit
 
 
 def run_cli(capsys, argv):
@@ -194,13 +197,31 @@ def _mixed_state(dims):
                                      "matrix": mat_to_json(np.eye(d) / d)})
 
 
+def _lambda_counts(edit):
+    """A lambda counts CSV with its rows (header first) passed through
+    edit; the first setting, X/X/X, holds rows 1..8."""
+    g, dims = state_by_name("lambda")
+    buf = io.StringIO()
+    counts_to_csv(simulate_counts(g, dims, 2700, seed=0), buf)
+    return "counts.csv", "\n".join(edit(buf.getvalue().splitlines())) + "\n"
+
+
 HEADER_ONLY = ("counts.csv", "setting,outcome,count\n")
+MISSING_ROW = _lambda_counts(lambda rows: rows[:8] + rows[9:])
+EXTRA_OUTCOME = _lambda_counts(lambda rows: rows[:9] + ["X/X/X,8,5"]
+                               + rows[9:])
+ZERO_SHOTS = _lambda_counts(lambda rows: [rows[0]] + [
+    f"X/X/X,{k},0" for k in range(8)] + rows[9:])
 NO_COUNT_COLUMN = ("counts.csv", "setting,outcome\nX/X/X,0\n")
 UNKNOWN_BASIS = ("counts.csv", "setting,outcome,count\nQ/X/X,0,5\n")
 SHORT_STATE = _short_state()
 WRONG_DIMS = ("state.json", json.dumps({"dims": [2, 3, 2], "matrix":
                                         mat_to_json(np.eye(8) / 8)}))
 XI = ("inst.json", json.dumps(instrument_to_json(instrument_by_name("xi"))))
+INT_DIMS = ("state.json", json.dumps({"dims": 5, "matrix":
+                                      mat_to_json(np.eye(8) / 8)}))
+INT_LAYOUT = ("process.json", json.dumps({"layout": 5, "matrix":
+                                          mat_to_json(np.eye(8) / 8)}))
 BASES = "unknown basis 'Q' on leg 0 (dimension 2; expected one of " \
     "['X', 'Y', 'Z'])"
 
@@ -224,13 +245,32 @@ BASES = "unknown basis 'Q' on leg 0 (dimension 2; expected one of " \
      _mixed_state((3, 2, 2)), "input dims are (3, 2, 2)"),
     (["memory", "survey", "--samples", "100", "--process"],
      _mixed_state((2, 2, 3)), "input dims are (2, 2, 3)"),
+    (["tomo", "reconstruct", "--counts"], MISSING_ROW,
+     "setting 'X/X/X' has 7 outcomes; expected 8"),
+    (["tomo", "bootstrap", "--counts"], MISSING_ROW,
+     "setting 'X/X/X' has 7 outcomes; expected 8"),
+    (["tomo", "reconstruct", "--counts"], EXTRA_OUTCOME,
+     "setting 'X/X/X' has 9 outcomes; expected 8"),
+    (["tomo", "bootstrap", "--counts"], EXTRA_OUTCOME,
+     "setting 'X/X/X' has 9 outcomes; expected 8"),
+    (["tomo", "reconstruct", "--counts"], ZERO_SHOTS,
+     "setting 'X/X/X' has no shots"),
+    (["tomo", "bootstrap", "--counts"], ZERO_SHOTS,
+     "setting 'X/X/X' has no shots"),
+    (["process", "build", "--state"], INT_DIMS,
+     "'dims' must be a list of leg dimensions, got 5"),
+    (["process", "check", "--process"], INT_LAYOUT,
+     "'layout' must list [label, dim, direction] legs, got 5"),
 ], ids=["reconstruct-header-only", "bootstrap-header-only",
         "reconstruct-no-count-column", "bootstrap-no-count-column",
         "reconstruct-unknown-basis", "bootstrap-unknown-basis",
         "build-short-matrix", "reconstruct-short-matrix",
         "bootstrap-short-matrix", "strength-wrong-dims",
         "strength-instrument-dim", "survey-qutrit-first",
-        "survey-qutrit-last"])
+        "survey-qutrit-last", "reconstruct-missing-row",
+        "bootstrap-missing-row", "reconstruct-outcome-beyond-d",
+        "bootstrap-outcome-beyond-d", "reconstruct-zero-shots",
+        "bootstrap-zero-shots", "build-int-dims", "check-int-layout"])
 def test_malformed_input_exits_two(tmp_path, capsys, argv, bad_input,
                                    expect):
     name, text = bad_input
@@ -263,6 +303,35 @@ def test_unknown_name_exits_two(tmp_path, monkeypatch, capsys, argv, kind,
     assert out == ""
     assert err == (f"error: {kind} {argv[-1]!r} is not a built-in name "
                    f"(one of {names}) and no such file exists\n")
+
+
+@pytest.mark.parametrize("command", [
+    ["tomo", "simulate", "--out", "c.csv"], ["tomo", "reconstruct"],
+    ["tomo", "bootstrap"]], ids=["simulate", "reconstruct", "bootstrap"])
+@pytest.mark.parametrize("shots", ["0", "-5"])
+def test_nonpositive_shots_exits_two(tmp_path, monkeypatch, capsys,
+                                     command, shots):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, command + ["--state", "lambda",
+                                                "--shots", shots])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: shots must be at least 1, got {shots}\n"
+
+
+def test_walk_verify_circuit_file_needs_target(tmp_path, capsys):
+    path = tmp_path / "circuit.json"
+    save_circuit(circuit_by_name("theta"), str(path))
+    code, out, err = run_cli(capsys, ["walk", "verify", "--circuit",
+                                      str(path)])
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: circuit file {str(path)!r} needs --target; only "
+                   "a built-in circuit defaults to its own instrument\n")
+    code, out, _ = run_cli(capsys, ["walk", "verify", "--circuit", str(path),
+                                    "--target", "theta"])
+    assert code == 0
+    assert json.loads(out)["match"] == "exact"
 
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" \

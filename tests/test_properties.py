@@ -11,6 +11,8 @@ from proctensor.instruments import instrument
 from proctensor.linalg import kron, partial_trace
 from proctensor.process import born_probability, build_common_cause, condition
 from proctensor.recovery import recover
+from proctensor.tomography import (CountsTable, born_probabilities,
+                                   product_settings, reconstruct)
 
 PROPS = settings(max_examples=25, deadline=None)
 DIMS = st.tuples(*[st.sampled_from((2, 3))] * 3)
@@ -114,3 +116,20 @@ def test_recover_preserves_event_probabilities(dims, seed):
         for ea, ec in outer:
             assert abs(born_probability(p, ea, eb, ec)
                        - born_probability(rec, ea, eb, ec)) < 1e-10
+
+
+# (3, 3, 3) is left out: its inversion matrix is 19683 x 729 complex
+# (230 MB a copy). One SVD for two qutrit legs takes ~0.5 s, hence fewer
+# examples.
+@settings(max_examples=12, deadline=None)
+@given(DIMS.filter(lambda dims: dims != (3, 3, 3)), SEEDS)
+def test_reconstruct_returns_gamma_from_born_frequencies(dims, seed):
+    gamma = random_state(np.random.default_rng(seed), int(np.prod(dims)))
+    table = product_settings(dims)
+    # 2**50 shots per setting: every count and sum is exact in float64,
+    # so the frequencies are the Born probabilities to about 1e-16
+    born = [np.rint(born_probabilities(gamma, U) * 2.0 ** 50)
+            .astype(np.int64) for _, U in table]
+    counts = CountsTable(tuple(lbl for lbl, _ in table), tuple(born),
+                         tuple(int(c.sum()) for c in born))
+    assert np.max(np.abs(reconstruct(counts, dims) - gamma)) < 1e-10

@@ -1,5 +1,6 @@
 """Tomography: settings, simulated counts, inversion, bootstrap, CSV."""
 import io
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ import pytest
 from proctensor.linalg import fidelity
 from proctensor.states import state_by_name
 from proctensor.tomography import (
-    CountsTable, bootstrap, born_probabilities, counts_from_csv,
-    counts_to_csv, product_settings, qubit_bases, qutrit_bases, reconstruct,
+    CountsTable, _leg_bases, _pseudo_inverse, _unitaries, bootstrap,
+    born_probabilities, counts_from_csv, counts_to_csv, inversion_matrix,
+    product_settings, qubit_bases, qutrit_bases, reconstruct,
     resample_counts, simplex_projection, simulate_counts)
 
 
@@ -189,3 +191,134 @@ def test_counts_csv_roundtrip(tmp_path):
     buf.seek(0)
     again = counts_from_csv(buf)
     assert again.labels == counts.labels
+
+
+# The batched bootstrap, the one-SVD inverse and the broadcast kron must
+# reproduce the straightforward per-item computations to the last bit.
+BIT_DIMS = [(2, 2, 2), (2, 3, 2), (3, 2, 2)]
+
+
+def _labels(dims):
+    return [lbl for lbl, _ in product_settings(dims)]
+
+
+def _reconstruct_reference(counts, dims):
+    """Linear inversion as first written: kron chains, outer-product rows,
+    numpy's pinv and rank, one eigh."""
+    d = int(np.prod(dims))
+    lookup = [dict(_leg_bases(x)) for x in dims]
+    rows = []
+    for lbl in counts.labels:
+        U = reduce(np.kron, [leg[part] for leg, part
+                             in zip(lookup, lbl.split("/"))],
+                   np.array([[1.0]], dtype=complex))
+        for k in range(d):
+            rows.append(np.outer(U[:, k], U[:, k].conj()).conj().reshape(-1))
+    A = np.array(rows)
+    assert np.linalg.matrix_rank(A) == d * d
+    freqs = np.concatenate([c / c.sum() for c in counts.counts])
+    rho = (np.linalg.pinv(A) @ freqs).reshape(d, d)
+    w, v = np.linalg.eigh((rho + rho.conj().T) / 2)
+    return (v * _simplex_reference(w)) @ v.conj().T
+
+
+@pytest.mark.parametrize("dims", BIT_DIMS)
+def test_bootstrap_equals_resample_loop(dims):
+    d = int(np.prod(dims))
+    g = random_density(np.random.default_rng(29), d)
+    counts = simulate_counts(g, dims, 20000, seed=6)
+    states = []
+
+    def record(rho):
+        states.append(rho.copy())
+        return float(np.trace(rho @ rho).real)
+
+    mean, err = bootstrap(counts, dims, record, resamples=12, seed=8)
+    ref = [reconstruct(resample_counts(counts, np.random.default_rng(c)),
+                       dims)
+           for c in np.random.SeedSequence(8).spawn(12)]
+    assert [s.tobytes() for s in states] == [r.tobytes() for r in ref]
+    assert reconstruct(counts, dims).tobytes() == \
+        _reconstruct_reference(counts, dims).tobytes()
+    vals = np.array([float(np.trace(r @ r).real) for r in ref])
+    assert (mean, err) == (float(vals.mean()), float(vals.std()))
+
+
+def test_resample_counts_equals_per_setting_draws():
+    g, dims = state_by_name("omega")
+    counts = simulate_counts(g, dims, 8100, seed=2)
+    re = resample_counts(counts, np.random.default_rng(3))
+    rng = np.random.default_rng(3)
+    for c, s, new in zip(counts.counts, counts.shots, re.counts):
+        assert np.array_equal(new, rng.multinomial(s, c / c.sum()))
+
+
+@pytest.mark.parametrize("dims", BIT_DIMS + [(2, 2)])
+def test_pseudo_inverse_is_pinv(dims):
+    d = int(np.prod(dims))
+    labels = _labels(dims)
+    A = inversion_matrix(_unitaries(labels, dims), d)
+    assert np.linalg.matrix_rank(A) == d * d
+    assert (_pseudo_inverse(labels, dims, d).tobytes()
+            == np.linalg.pinv(A).tobytes())
+    # an incomplete table reports matrix_rank's rank
+    z_only = [lbl for lbl in labels if set(lbl.split("/")) <= {"Z", "01Z"}]
+    rank = np.linalg.matrix_rank(inversion_matrix(
+        _unitaries(z_only, dims), d))
+    with pytest.raises(ValueError, match=f"rank {rank} < {d * d}"):
+        _pseudo_inverse(z_only, dims, d)
+
+
+@pytest.mark.parametrize("dims", BIT_DIMS + [(2, 2, 3), (3, 3)])
+def test_product_settings_equal_kron_chain(dims):
+    lookup = [dict(_leg_bases(d)) for d in dims]
+    for lbl, U in product_settings(dims):
+        ref = reduce(np.kron, [leg[part] for leg, part
+                               in zip(lookup, lbl.split("/"))],
+                     np.array([[1.0]], dtype=complex))
+        assert U.tobytes() == ref.tobytes()
+
+
+def _simplex_reference(evals):
+    u = np.sort(evals)[::-1]
+    css = np.cumsum(u)
+    ks = np.arange(1, len(u) + 1)
+    k = ks[u - (css - 1) / ks > 0][-1]
+    tau = (css[k - 1] - 1) / k
+    return np.clip(evals - tau, 0, None)
+
+
+def test_stacked_simplex_projection_equals_rows():
+    rng = np.random.default_rng(30)
+    spectra = rng.normal(size=(40, 6)) * rng.uniform(0.01, 2, size=(40, 1))
+    stacked = simplex_projection(spectra)
+    rows = np.array([simplex_projection(r) for r in spectra])
+    ref = np.array([_simplex_reference(r) for r in spectra])
+    assert stacked.tobytes() == rows.tobytes() == ref.tobytes()
+    assert simplex_projection(spectra[:3].reshape(3, 1, 6)).shape == (3, 1, 6)
+
+
+def test_simulate_counts_rejects_nonpositive_shots():
+    g, dims = state_by_name("lambda")
+    for shots in (0, -5):
+        with pytest.raises(ValueError, match="shots must be at least 1"):
+            simulate_counts(g, dims, shots, seed=0)
+
+
+def test_reconstruct_and_bootstrap_reject_ragged_tables():
+    g, dims = state_by_name("lambda")
+    counts = simulate_counts(g, dims, 2700, seed=0)
+    short = list(counts.counts)
+    short[1] = short[1][:-1]
+    empty = list(counts.counts)
+    empty[2] = np.zeros(8, dtype=np.int64)
+    label = counts.labels
+    for table, msg in (
+            (CountsTable(label, short, [c.sum() for c in short]),
+             f"setting {label[1]!r} has 7 outcomes; expected 8"),
+            (CountsTable(label, empty, [c.sum() for c in empty]),
+             f"setting {label[2]!r} has no shots")):
+        with pytest.raises(ValueError, match=msg):
+            reconstruct(table, dims)
+        with pytest.raises(ValueError, match=msg):
+            bootstrap(table, dims, lambda rho: 1.0, resamples=2, seed=0)
