@@ -8,6 +8,8 @@ with bootstrap error bars. The `proctensor` console script exposes all
 of it, including presets that reproduce the headline numbers.
 """
 
+from types import ModuleType as _ModuleType
+
 from .instruments import (DualFrame, Instrument, PovmElement, dual_frame,
                           gram_matrix, instrument, instrument_by_name,
                           qutrit_sharp, random_projective, span_project,
@@ -19,7 +21,7 @@ from .memory import (MemoryReport, confusion_probability,
                      markov_order_test, memory_strength,
                      mutual_information, non_markovianity,
                      non_markovianity_choi, projective_survey, quantum_cmi,
-                     quantum_cmi_choi)
+                     quantum_cmi_choi, state_non_markovianity)
 from .process import (ConditionalProcess, ProcessTensor, born_probability,
                       born_rule, build_common_cause, check_causality,
                       condition, condition_instrument,
@@ -41,29 +43,7 @@ from .walk import (WalkCircuit, WalkState, align_frames, circuit_by_name,
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConditionalProcess", "CountsTable", "DualFrame", "Instrument",
-    "MemoryReport", "Observable", "PovmElement", "ProcessTensor",
-    "RecoveredProcess", "ScanResult", "StateEnsemble", "WalkCircuit",
-    "WalkState", "align_frames", "bell", "bootstrap", "born_probability",
-    "born_rule", "build_common_cause", "check_causality",
-    "circuit_by_name", "condition", "condition_instrument",
-    "confusion_probability", "counts_from_csv", "counts_to_csv",
-    "cp_divisibility_check", "deviation_scan", "dual_frame",
-    "ensemble_to_state", "expectation", "extract_povm", "fidelity",
-    "gram_matrix", "hermitize", "instrument", "instrument_by_name",
-    "kron", "lambda_ensemble", "lambda_state", "load_circuit",
-    "marginals", "markov_order_test", "markov_product", "memory_strength",
-    "mutual_information", "noisy_replay", "non_markovianity",
-    "non_markovianity_choi", "observable", "omega_ensemble",
-    "omega_state", "partial_trace", "port_probabilities",
-    "product_settings", "projective_survey", "quantum_cmi",
-    "quantum_cmi_choi", "qubit_bases", "qutrit_bases", "qutrit_sharp",
-    "random_projective", "reconstruct", "recover",
-    "reference_recovered_lambda", "reference_recovered_omega",
-    "relative_entropy", "run_protocol", "save_circuit", "simulate_counts",
-    "span_project", "state_by_name", "tetra_circuit", "tetra_povm",
-    "theta_circuit", "theta_povm", "trace_distance", "trace_norm",
-    "validate_observable", "von_neumann_entropy", "werner", "xi_noisy",
-    "z_basis",
-]
+# the public API is exactly the names imported above
+__all__ = sorted(name for name, obj in globals().items()
+                 if not name.startswith("_")
+                 and not isinstance(obj, _ModuleType))

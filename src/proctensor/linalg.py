@@ -13,7 +13,6 @@ import numpy as np
 
 HERM_TOL = 1e-12
 CLIP_EPS = 1e-12
-LN2 = np.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -166,6 +165,8 @@ def mat_from_json(obj: dict) -> np.ndarray:
         if flat.size != r * c:
             raise ValueError(f"matrix field {key!r} holds {flat.size} "
                              f"entries, expected rows*cols = {r * c}")
+        if not np.isfinite(flat).all():
+            raise ValueError(f"matrix field {key!r} holds a non-finite entry")
         parts.append(flat.reshape(r, c))
     return parts[0] + 1j * parts[1]
 

@@ -15,8 +15,8 @@ import numpy as np
 from .instruments import Instrument
 from .linalg import (kron, partial_trace, relative_entropy, trace_distance,
                      von_neumann_entropy)
-from .process import (PROB_TOL, ProcessTensor, condition_instrument,
-                      marginals, markov_product)
+from .process import (PROB_TOL, ProcessTensor, build_common_cause,
+                      condition_instrument, marginals, markov_product)
 
 
 def non_markovianity(p: ProcessTensor) -> float:
@@ -30,13 +30,20 @@ def non_markovianity(p: ProcessTensor) -> float:
     return relative_entropy(p.gamma, kron(gA, gB, gC))
 
 
+def state_non_markovianity(gamma: np.ndarray, dims) -> float:
+    """non_markovianity of the common-cause process on a tripartite state,
+    its output legs of the first two input legs' dims: the statistic the
+    tomography reports give for a reconstructed state."""
+    return non_markovianity(build_common_cause(gamma, dims, dims[:2]))
+
+
 def non_markovianity_choi(p: ProcessTensor) -> float:
     """Same quantity evaluated on full normalized Choi operators.
 
     Kept as the cross-check path; agrees with non_markovianity to
     numerical precision.
     """
-    norm = p.trace_norm_target
+    norm = int(np.prod(p.output_dims))  # the Choi trace
     return relative_entropy(p.matrix / norm, markov_product(p).matrix / norm)
 
 
@@ -64,7 +71,7 @@ def quantum_cmi_choi(p: ProcessTensor) -> float:
     block taken as (B_in, B_out). Equals the state-level value for
     common-cause processes (identity legs contribute zero)."""
     dA, dAo, dB, dBo, dC = p.layout.dims
-    m = p.matrix / p.trace_norm_target
+    m = p.matrix / int(np.prod(p.output_dims))
     # legs are contiguous per party, so regrouping is just coarser dims
     return quantum_cmi(m, (dA * dAo, dB * dBo, dC))
 
@@ -197,5 +204,5 @@ __all__ = [
     "MemoryReport", "confusion_probability", "markov_order_test",
     "memory_strength", "mutual_information", "non_markovianity",
     "non_markovianity_choi", "projective_survey", "quantum_cmi",
-    "quantum_cmi_choi",
+    "quantum_cmi_choi", "state_non_markovianity",
 ]

@@ -25,23 +25,24 @@ PARTIES = ("A", "B", "C")
 PROB_TOL = 1e-14
 
 
-def _choi(state: np.ndarray, parties: str, input_dims: tuple[int, ...],
-          output_dims: tuple[int, int]) -> tuple[np.ndarray, LegLayout]:
-    """Choi matrix of a state on the listed parties' input legs with an
-    identity on each of their output legs, in chronological leg order.
-
-    parties lists the parties in time order, input_dims their input legs;
-    output_dims are the process's (A_out, B_out). The final party C has
-    no output leg.
-    """
+def _legs(parties: str, input_dims: tuple[int, ...],
+          output_dims: tuple[int, int]) -> LegLayout:
+    """Chronological legs of the listed parties: each party's input leg,
+    then its output leg; output_dims are the process's (A_out, B_out). The
+    final party C has no output leg."""
     spec = []
     for party, d in zip(parties, input_dims):
         spec.append((f"{party}_in", d, "input"))
         if party != "C":
             spec.append((f"{party}_out", output_dims[PARTIES.index(party)],
                          "output"))
-    lay = layout(*spec)
-    n = len(spec)
+    return layout(*spec)
+
+
+def _choi(state: np.ndarray, lay: LegLayout) -> np.ndarray:
+    """Choi matrix of a state on the layout's input legs with an identity
+    on each of its output legs."""
+    n = len(lay.legs)
     # input legs come from the state, each output leg from an identity;
     # the broadcast product lands every leg at its chronological axis
     m = np.asarray(state).reshape(
@@ -52,21 +53,25 @@ def _choi(state: np.ndarray, parties: str, input_dims: tuple[int, ...],
             shape[i] = shape[n + i] = leg.dim
             m = m * np.eye(leg.dim).reshape(shape)
     d = int(np.prod(lay.dims))
-    return m.reshape(d, d), lay
+    return m.reshape(d, d)
 
 
 @dataclass(frozen=True)
 class ProcessTensor:
-    """Common-cause process tensor in chronological leg order."""
-    matrix: np.ndarray = field(repr=False)
-    layout: LegLayout
-    gamma: np.ndarray = field(repr=False)  # input-leg state (A_in,B_in,C_in)
+    """Common-cause process: its input-leg state gamma on (A_in, B_in,
+    C_in). The Choi matrix in chronological leg order, gamma with an
+    identity on each output leg, is built on first access."""
+    gamma: np.ndarray = field(repr=False)
     input_dims: tuple[int, int, int]
     output_dims: tuple[int, int]
 
-    @property
-    def trace_norm_target(self) -> int:
-        return int(np.prod(self.output_dims))
+    @cached_property
+    def layout(self) -> LegLayout:
+        return _legs("ABC", self.input_dims, self.output_dims)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return _choi(self.gamma, self.layout)
 
 
 def build_common_cause(gamma: np.ndarray,
@@ -84,9 +89,7 @@ def build_common_cause(gamma: np.ndarray,
     tr = float(np.real(np.trace(gamma)))
     if abs(tr - 1.0) > 1e-8:
         raise ValueError(f"state trace {tr} deviates from 1")
-    full, lay = _choi(gamma, "ABC", input_dims, output_dims)
-    return ProcessTensor(full, lay, gamma, tuple(input_dims),
-                         tuple(output_dims))
+    return ProcessTensor(gamma, tuple(input_dims), tuple(output_dims))
 
 
 def check_causality(p: ProcessTensor) -> dict:
@@ -184,18 +187,13 @@ class ConditionalProcess:
         return self.unnormalized
 
     @cached_property
-    def _choi_and_layout(self) -> tuple[np.ndarray, LegLayout]:
-        return _choi(self.unnormalized, self.parties, self.input_dims,
-                     self.output_dims)
+    def layout(self) -> LegLayout:
+        return _legs(self.parties, self.input_dims, self.output_dims)
 
-    @property
+    @cached_property
     def matrix(self) -> np.ndarray:
         """Unnormalized Choi matrix, identity on the remaining outputs."""
-        return self._choi_and_layout[0]
-
-    @property
-    def layout(self) -> LegLayout:
-        return self._choi_and_layout[1]
+        return _choi(self.unnormalized, self.layout)
 
 
 def condition(p: ProcessTensor, party: str, element: np.ndarray,

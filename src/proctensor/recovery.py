@@ -14,10 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .instruments import (DualFrame, Instrument, PAULI, dual_frame,
-                          span_project)
+from .instruments import Instrument, PAULI, dual_frame, span_project
 from .linalg import kron, partial_trace, path_or_handle
-from .process import PROB_TOL, ProcessTensor, _choi, condition_instrument
+from .process import PROB_TOL, ProcessTensor, condition_instrument
 
 SPAN_TOL = 1e-10
 
@@ -34,7 +33,6 @@ class RecoveredProcess(ProcessTensor):
     globally, so recover() does not validate it.
     """
     source_instrument: Instrument
-    dual: DualFrame
     # per-event (probability, A marginal, C marginal) of the true process
     events: tuple = field(repr=False, default=())
 
@@ -60,9 +58,8 @@ def recover(p: ProcessTensor, inst: Instrument) -> RecoveredProcess:
         gC = partial_trace(cond.state, (dA, dC), (1,))
         gamma_rec = gamma_rec + prob * kron(gA, dual, gC)
         events.append((prob, gA, gC))
-    full, lay = _choi(gamma_rec, "ABC", p.input_dims, p.output_dims)
-    return RecoveredProcess(full, lay, gamma_rec, p.input_dims, p.output_dims,
-                            inst, frame, tuple(events))
+    return RecoveredProcess(gamma_rec, p.input_dims, p.output_dims, inst,
+                            tuple(events))
 
 
 @dataclass(frozen=True)

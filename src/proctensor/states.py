@@ -155,6 +155,9 @@ def werner(x: int, r: float) -> np.ndarray:
     return r * np.outer(b, b.conj()) + (1 - r) * np.eye(4) / 4
 
 
+STATE_NAMES = ("lambda", "omega")
+
+
 def state_by_name(name: str) -> tuple[np.ndarray, tuple[int, int, int]]:
     key = name.strip().lower()
     if key == "lambda":
@@ -165,7 +168,7 @@ def state_by_name(name: str) -> tuple[np.ndarray, tuple[int, int, int]]:
 
 
 __all__ = [
-    "LAMBDA_DIMS", "OMEGA_DIMS", "StateEnsemble", "bell", "ensemble_to_state",
-    "lambda_ensemble", "lambda_state", "omega_ensemble", "omega_state",
-    "state_by_name", "werner", "kron",
+    "LAMBDA_DIMS", "OMEGA_DIMS", "STATE_NAMES", "StateEnsemble", "bell",
+    "ensemble_to_state", "lambda_ensemble", "lambda_state", "omega_ensemble",
+    "omega_state", "state_by_name", "werner", "kron",
 ]

@@ -261,22 +261,24 @@ def counts_from_csv(path) -> CountsTable:
         raise ValueError(f"counts table lacks column(s) {missing}")
     if not rows:
         raise ValueError("counts table has no rows")
-    per = {}
-    order = []
+    per = {}  # setting -> {outcome: count}, in file order
     for row in rows:
-        lbl = row["setting"]
-        if lbl not in per:
-            per[lbl] = {}
-            order.append(lbl)
-        per[lbl][int(row["outcome"])] = int(row["count"])
+        lbl, k = row["setting"], int(row["outcome"])
+        outcomes = per.setdefault(lbl, {})
+        if k < 0:
+            raise ValueError(f"setting {lbl!r} has negative outcome {k}")
+        if k in outcomes:
+            raise ValueError(f"setting {lbl!r} lists outcome {k} twice")
+        outcomes[k] = int(row["count"])
     counts = []
-    for lbl in order:
-        outcomes = per[lbl]
-        arr = np.zeros(max(outcomes) + 1, dtype=np.int64)
-        for k, n in outcomes.items():
-            arr[k] = n
-        counts.append(arr)
-    return CountsTable(tuple(order), tuple(counts),
+    for lbl, outcomes in per.items():
+        for k in range(len(outcomes)):
+            if k not in outcomes:
+                raise ValueError(f"setting {lbl!r} has no row for outcome "
+                                 f"{k}")
+        counts.append(np.array([outcomes[k] for k in range(len(outcomes))],
+                               dtype=np.int64))
+    return CountsTable(tuple(per), tuple(counts),
                        tuple(int(c.sum()) for c in counts))
 
 

@@ -8,12 +8,12 @@ the gap stays loud instead of silently absorbed. The report line for
 those criteria states both numbers.
 """
 import time
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from proctensor.cli import _WERNER_EVENT_BELL, _WERNER_FRAME
 from proctensor.instruments import (
     dual_frame, instrument_by_name, random_projective,
 )
@@ -22,6 +22,7 @@ from proctensor.memory import (
     memory_strength, mutual_information, markov_order_test,
     non_markovianity, projective_survey, quantum_cmi, quantum_cmi_choi,
 )
+from proctensor.presets import _WERNER_EVENT_BELL, _WERNER_FRAME
 from proctensor.process import (
     ProcessTensor, born_probability, build_common_cause, check_causality,
     condition_instrument, cp_divisibility_check,
@@ -46,6 +47,16 @@ VALUES = {}
 _W = 2.0 * (3.0 - 2.0 * np.sqrt(2.0))
 CLAIMED_THETA = (_W, _W, 8.0 * np.sqrt(2.0) - 11.0)
 FROZEN_THETA = (0.3266345176207621, 0.3261658884706606, 0.3471995939085773)
+
+
+@dataclass(frozen=True)
+class CorruptChoi(ProcessTensor):
+    """A process whose Choi matrix is replaced by an arbitrary one."""
+    choi: np.ndarray = field(repr=False, default=None)
+
+    @property
+    def matrix(self):
+        return self.choi
 
 
 def record(num: int, status: str, text: str) -> None:
@@ -397,8 +408,7 @@ def test_criterion_12_property_suites():
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     bad = a @ a.conj().T
     bad *= 4.0 / np.trace(bad).real
-    corrupt = ProcessTensor(bad, p.layout, p.gamma, p.input_dims,
-                            p.output_dims)
+    corrupt = CorruptChoi(p.gamma, p.input_dims, p.output_dims, bad)
     assert not check_causality(corrupt)["ok"]
     # strong subadditivity on random tripartite states
     n_states = 1000

@@ -224,6 +224,27 @@ INT_LAYOUT = ("process.json", json.dumps({"layout": 5, "matrix":
                                           mat_to_json(np.eye(8) / 8)}))
 BASES = "unknown basis 'Q' on leg 0 (dimension 2; expected one of " \
     "['X', 'Y', 'Z'])"
+DUPLICATE_ROW = _lambda_counts(lambda rows: rows[:9] + [rows[4]] + rows[9:])
+NEGATIVE_OUTCOME = _lambda_counts(lambda rows: rows[:9] + ["X/X/X,-1,50"]
+                                  + rows[9:])
+GAPPED_OUTCOMES = _lambda_counts(lambda rows: rows[:4] + rows[5:])
+
+
+def _nonfinite_state(key, value):
+    g, dims = state_by_name("lambda")
+    matrix = mat_to_json(g)
+    matrix[key][5] = value
+    return "state.json", json.dumps({"dims": list(dims), "matrix": matrix})
+
+
+def _config(**cfg):
+    return "cfg.json", json.dumps({"preset": "process2", **cfg})
+
+
+PROCESS2_KEYS = ("['cmi', 'non_markovianity', 'qutrit_sharp_event_memory', "
+                 "'recovered_fidelity_tabulated_form', 'scan_projector_max', "
+                 "'werner_literal_max_trace_distance', "
+                 "'werner_rotated_residual', 'xi_max_event_memory']")
 
 
 @pytest.mark.parametrize("argv, bad_input, expect", [
@@ -261,6 +282,31 @@ BASES = "unknown basis 'Q' on leg 0 (dimension 2; expected one of " \
      "'dims' must be a list of leg dimensions, got 5"),
     (["process", "check", "--process"], INT_LAYOUT,
      "'layout' must list [label, dim, direction] legs, got 5"),
+    (["tomo", "reconstruct", "--counts"], DUPLICATE_ROW,
+     "setting 'X/X/X' lists outcome 3 twice"),
+    (["tomo", "bootstrap", "--counts"], DUPLICATE_ROW,
+     "setting 'X/X/X' lists outcome 3 twice"),
+    (["tomo", "reconstruct", "--counts"], NEGATIVE_OUTCOME,
+     "setting 'X/X/X' has negative outcome -1"),
+    (["tomo", "bootstrap", "--counts"], NEGATIVE_OUTCOME,
+     "setting 'X/X/X' has negative outcome -1"),
+    (["tomo", "reconstruct", "--counts"], GAPPED_OUTCOMES,
+     "setting 'X/X/X' has no row for outcome 3"),
+    (["tomo", "bootstrap", "--counts"], GAPPED_OUTCOMES,
+     "setting 'X/X/X' has no row for outcome 3"),
+    (["process", "build", "--state"], _nonfinite_state("re", float("nan")),
+     "matrix field 're' holds a non-finite entry"),
+    (["memory", "strength", "--instrument", "z", "--process"],
+     _nonfinite_state("im", float("inf")),
+     "matrix field 'im' holds a non-finite entry"),
+    (["run", "--config"], _config(tolerances={"non_markovianty": 1.0}),
+     "tolerances: unknown key(s) ['non_markovianty'] for preset 'process2' "
+     f"(expected one of {PROCESS2_KEYS})"),
+    (["run", "--config"], _config(tolerances={"non_markovianity": None}),
+     "tolerances: 'non_markovianity' must be a number, got None"),
+    (["run", "--config"], _config(seed=[1]), "seed must be a number, got [1]"),
+    (["run", "--config"], _config(output=5),
+     "output must be a file path, got 5"),
 ], ids=["reconstruct-header-only", "bootstrap-header-only",
         "reconstruct-no-count-column", "bootstrap-no-count-column",
         "reconstruct-unknown-basis", "bootstrap-unknown-basis",
@@ -270,7 +316,12 @@ BASES = "unknown basis 'Q' on leg 0 (dimension 2; expected one of " \
         "survey-qutrit-last", "reconstruct-missing-row",
         "bootstrap-missing-row", "reconstruct-outcome-beyond-d",
         "bootstrap-outcome-beyond-d", "reconstruct-zero-shots",
-        "bootstrap-zero-shots", "build-int-dims", "check-int-layout"])
+        "bootstrap-zero-shots", "build-int-dims", "check-int-layout",
+        "reconstruct-duplicate-row", "bootstrap-duplicate-row",
+        "reconstruct-negative-outcome", "bootstrap-negative-outcome",
+        "reconstruct-gapped-outcomes", "bootstrap-gapped-outcomes",
+        "build-nan-state", "strength-inf-state", "config-tolerance-typo",
+        "config-null-tolerance", "config-list-seed", "config-int-output"])
 def test_malformed_input_exits_two(tmp_path, capsys, argv, bad_input,
                                    expect):
     name, text = bad_input
@@ -349,6 +400,32 @@ def test_reference_commands_byte_identical(tmp_path, monkeypatch, capsys):
         assert code == 0, cmd
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == reference[cmd]["sha256"], cmd
+
+
+# stdout sha256 of commands whose references the benchmark commands above
+# do not print: both walk verifications, the process2 CSV and a tolerance
+# override
+PINNED = {
+    "walk verify --circuit theta":
+        "3e397d38aa46f96bec3071f1fcfeaf3d9a476f34dd208d0ba5001486f26a47aa",
+    "walk verify --circuit tetra":
+        "33fe37a016425abce3e29d73a1d43351f073647548627991f303c224b632c9ac",
+    "preset process2 --format csv":
+        "08be85fa00c21481c1a040d697a3723a6c768d826164aab3d7f396d2b986dbf2",
+    "run --config cfg.json":
+        "d87b33defea94ff1a36a8026604910ac74c65fd3dde146fbc8fab10d9d0029e1",
+}
+
+
+@pytest.mark.parametrize("cmd, digest", PINNED.items(), ids=list(PINNED))
+def test_pinned_commands_byte_identical(tmp_path, monkeypatch, capsys, cmd,
+                                        digest):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(
+        {"preset": "process2", "tolerances": {"non_markovianity": 1.0}}))
+    code, out, _ = run_cli(capsys, cmd.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_preset_process1_values(tmp_path, capsys):

@@ -1,4 +1,6 @@
 """Process-tensor construction, causality, the Born rule, conditioning."""
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,16 @@ def lam_process():
 def ome_process():
     g, dims = state_by_name("omega")
     return build_common_cause(g, dims, (2, 3))
+
+
+@dataclass(frozen=True)
+class CorruptChoi(ProcessTensor):
+    """A process whose Choi matrix is replaced by an arbitrary one."""
+    choi: np.ndarray = field(repr=False, default=None)
+
+    @property
+    def matrix(self):
+        return self.choi
 
 
 def random_density(rng, d):
@@ -65,8 +77,7 @@ def test_causality_detects_corruption():
     p = lam_process()
     rng = np.random.default_rng(14)
     bad = random_density(rng, 32) * 4.0
-    corrupt = ProcessTensor(bad, p.layout, p.gamma, p.input_dims,
-                            p.output_dims)
+    corrupt = CorruptChoi(p.gamma, p.input_dims, p.output_dims, bad)
     rep = check_causality(corrupt)
     assert not rep["ok"]
 
