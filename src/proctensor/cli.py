@@ -173,6 +173,10 @@ def _load_config(path) -> dict:
         raise ValueError(f"unknown config keys: {unknown}")
     if "command" in cfg and cfg.get("preset") != "custom":
         raise ValueError("'command' is only valid with preset 'custom'")
+    ignored = sorted(set(cfg) - {"preset", "command"})
+    if cfg.get("preset") == "custom" and ignored:
+        raise ValueError(f"preset 'custom' takes only 'command'; {ignored} "
+                         "would be ignored (pass options inside 'command')")
     tols = cfg.get("tolerances")
     if tols is not None:
         if not isinstance(tols, dict):

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instruments import Instrument
-from .linalg import (kron, partial_trace, relative_entropy, trace_distance,
-                     von_neumann_entropy)
+from .instruments import PAULI, Instrument
+from .linalg import (CLIP_EPS, kron, partial_trace, relative_entropy,
+                     trace_distance, von_neumann_entropy)
 from .process import (PROB_TOL, ProcessTensor, build_common_cause,
                       condition_instrument, marginals, markov_product)
 
@@ -148,31 +148,80 @@ def markov_order_test(p: ProcessTensor, inst: Instrument,
     return ok, {"events": events, "tol": tol, "markov_order_one": ok}
 
 
-def _survey_chunk(gamma6, nsamp: int, seed, cutoff: float) -> int:
-    """One vectorized survey chunk: Haar projector pairs, max event MI."""
-    rng = np.random.default_rng(seed)
-    V = rng.normal(size=(nsamp, 2)) + 1j * rng.normal(size=(nsamp, 2))
-    V = V / np.linalg.norm(V, axis=1, keepdims=True)
-    P = np.einsum('ni,nj->nij', V, V.conj())
-    mx = np.full(nsamp, -np.inf)
-    for E in (P, np.eye(2)[None, :, :] - P):
-        conds = np.einsum('nbD,aDcAbC->nacAC', E, gamma6)
-        conds = conds.reshape(nsamp, 4, 4)
-        pr = np.real(np.einsum('nii->n', conds))
-        rho = conds / pr[:, None, None]
-        rt = rho.reshape(-1, 2, 2, 2, 2)
+def _entropies(rho: np.ndarray) -> np.ndarray:
+    """Batched von Neumann entropies in bits of an (n, d, d) stack, with
+    eigenvalues at or below CLIP_EPS dropped as von_neumann_entropy does.
+    Qubit blocks take their eigenvalues in closed form, (t +- r)/2 with
+    r = sqrt((a - d)^2 + 4|b|^2); larger blocks use eigvalsh."""
+    if rho.shape[-1] == 2:
+        a, d, b = rho[:, 0, 0].real, rho[:, 1, 1].real, rho[:, 0, 1]
+        r = np.sqrt((a - d) ** 2 + 4 * (b.real ** 2 + b.imag ** 2))
+        w = np.stack([(a + d + r) / 2, (a + d - r) / 2], axis=1)
+    else:
+        w = np.linalg.eigvalsh(rho)
+    w = np.where(w > CLIP_EPS, w, 1.0)  # 1 log 1 = 0 drops the entry
+    return -np.sum(w * np.log2(w), axis=1)
+
+
+def _bloch_blocks(p: ProcessTensor) -> np.ndarray:
+    """G_k = tr_B[gamma sigma_k]/2 for k = 0..3 (sigma_0 = 1), flattened
+    to (4, (dA dC)^2): a qubit projector (1 + n.sigma)/2 at B conditions
+    gamma to (1, n) @ G, and its complement to (1, -n) @ G."""
+    dA, dB, dC = p.input_dims
+    g6 = p.gamma.reshape(dA, dB, dC, dA, dB, dC)
+    G = np.einsum('kbD,aDcAbC->kacAC', np.array(PAULI), g6) / 2
+    return G.reshape(4, -1)
+
+
+def _worst_event_mi(blocks: np.ndarray, kets: np.ndarray, dA: int,
+                    dC: int) -> np.ndarray:
+    """Per-ket A:C mutual information in bits, maximised over the two
+    events of the instrument {|v><v|, 1 - |v><v|}; kets is (n, 2) of unit
+    norm. Equals memory_strength(...).max_event ket by ket."""
+    n, d = len(kets), dA * dC
+    v0, v1 = kets[:, 0], kets[:, 1]
+    off = v0 * v1.conj()  # <0|P|1> = (n_x - i n_y)/2
+    coef = np.stack([np.ones(n), 2 * off.real, -2 * off.imag,
+                     np.abs(v0) ** 2 - np.abs(v1) ** 2], axis=1)
+    flat = blocks.view(float)  # a real view: (n, 4) @ (4, 2 M) stays real
+    mx = np.full(n, -np.inf)
+    for sign in (1.0, -1.0):  # the projector, then its complement
+        cond = ((coef * [1.0, sign, sign, sign]) @ flat).view(complex)
+        cond = cond.reshape(n, d, d)
+        rho = cond / np.einsum('nii->n', cond).real[:, None, None]
+        rt = rho.reshape(n, dA, dC, dA, dC)
         rA = np.einsum('nacbc->nab', rt)
-        rC = np.einsum('nabcb->nac', rt)
-
-        def ent(mats):
-            w = np.clip(np.linalg.eigvalsh(mats), 1e-14, None)
-            return -np.sum(w * np.log2(w), axis=1)
-
-        mx = np.maximum(mx, ent(rA) + ent(rC) - ent(rho))
-    return int((mx < cutoff).sum())
+        rC = np.einsum('nabac->nbc', rt)
+        mx = np.maximum(mx, _entropies(rA) + _entropies(rC)
+                        - _entropies(rho))
+    return mx
 
 
 N_SURVEY_CHUNKS = 64
+
+
+def _survey_mi(p: ProcessTensor, samples: int, seed) -> np.ndarray:
+    """Worst-event A:C mutual information of each Haar-random projective
+    instrument at B, in bits. The kets are normalised complex Gaussian
+    pairs drawn in 64 fixed chunks with one child seed each, so the values
+    depend only on (samples, seed)."""
+    dA, dB, dC = p.input_dims
+    if dB != 2:
+        raise ValueError("survey requires a qubit middle leg (Haar "
+                         "projectors are drawn on a qubit); input dims are "
+                         f"{tuple(p.input_dims)}")
+    blocks = _bloch_blocks(p)
+    children = np.random.SeedSequence(seed).spawn(N_SURVEY_CHUNKS)
+    sizes = [samples // N_SURVEY_CHUNKS
+             + (1 if i < samples % N_SURVEY_CHUNKS else 0)
+             for i in range(N_SURVEY_CHUNKS)]
+    mis = []
+    for child, n in zip(children, sizes):
+        rng = np.random.default_rng(child)
+        V = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+        V /= np.linalg.norm(V, axis=1, keepdims=True)
+        mis.append(_worst_event_mi(blocks, V, dA, dC))
+    return np.concatenate(mis)
 
 
 def projective_survey(p: ProcessTensor, cutoff: float, samples: int,
@@ -180,24 +229,15 @@ def projective_survey(p: ProcessTensor, cutoff: float, samples: int,
     """Fraction of Haar-random projective qubit instruments at the middle
     party whose worst-event memory strength stays below cutoff.
 
-    Work is split into 64 fixed chunks, each with its own child seed, so
-    the result depends only on (samples, seed).
+    The middle leg must be a qubit; the outer legs may have any
+    dimension. The result depends only on (samples, seed).
     """
     if cutoff <= 0:
         raise ValueError("cutoff must be positive")
     if samples < 100:
         raise ValueError("need at least 100 samples")
-    if tuple(p.input_dims) != (2, 2, 2):
-        raise ValueError("survey requires qubit legs for all three parties; "
-                         f"input dims are {tuple(p.input_dims)}")
-    gamma6 = p.gamma.reshape((2,) * 6)
-    children = np.random.SeedSequence(seed).spawn(N_SURVEY_CHUNKS)
-    sizes = [samples // N_SURVEY_CHUNKS
-             + (1 if i < samples % N_SURVEY_CHUNKS else 0)
-             for i in range(N_SURVEY_CHUNKS)]
-    below = sum(_survey_chunk(gamma6, n, c, cutoff)
-                for c, n in zip(children, sizes))
-    return below / samples
+    below = np.count_nonzero(_survey_mi(p, samples, seed) < cutoff)
+    return int(below) / samples
 
 
 __all__ = [

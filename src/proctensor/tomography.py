@@ -252,6 +252,14 @@ def counts_to_csv(counts: CountsTable, path) -> None:
                 w.writerow([lbl, k, int(n)])
 
 
+def _csv_int(row: dict, column: str) -> int:
+    try:
+        return int(row[column])
+    except (TypeError, ValueError):
+        raise ValueError(f"setting {row['setting']!r}: column {column!r} "
+                         f"holds {row[column]!r}, not an integer") from None
+
+
 def counts_from_csv(path) -> CountsTable:
     with path_or_handle(path) as fh:
         reader = csv.DictReader(fh)
@@ -263,13 +271,17 @@ def counts_from_csv(path) -> CountsTable:
         raise ValueError("counts table has no rows")
     per = {}  # setting -> {outcome: count}, in file order
     for row in rows:
-        lbl, k = row["setting"], int(row["outcome"])
+        lbl = row["setting"]
+        k, n = _csv_int(row, "outcome"), _csv_int(row, "count")
         outcomes = per.setdefault(lbl, {})
         if k < 0:
             raise ValueError(f"setting {lbl!r} has negative outcome {k}")
         if k in outcomes:
             raise ValueError(f"setting {lbl!r} lists outcome {k} twice")
-        outcomes[k] = int(row["count"])
+        if n < 0:
+            raise ValueError(f"setting {lbl!r} has negative count {n} for "
+                             f"outcome {k}")
+        outcomes[k] = n
     counts = []
     for lbl, outcomes in per.items():
         for k in range(len(outcomes)):

@@ -228,6 +228,15 @@ DUPLICATE_ROW = _lambda_counts(lambda rows: rows[:9] + [rows[4]] + rows[9:])
 NEGATIVE_OUTCOME = _lambda_counts(lambda rows: rows[:9] + ["X/X/X,-1,50"]
                                   + rows[9:])
 GAPPED_OUTCOMES = _lambda_counts(lambda rows: rows[:4] + rows[5:])
+TEXT_OUTCOME = _lambda_counts(lambda rows: [rows[0], "X/X/X,a,5"] + rows[2:])
+TEXT_COUNT = _lambda_counts(lambda rows: [rows[0], "X/X/X,0,5.5"]
+                            + rows[2:])
+NEGATIVE_COUNT = _lambda_counts(lambda rows: [rows[0], "X/X/X,0,-5"]
+                                + rows[2:])
+CUSTOM_IGNORED_KEYS = ("cfg.json", json.dumps({
+    "preset": "custom", "command": ["instrument", "validate", "--name", "xi"],
+    "tolerances": {"bogus": 1}, "seed": 5, "output": "x.json",
+    "format": "csv"}))
 
 
 def _nonfinite_state(key, value):
@@ -263,9 +272,7 @@ PROCESS2_KEYS = ("['cmi', 'non_markovianity', 'qutrit_sharp_event_memory', "
      "element of shape (3, 3) does not fit party B's input leg of "
      "dimension 2"),
     (["memory", "survey", "--samples", "100", "--process"],
-     _mixed_state((3, 2, 2)), "input dims are (3, 2, 2)"),
-    (["memory", "survey", "--samples", "100", "--process"],
-     _mixed_state((2, 2, 3)), "input dims are (2, 2, 3)"),
+     _mixed_state((2, 3, 2)), "input dims are (2, 3, 2)"),
     (["tomo", "reconstruct", "--counts"], MISSING_ROW,
      "setting 'X/X/X' has 7 outcomes; expected 8"),
     (["tomo", "bootstrap", "--counts"], MISSING_ROW,
@@ -307,13 +314,28 @@ PROCESS2_KEYS = ("['cmi', 'non_markovianity', 'qutrit_sharp_event_memory', "
     (["run", "--config"], _config(seed=[1]), "seed must be a number, got [1]"),
     (["run", "--config"], _config(output=5),
      "output must be a file path, got 5"),
+    (["run", "--config"], CUSTOM_IGNORED_KEYS,
+     "preset 'custom' takes only 'command'; ['format', 'output', 'seed', "
+     "'tolerances'] would be ignored"),
+    (["tomo", "reconstruct", "--counts"], TEXT_OUTCOME,
+     "setting 'X/X/X': column 'outcome' holds 'a', not an integer"),
+    (["tomo", "bootstrap", "--counts"], TEXT_OUTCOME,
+     "setting 'X/X/X': column 'outcome' holds 'a', not an integer"),
+    (["tomo", "reconstruct", "--counts"], TEXT_COUNT,
+     "setting 'X/X/X': column 'count' holds '5.5', not an integer"),
+    (["tomo", "bootstrap", "--counts"], TEXT_COUNT,
+     "setting 'X/X/X': column 'count' holds '5.5', not an integer"),
+    (["tomo", "reconstruct", "--counts"], NEGATIVE_COUNT,
+     "setting 'X/X/X' has negative count -5 for outcome 0"),
+    (["tomo", "bootstrap", "--counts"], NEGATIVE_COUNT,
+     "setting 'X/X/X' has negative count -5 for outcome 0"),
 ], ids=["reconstruct-header-only", "bootstrap-header-only",
         "reconstruct-no-count-column", "bootstrap-no-count-column",
         "reconstruct-unknown-basis", "bootstrap-unknown-basis",
         "build-short-matrix", "reconstruct-short-matrix",
         "bootstrap-short-matrix", "strength-wrong-dims",
-        "strength-instrument-dim", "survey-qutrit-first",
-        "survey-qutrit-last", "reconstruct-missing-row",
+        "strength-instrument-dim", "survey-qutrit-middle",
+        "reconstruct-missing-row",
         "bootstrap-missing-row", "reconstruct-outcome-beyond-d",
         "bootstrap-outcome-beyond-d", "reconstruct-zero-shots",
         "bootstrap-zero-shots", "build-int-dims", "check-int-layout",
@@ -321,7 +343,11 @@ PROCESS2_KEYS = ("['cmi', 'non_markovianity', 'qutrit_sharp_event_memory', "
         "reconstruct-negative-outcome", "bootstrap-negative-outcome",
         "reconstruct-gapped-outcomes", "bootstrap-gapped-outcomes",
         "build-nan-state", "strength-inf-state", "config-tolerance-typo",
-        "config-null-tolerance", "config-list-seed", "config-int-output"])
+        "config-null-tolerance", "config-list-seed", "config-int-output",
+        "config-custom-ignored-keys", "reconstruct-text-outcome",
+        "bootstrap-text-outcome", "reconstruct-text-count",
+        "bootstrap-text-count", "reconstruct-negative-count",
+        "bootstrap-negative-count"])
 def test_malformed_input_exits_two(tmp_path, capsys, argv, bad_input,
                                    expect):
     name, text = bad_input
@@ -331,6 +357,18 @@ def test_malformed_input_exits_two(tmp_path, capsys, argv, bad_input,
     assert code == 2
     assert out == ""
     assert expect in err
+
+
+@pytest.mark.parametrize("dims", [(3, 2, 2), (2, 2, 3)],
+                         ids=["survey-qutrit-first", "survey-qutrit-last"])
+def test_survey_qutrit_outer_leg(tmp_path, capsys, dims):
+    # a product state: every projective instrument leaves A:C uncorrelated
+    path = tmp_path / "state.json"
+    path.write_text(_mixed_state(dims)[1])
+    code, out, _ = run_cli(capsys, ["memory", "survey", "--samples", "100",
+                                    "--process", str(path)])
+    assert code == 0
+    assert json.loads(out)["fraction_below_cutoff"]["value"] == 1.0
 
 
 @pytest.mark.parametrize("argv, kind, names", [

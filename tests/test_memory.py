@@ -5,9 +5,9 @@ import pytest
 from proctensor.instruments import instrument, instrument_by_name
 from proctensor.linalg import kron, partial_trace
 from proctensor.memory import (
-    confusion_probability, markov_order_test, memory_strength,
-    mutual_information, non_markovianity, non_markovianity_choi,
-    projective_survey, quantum_cmi, quantum_cmi_choi)
+    _bloch_blocks, _worst_event_mi, confusion_probability, markov_order_test,
+    memory_strength, mutual_information, non_markovianity,
+    non_markovianity_choi, projective_survey, quantum_cmi, quantum_cmi_choi)
 from proctensor.process import build_common_cause
 from proctensor.states import bell, state_by_name
 
@@ -166,5 +166,23 @@ def test_survey_validation():
         projective_survey(p, -0.1, 1000, seed=0)
     with pytest.raises(ValueError):
         projective_survey(p, 0.0125, 50, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"input dims are \(2, 3, 2\)"):
         projective_survey(ome_process(), 0.0125, 1000, seed=0)
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (3, 2, 2), (2, 2, 3),
+                                  (3, 2, 3)],
+                         ids=["2-2-2", "3-2-2", "2-2-3", "3-2-3"])
+def test_survey_kernel_matches_memory_strength(dims):
+    # the Bloch-form kernel against the one exact path, projector by
+    # projector, on random states with qubit or qutrit outer legs
+    rng = np.random.default_rng(sum(dims))
+    for _ in range(5):
+        p = build_common_cause(random_density(rng, int(np.prod(dims))),
+                               dims, dims[:2])
+        v = rng.normal(size=2) + 1j * rng.normal(size=2)
+        v /= np.linalg.norm(v)
+        P = np.outer(v, v.conj())
+        exact = memory_strength(p, instrument([P, np.eye(2) - P])).max_event
+        mi = _worst_event_mi(_bloch_blocks(p), v[None, :], dims[0], dims[2])
+        assert abs(mi[0] - exact) < 1e-12
