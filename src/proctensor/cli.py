@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -22,8 +23,8 @@ from .instruments import (INSTRUMENTS, Instrument, dual_frame, gram_matrix,
                           instrument_by_name, instrument_from_json,
                           instrument_to_json, validate as
                           validate_instrument)
-from .linalg import (fidelity, mat_from_json, mat_to_json, partial_trace,
-                     path_or_handle)
+from .linalg import (fidelity, json_number, json_object, mat_from_json,
+                     mat_to_json, partial_trace, path_or_handle)
 from .memory import (markov_order_test, memory_strength, projective_survey,
                      state_non_markovianity)
 from .presets import PRESET_SEEDS, PRESETS, _verify_circuit, references
@@ -85,16 +86,15 @@ def _state_to_json(g, dims) -> dict:
 
 def _state_from_json(obj, arg):
     """(state, dims) from a state file's JSON {dims, matrix}."""
-    if not isinstance(obj, dict) or "matrix" not in obj or "dims" not in obj:
-        raise ValueError(f"state file {arg!r} needs 'dims' and 'matrix'")
+    json_object(obj, ("dims", "matrix"), f"state file {arg!r}")
     dims = obj["dims"]
-    if not isinstance(dims, list) or not all(
-            isinstance(d, (int, float)) for d in dims):
+    if not isinstance(dims, list) or not dims:
         raise ValueError(f"state file {arg!r}: 'dims' must be a list of leg "
                          f"dimensions, got {dims!r}")
-    dims = tuple(int(d) for d in dims)
-    m = mat_from_json(obj["matrix"])
-    if m.shape[0] != int(np.prod(dims)):
+    dims = tuple(json_number(d, f"state file {arg!r}: 'dims' entry", 1,
+                             integer=True) for d in dims)
+    m = mat_from_json(obj["matrix"], square=True)
+    if m.shape[0] != math.prod(dims):
         raise ValueError("state matrix size disagrees with dims")
     return m, dims
 
@@ -114,24 +114,29 @@ def _process_to_json(p: ProcessTensor) -> dict:
     }
 
 
-_CANON_LEGS = ("A_in", "A_out", "B_in", "B_out", "C_in")
+_CANON_LEGS = [("A_in", "input"), ("A_out", "output"), ("B_in", "input"),
+               ("B_out", "output"), ("C_in", "input")]
 
 
 def _process_from_json(obj: dict, arg) -> ProcessTensor:
+    json_object(obj, ("layout", "matrix"), f"process file {arg!r}")
     legs = obj["layout"]
     if not isinstance(legs, list) or not all(
             isinstance(l, list) and len(l) == 3 for l in legs):
         raise ValueError(f"process file {arg!r}: 'layout' must list "
                          f"[label, dim, direction] legs, got {legs!r}")
-    if [l[0] for l in legs] != list(_CANON_LEGS):
-        raise ValueError(f"layout must list legs {_CANON_LEGS}")
-    per_leg = tuple(int(l[1]) for l in legs)
-    m = mat_from_json(obj["matrix"])
-    if m.shape[0] != int(np.prod(per_leg)):
+    if [(l[0], l[2]) for l in legs] != _CANON_LEGS:
+        raise ValueError(f"process file {arg!r}: 'layout' must list the "
+                         f"(label, direction) legs {_CANON_LEGS} in order")
+    per_leg = tuple(json_number(l[1], f"process file {arg!r}: 'layout' leg "
+                                f"{l[0]!r} dim", 1, integer=True)
+                    for l in legs)
+    m = mat_from_json(obj["matrix"], square=True)
+    if m.shape[0] != math.prod(per_leg):
         raise ValueError("process matrix size disagrees with layout")
     # inputs sit on legs 0, 2, 4; outputs are identity factors
     dims, out_dims = per_leg[0::2], per_leg[1::2]
-    gamma = partial_trace(m, per_leg, (0, 2, 4)) / float(np.prod(out_dims))
+    gamma = partial_trace(m, per_leg, (0, 2, 4)) / float(math.prod(out_dims))
     p = build_common_cause(gamma, dims, out_dims)
     if float(np.max(np.abs(p.matrix - m))) > 1e-8:
         raise ValueError("matrix is not a common-cause process tensor "
@@ -144,6 +149,9 @@ def _load_process(arg):
     key, obj = _resolve(arg, "process", STATE_NAMES, state_by_name)
     if key is None and isinstance(obj, dict) and "layout" in obj:
         return _process_from_json(obj, arg)
+    if key is None and not (isinstance(obj, dict) and "dims" in obj):
+        raise ValueError(f"process file {arg!r} needs 'layout' and 'matrix' "
+                         "(a process) or 'dims' and 'matrix' (a state)")
     g, dims = obj if key else _state_from_json(obj, arg)
     return build_common_cause(g, dims, dims[:2])
 
@@ -181,23 +189,15 @@ def _load_config(path) -> dict:
     if tols is not None:
         if not isinstance(tols, dict):
             raise ValueError("tolerances must map field names to numbers")
-        cfg["tolerances"] = {k: _config_number(v, f"tolerances: {k!r}",
-                                               float)
+        cfg["tolerances"] = {k: json_number(v, f"tolerances: {k!r}")
                              for k, v in tols.items()}
     if cfg.get("seed") is not None:
-        cfg["seed"] = _config_number(cfg["seed"], "seed", int)
+        cfg["seed"] = json_number(cfg["seed"], "seed", integer=True)
     if not isinstance(cfg.get("output"), (str, type(None))):
         raise ValueError(f"output must be a file path, got {cfg['output']!r}")
     if cfg.get("format", "json") not in ("json", "csv"):
         raise ValueError("format must be json or csv")
     return cfg
-
-
-def _config_number(value, field, kind):
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{field} must be a number, got {value!r}") from None
 
 
 # ---------------------------------------------------------------- handlers
@@ -444,7 +444,8 @@ def _cmd_run(args) -> int:
             raise ValueError("custom preset needs 'command': [args...]")
         if command and command[0] == "run":
             raise ValueError("custom command cannot nest 'run'")
-        return main(command)
+        parsed = build_parser(_CommandParser).parse_args(command)
+        return parsed.func(parsed)
     return _run_preset(preset, seed=cfg.get("seed"),
                        out=cfg.get("output"),
                        fmt=cfg.get("format", "json"),
@@ -453,8 +454,16 @@ def _cmd_run(args) -> int:
 
 # ---------------------------------------------------------------- parser
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+class _CommandParser(argparse.ArgumentParser):
+    """Parser for a config's custom command: a bad command is a bad input
+    field, reported like any other, not a usage exit."""
+
+    def error(self, message):
+        raise ValueError(f"custom preset 'command': {message}")
+
+
+def build_parser(parser=argparse.ArgumentParser) -> argparse.ArgumentParser:
+    ap = parser(
         prog="proctensor",
         description="process-tensor toolkit for three-step common-cause "
                     "processes")

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import hermitize, is_hermitian, kron, mat_from_json, mat_to_json
+from .linalg import (hermitize, is_hermitian, json_number, json_object, kron,
+                     mat_from_json, mat_to_json)
 
 PAULI = (
     np.eye(2, dtype=complex),
@@ -216,8 +217,23 @@ def instrument_to_json(inst: Instrument) -> dict:
 
 
 def instrument_from_json(obj: dict) -> Instrument:
-    mats = [mat_from_json(e) for e in obj["elements"]]
-    return instrument(mats, obj.get("name", ""))
+    """Instrument from {dim, elements, name (optional)}; errors name the
+    field."""
+    json_object(obj, ("dim", "elements"), "instrument file")
+    dim = json_number(obj["dim"], "instrument 'dim'", 1, integer=True)
+    name, elements = obj.get("name", ""), obj["elements"]
+    if not isinstance(name, str):
+        raise ValueError(f"instrument 'name' must be a string, got {name!r}")
+    if not isinstance(elements, list) or not elements:
+        raise ValueError("instrument 'elements' must be a non-empty list of "
+                         "matrices")
+    mats = [mat_from_json(e, f"instrument 'elements' entry {i}", square=True)
+            for i, e in enumerate(elements)]
+    for i, m in enumerate(mats):
+        if m.shape != (dim, dim):
+            raise ValueError(f"instrument 'elements' entry {i} is "
+                             f"{len(m)} x {len(m)}, but 'dim' is {dim}")
+    return instrument(mats, name)
 
 
 __all__ = [

@@ -7,6 +7,7 @@ treated as exact zeros when taking logarithms.
 from __future__ import annotations
 
 import contextlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,9 +60,14 @@ def hermitize(m: np.ndarray) -> np.ndarray:
 
 
 def kron(*mats: np.ndarray) -> np.ndarray:
+    """Kronecker product of 2-D matrices, left to right, as complex: the
+    broadcast product np.kron forms, without its generic dispatch."""
     out = np.array([[1.0]], dtype=complex)
     for m in mats:
-        out = np.kron(out, np.asarray(m, dtype=complex))
+        m = np.asarray(m, dtype=complex)
+        (a, b), (c, e) = out.shape, m.shape
+        out = (out[:, None, :, None] * m[None, :, None, :]).reshape(a * c,
+                                                                    b * e)
     return out
 
 
@@ -76,33 +82,39 @@ def partial_trace(m: np.ndarray, dims: tuple[int, ...],
     keep = tuple(keep)
     if any(k < 0 or k >= n for k in keep):
         raise IndexError("keep positions out of range")
-    if int(np.prod(dims)) != m.shape[0] or m.shape[0] != m.shape[1]:
+    if math.prod(dims) != m.shape[0] or m.shape[0] != m.shape[1]:
         raise ValueError("dims do not match matrix shape")
     t = np.asarray(m, dtype=complex).reshape(*dims, *dims)
     drop = [i for i in range(n) if i not in keep]
     for off, i in enumerate(sorted(drop)):
         ax = i - off
         t = np.trace(t, axis1=ax, axis2=ax + (n - off))
-    d_keep = int(np.prod([dims[i] for i in keep])) if keep else 1
+    d_keep = math.prod(dims[i] for i in keep)
     return t.reshape(d_keep, d_keep)
 
 
 def check_density(rho: np.ndarray, pos_tol: float = 1e-10,
-                  trace_tol: float = 1e-8) -> None:
+                  trace_tol: float = 1e-8, vectors: bool = False):
+    """Raise unless rho is Hermitian, positive semidefinite and of unit
+    trace. Returns the spectrum of hermitize(rho) the check computed:
+    eigvalsh's eigenvalues, or eigh's (w, v) when vectors is set, so a
+    caller reuses it instead of decomposing rho again."""
     if not is_hermitian(rho, 1e-10):
         raise ValueError("density matrix is not Hermitian")
-    w = np.linalg.eigvalsh(hermitize(rho))
+    h = hermitize(rho)
+    spectrum = np.linalg.eigh(h) if vectors else np.linalg.eigvalsh(h)
+    w = spectrum[0] if vectors else spectrum
     if w.min() < -pos_tol:
         raise ValueError(f"negative eigenvalue {w.min():.3e}")
     tr = float(np.real(np.trace(rho)))
     if abs(tr - 1.0) > trace_tol:
         raise ValueError(f"trace {tr} deviates from 1")
+    return spectrum
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
     """S(rho) = -sum e log2 e with 0 log 0 := 0."""
-    check_density(rho)
-    w = np.linalg.eigvalsh(hermitize(rho))
+    w = check_density(rho)
     w = w[w > CLIP_EPS]
     return float(-np.sum(w * np.log2(w)))
 
@@ -112,10 +124,8 @@ def relative_entropy(x: np.ndarray, y: np.ndarray) -> float:
 
     Raises if the support of x is not contained in the support of y.
     """
-    check_density(x)
-    check_density(y)
-    wx, vx = np.linalg.eigh(hermitize(x))
-    wy, vy = np.linalg.eigh(hermitize(y))
+    wx, _ = check_density(x, vectors=True)
+    wy, vy = check_density(y, vectors=True)
     ker = vy[:, wy <= CLIP_EPS]
     if ker.shape[1] and np.linalg.norm(ker.conj().T @ x @ ker) > 1e-10:
         raise ValueError("support violation: divergence is infinite")
@@ -157,16 +167,56 @@ def mat_to_json(m: np.ndarray) -> dict:
             "im": np.imag(m).reshape(-1).tolist()}
 
 
-def mat_from_json(obj: dict) -> np.ndarray:
-    r, c = int(obj["rows"]), int(obj["cols"])
+def json_object(obj, keys, what: str) -> dict:
+    """obj, checked to be a JSON object holding every key in keys."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be an object with keys {list(keys)}, "
+                         f"got {type(obj).__name__}")
+    missing = [k for k in keys if k not in obj]
+    if missing:
+        raise ValueError(f"{what} lacks key(s) {missing}")
+    return obj
+
+
+def json_number(value, field: str, minimum: float | None = 0,
+                integer: bool = False):
+    """value, checked to be a finite JSON number, >= minimum unless that is
+    None, and a whole one when integer is set; the error names field."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{field} must be a number, got {value!r}")
+    if (minimum is not None and value < minimum
+            or isinstance(value, float) and not (
+                math.isfinite(value) and (value.is_integer() or not integer))):
+        kind = "an integer" if integer else "a finite number"
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ValueError(f"{field} must be {kind}{bound}, got {value!r}")
+    return int(value) if integer else float(value)
+
+
+def mat_from_json(obj: dict, where: str = "matrix",
+                  square: bool = False) -> np.ndarray:
+    """Matrix from {rows, cols, re, im}; errors name the field, prefixed by
+    where (the matrix's place in its file)."""
+    json_object(obj, ("rows", "cols", "re", "im"), where)
+    r, c = (json_number(obj[k], f"{where} field {k!r}", 1, integer=True)
+            for k in ("rows", "cols"))
+    if square and r != c:
+        raise ValueError(f"{where} fields 'rows' and 'cols' differ ({r} x "
+                         f"{c}); the matrix must be square")
     parts = []
     for key in ("re", "im"):
-        flat = np.array(obj[key], dtype=float).reshape(-1)
+        vals = obj[key]
+        if not isinstance(vals, list) or not all(
+                type(v) in (int, float) for v in vals):
+            raise ValueError(f"{where} field {key!r} must be a flat list of "
+                             "numbers")
+        flat = np.array(vals, dtype=float)
         if flat.size != r * c:
-            raise ValueError(f"matrix field {key!r} holds {flat.size} "
+            raise ValueError(f"{where} field {key!r} holds {flat.size} "
                              f"entries, expected rows*cols = {r * c}")
         if not np.isfinite(flat).all():
-            raise ValueError(f"matrix field {key!r} holds a non-finite entry")
+            raise ValueError(f"{where} field {key!r} holds a non-finite "
+                             "entry")
         parts.append(flat.reshape(r, c))
     return parts[0] + 1j * parts[1]
 

@@ -8,6 +8,7 @@ on input-leg states; the full-Choi equivalence is exercised by the tests.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +44,7 @@ def non_markovianity_choi(p: ProcessTensor) -> float:
     Kept as the cross-check path; agrees with non_markovianity to
     numerical precision.
     """
-    norm = int(np.prod(p.output_dims))  # the Choi trace
+    norm = math.prod(p.output_dims)  # the Choi trace
     return relative_entropy(p.matrix / norm, markov_product(p).matrix / norm)
 
 
@@ -71,7 +72,7 @@ def quantum_cmi_choi(p: ProcessTensor) -> float:
     block taken as (B_in, B_out). Equals the state-level value for
     common-cause processes (identity legs contribute zero)."""
     dA, dAo, dB, dBo, dC = p.layout.dims
-    m = p.matrix / int(np.prod(p.output_dims))
+    m = p.matrix / math.prod(p.output_dims)
     # legs are contiguous per party, so regrouping is just coarser dims
     return quantum_cmi(m, (dA * dAo, dB * dBo, dC))
 

@@ -11,6 +11,7 @@ tr[(E_A x E_B x E_C) gamma], which the fast paths below use directly.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -52,7 +53,7 @@ def _choi(state: np.ndarray, lay: LegLayout) -> np.ndarray:
             shape = [1] * (2 * n)
             shape[i] = shape[n + i] = leg.dim
             m = m * np.eye(leg.dim).reshape(shape)
-    d = int(np.prod(lay.dims))
+    d = math.prod(lay.dims)
     return m.reshape(d, d)
 
 

@@ -7,6 +7,7 @@ regression baselines carry no transcription drift.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,7 +85,7 @@ class StateEnsemble:
 
 
 def ensemble_to_state(e: StateEnsemble) -> np.ndarray:
-    d = int(np.prod(e.dims))
+    d = math.prod(e.dims)
     rho = np.zeros((d, d), dtype=complex)
     for vec, w in e.members:
         v = np.asarray(vec, dtype=complex).reshape(-1)

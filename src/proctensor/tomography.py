@@ -6,10 +6,17 @@ Settings are products of per-leg bases: the three Pauli eigenbases for a
 qubit leg, and for a qutrit leg the nine two-level bases (each Pauli basis
 embedded in one of the three level pairs, the remaining level fixed). Both
 sets are informationally complete for their leg.
+
+The pseudo-inverse of a settings table depends only on its labels and leg
+dimensions, so it is built once per process for each (labels, dims) and
+reused, read-only, by every later reconstruct and bootstrap on an equal
+table. An informationally incomplete table raises on every call.
 """
 from __future__ import annotations
 
 import csv
+import functools
+import math
 from dataclasses import dataclass
 from itertools import product as iproduct
 
@@ -141,15 +148,22 @@ def inversion_matrix(mats, d: int) -> np.ndarray:
     return np.conjugate(P, out=P).reshape(-1, d * d)
 
 
-def _pseudo_inverse(labels, dims, d: int) -> np.ndarray:
-    """Pseudo-inverse of the settings' inversion matrix.
+def _pseudo_inverse(labels, dims) -> np.ndarray:
+    """Read-only pseudo-inverse of the settings' inversion matrix, shared
+    by every call with the same labels and dims (list or tuple)."""
+    return _cached_pseudo_inverse(tuple(labels), tuple(int(x) for x in dims))
 
-    One SVD gives both the rank (matrix_rank's tolerance) and the inverse
+
+@functools.lru_cache(maxsize=4)
+def _cached_pseudo_inverse(labels: tuple, dims: tuple) -> np.ndarray:
+    """One SVD gives both the rank (matrix_rank's tolerance) and the inverse
     (pinv's formula). Raises when the settings are informationally
-    incomplete for the dimensions.
+    incomplete for the dimensions; a raise is not cached.
     """
+    d = math.prod(dims)
     A = inversion_matrix(_unitaries(labels, dims), d)
-    u, s, vt = np.linalg.svd(A.conj(), full_matrices=False)
+    # conjugated in place, so no second (rows, d * d) array is live in the SVD
+    u, s, vt = np.linalg.svd(np.conjugate(A, out=A), full_matrices=False)
     smax = s.max(initial=0.0)
     rank = int(np.count_nonzero(
         s > smax * (max(A.shape) * np.finfo(s.dtype).eps)))
@@ -160,7 +174,9 @@ def _pseudo_inverse(labels, dims, d: int) -> np.ndarray:
     # independent rows), so A has 6 rows or more, the rank tolerance
     # max(A.shape) * eps exceeds pinv's 1e-15 cutoff and pinv keeps every
     # singular value
-    return vt.T @ ((1 / s)[:, None] * u.T)
+    inv = vt.T @ ((1 / s)[:, None] * u.T)
+    inv.flags.writeable = False
+    return inv
 
 
 def _frequencies(counts: CountsTable, d: int) -> np.ndarray:
@@ -204,8 +220,8 @@ def reconstruct(counts: CountsTable, dims) -> np.ndarray:
     Raises when the settings in the table are informationally incomplete
     for the requested dimensions, or when a setting lacks outcomes or shots.
     """
-    d = int(np.prod([int(x) for x in dims]))
-    inv = _pseudo_inverse(counts.labels, dims, d)
+    d = math.prod(int(x) for x in dims)
+    inv = _pseudo_inverse(counts.labels, dims)
     return _estimate(inv, _frequencies(counts, d).reshape(1, -1), d)[0]
 
 
@@ -222,14 +238,14 @@ def bootstrap(counts: CountsTable, dims, statistic, resamples: int = 500,
 
     Each resample redraws every setting's counts with its own generator,
     spawned from seed, so the result does not depend on evaluation order.
-    The table's pseudo-inverse is built once and all resamples are
+    All resamples share the table's cached pseudo-inverse and are
     projected as one batch; each state is the one reconstruct() gives for
     the same redrawn counts.
     """
     if resamples < 2:
         raise ValueError("need at least 2 resamples")
-    d = int(np.prod([int(x) for x in dims]))
-    inv = _pseudo_inverse(counts.labels, dims, d)
+    d = math.prod(int(x) for x in dims)
+    inv = _pseudo_inverse(counts.labels, dims)
     p = _frequencies(counts, d)
     children = np.random.SeedSequence(seed).spawn(resamples)
     draws = np.array([np.random.default_rng(child).multinomial(

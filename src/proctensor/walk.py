@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instruments import PAULI, Instrument, instrument
-from .linalg import mat_from_json, mat_to_json
+from .linalg import json_number, json_object, mat_from_json, mat_to_json
 
 NORM_TOL = 1e-12
 UNITARY_TOL = 1e-10
@@ -102,7 +102,7 @@ class WalkCircuit:
         object.__setattr__(self, "steps", steps)
         ports = {int(x): int(i) for x, i in self.ports.items()}
         if sorted(ports.values()) != list(range(1, len(ports) + 1)):
-            raise ValueError("port map must enumerate elements 1..n once")
+            raise ValueError("'ports' must assign elements 1..n once each")
         object.__setattr__(self, "ports", ports)
 
     @property
@@ -243,14 +243,42 @@ def circuit_to_json(circuit: WalkCircuit) -> dict:
 
 
 def circuit_from_json(obj: dict) -> WalkCircuit:
+    """Circuit from {steps, ports, name (optional)}; errors name the
+    field."""
+    json_object(obj, ("steps", "ports"), "circuit file")
+    name = obj.get("name", "")
+    if not isinstance(name, str):
+        raise ValueError(f"circuit 'name' must be a string, got {name!r}")
+    if not isinstance(obj["steps"], list):
+        raise ValueError("circuit 'steps' must be a list of {coins} objects")
     steps = []
-    for st in obj["steps"]:
-        coins = {}
-        for x, U in st["coins"].items():
-            coins[int(x)] = BITFLIP if U == "bitflip" else mat_from_json(U)
-        steps.append(coins)
-    ports = {int(x): int(i) for x, i in obj["ports"]}
-    return WalkCircuit(tuple(steps), ports, obj.get("name", ""))
+    for i, st in enumerate(obj["steps"]):
+        where = f"circuit 'steps' entry {i}"
+        coins = json_object(st, ("coins",), where)["coins"]
+        if not isinstance(coins, dict):
+            raise ValueError(f"{where}: 'coins' must map positions to coins")
+        step = {}
+        for x, U in coins.items():
+            try:
+                pos = int(x)
+            except ValueError:
+                raise ValueError(f"{where}: 'coins' position {x!r} is not "
+                                 "an integer") from None
+            step[pos] = BITFLIP if U == "bitflip" else mat_from_json(
+                U, f"{where}: 'coins' at {x}", square=True)
+        steps.append(step)
+    pairs = obj["ports"]
+    if not isinstance(pairs, list) or not all(
+            isinstance(p, list) and len(p) == 2 for p in pairs):
+        raise ValueError("circuit 'ports' must list [position, element] "
+                         "pairs")
+    ports = {}
+    for x, i in pairs:
+        x = json_number(x, "circuit 'ports' position", None, integer=True)
+        if x in ports:
+            raise ValueError(f"circuit 'ports' lists position {x} twice")
+        ports[x] = json_number(i, "circuit 'ports' element", 1, integer=True)
+    return WalkCircuit(tuple(steps), ports, name)
 
 
 def bloch_vector(element: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from proctensor import tomography
 from proctensor.cli import main
 from proctensor.instruments import instrument_by_name, instrument_to_json
 from proctensor.linalg import mat_from_json, mat_to_json
@@ -438,6 +439,27 @@ def test_reference_commands_byte_identical(tmp_path, monkeypatch, capsys):
         assert code == 0, cmd
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == reference[cmd]["sha256"], cmd
+
+
+def test_tomography_bytes_cold_and_warm(tmp_path, monkeypatch, capsys):
+    """The tomography commands print their reference bytes whether the
+    settings table's pseudo-inverse is built afresh or reused."""
+    reference = json.loads(REFERENCE.read_text())
+    monkeypatch.chdir(tmp_path)
+    for cmd in reference:
+        if cmd.startswith("tomo simulate"):
+            assert run_cli(capsys, cmd.split())[0] == 0, cmd
+    cmds = ["preset tomo"] + [c for c in reference
+                              if c.startswith("tomo reconstruct")]
+    assert len(cmds) == 3
+    for cold in (True, False):
+        for cmd in cmds:
+            if cold:
+                tomography._cached_pseudo_inverse.cache_clear()
+            code, out, _ = run_cli(capsys, cmd.split())
+            assert code == 0, cmd
+            digest = hashlib.sha256(out.encode()).hexdigest()
+            assert digest == reference[cmd]["sha256"], cmd
 
 
 # stdout sha256 of commands whose references the benchmark commands above

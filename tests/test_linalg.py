@@ -1,4 +1,6 @@
 """Core linear-algebra helpers: partial traces, entropies, metrics."""
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,32 @@ def test_kron_matches_numpy_and_chains():
     assert np.allclose(kron(a, b), np.kron(a, b))
     assert np.allclose(kron(a, b, c), np.kron(np.kron(a, b), c))
     assert kron(a).shape == (2, 2)
+
+
+def _kron_factors():
+    """Random complex and real 1x1, 2x2 and 3x3 factors, and identities."""
+    rng = np.random.default_rng(12)
+    out = {"eye2": np.eye(2), "eye3": np.eye(3)}
+    for d in (1, 2, 3):
+        out[f"real{d}"] = rng.normal(size=(d, d))
+        out[f"complex{d}"] = (rng.normal(size=(d, d))
+                              + 1j * rng.normal(size=(d, d)))
+    return out
+
+
+def test_kron_bit_equal_to_numpy_fold():
+    factors = _kron_factors()
+    names = sorted(factors)
+    rng = np.random.default_rng(13)
+    chains = [[n] for n in names] + [
+        list(rng.choice(names, size=k)) for k in (2, 3, 3, 4) * 6]
+    for chain in chains:
+        mats = [factors[n] for n in chain]
+        ref = reduce(lambda a, b: np.kron(a, np.asarray(b, dtype=complex)),
+                     mats, np.array([[1.0]], dtype=complex))
+        got = kron(*mats)
+        assert got.dtype == ref.dtype and got.shape == ref.shape, chain
+        assert got.tobytes() == ref.tobytes(), chain
 
 
 def test_dagger_and_hermitize():
@@ -92,6 +120,57 @@ def test_check_density_raises():
         check_density(np.eye(2))
     with pytest.raises(ValueError):
         check_density(np.array([[0.5, 0.5], [-0.5, 0.5]]))
+
+
+def test_check_density_returns_its_spectrum():
+    rho = random_density(np.random.default_rng(14), 4)
+    h = hermitize(rho)
+    assert check_density(rho).tobytes() == np.linalg.eigvalsh(h).tobytes()
+    w, v = check_density(rho, vectors=True)
+    ref_w, ref_v = np.linalg.eigh(h)
+    assert w.tobytes() == ref_w.tobytes() and v.tobytes() == ref_v.tobytes()
+
+
+NOT_HERMITIAN = np.array([[0.5, 0.5], [-0.5, 0.5]])
+NEGATIVE = np.diag([1.5, -0.5])
+WRONG_TRACE = np.eye(2)
+GOOD = np.eye(2) / 2
+
+
+@pytest.mark.parametrize("bad, message", [
+    (NOT_HERMITIAN, "density matrix is not Hermitian"),
+    (NEGATIVE, "negative eigenvalue -5.000e-01"),
+    (WRONG_TRACE, "trace 2.0 deviates from 1"),
+], ids=["not-hermitian", "negative-eigenvalue", "wrong-trace"])
+@pytest.mark.parametrize("call", [
+    lambda bad: von_neumann_entropy(bad),
+    lambda bad: relative_entropy(bad, GOOD),
+    lambda bad: relative_entropy(GOOD, bad),
+    lambda bad: fidelity(bad, GOOD),
+    lambda bad: fidelity(GOOD, bad),
+], ids=["entropy", "relative-x", "relative-y", "fidelity-rho",
+        "fidelity-sigma"])
+def test_density_checks_raise_their_messages(call, bad, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(bad)
+
+
+def test_entropies_equal_separate_decompositions():
+    """Reusing the check's spectrum gives the bits of decomposing again."""
+    rng = np.random.default_rng(15)
+    for d in (2, 4, 8):
+        for _ in range(5):
+            x, y = random_density(rng, d), random_density(rng, d)
+            w = np.linalg.eigvalsh(hermitize(x))
+            w = w[w > 1e-12]
+            assert von_neumann_entropy(x) == float(-np.sum(w * np.log2(w)))
+            wx, _ = np.linalg.eigh(hermitize(x))
+            wy, vy = np.linalg.eigh(hermitize(y))
+            wx = wx[wx > 1e-12]
+            log_y = (vy * np.log2(np.clip(wy, 1e-12, None))) @ vy.conj().T
+            ref = (float(np.sum(wx * np.log2(wx)))
+                   - float(np.real(np.trace(x @ log_y))))
+            assert relative_entropy(x, y) == ref
 
 
 def test_entropy_values_and_unitary_invariance():

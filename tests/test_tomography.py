@@ -5,6 +5,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
+from proctensor import tomography
 from proctensor.linalg import fidelity
 from proctensor.states import state_by_name
 from proctensor.tomography import (
@@ -259,14 +260,14 @@ def test_pseudo_inverse_is_pinv(dims):
     labels = _labels(dims)
     A = inversion_matrix(_unitaries(labels, dims), d)
     assert np.linalg.matrix_rank(A) == d * d
-    assert (_pseudo_inverse(labels, dims, d).tobytes()
+    assert (_pseudo_inverse(labels, dims).tobytes()
             == np.linalg.pinv(A).tobytes())
     # an incomplete table reports matrix_rank's rank
     z_only = [lbl for lbl in labels if set(lbl.split("/")) <= {"Z", "01Z"}]
     rank = np.linalg.matrix_rank(inversion_matrix(
         _unitaries(z_only, dims), d))
     with pytest.raises(ValueError, match=f"rank {rank} < {d * d}"):
-        _pseudo_inverse(z_only, dims, d)
+        _pseudo_inverse(z_only, dims)
 
 
 @pytest.mark.parametrize("dims", BIT_DIMS + [(2, 2, 3), (3, 3)])
@@ -322,3 +323,71 @@ def test_reconstruct_and_bootstrap_reject_ragged_tables():
             reconstruct(table, dims)
         with pytest.raises(ValueError, match=msg):
             bootstrap(table, dims, lambda rho: 1.0, resamples=2, seed=0)
+
+
+# The pseudo-inverse is cached per (labels, dims): every table with equal
+# labels and dims shares one read-only inverse.
+@pytest.fixture
+def inversion_builds(monkeypatch):
+    """Empty the inverse cache and count inversion_matrix calls."""
+    calls = []
+    build = tomography.inversion_matrix
+
+    def counted(mats, d):
+        calls.append(d)
+        return build(mats, d)
+
+    tomography._cached_pseudo_inverse.cache_clear()
+    monkeypatch.setattr(tomography, "inversion_matrix", counted)
+    yield calls
+    tomography._cached_pseudo_inverse.cache_clear()
+
+
+def test_pseudo_inverse_is_read_only():
+    inv = _pseudo_inverse(_labels((2, 2)), (2, 2))
+    assert not inv.flags.writeable
+    with pytest.raises(ValueError):
+        inv[0, 0] = 0.0
+
+
+def test_equal_tables_build_one_inverse(inversion_builds):
+    g, dims = state_by_name("lambda")
+    first = reconstruct(simulate_counts(g, dims, 2700, seed=0), dims)
+    second = reconstruct(simulate_counts(g, dims, 2700, seed=1), dims)
+    assert inversion_builds == [8]
+    assert first.tobytes() != second.tobytes()
+
+
+def test_list_and_tuple_dims_share_an_inverse(inversion_builds):
+    labels = _labels((2, 2, 2))
+    inv = _pseudo_inverse(labels, (2, 2, 2))
+    assert _pseudo_inverse(tuple(labels), [2, 2, 2]) is inv
+    assert _pseudo_inverse(labels, np.array([2, 2, 2])) is inv
+    assert inversion_builds == [8]
+
+
+def test_reordered_labels_get_their_own_inverse(inversion_builds):
+    labels = _labels((2, 2))
+    inv = _pseudo_inverse(labels, (2, 2))
+    rev = _pseudo_inverse(labels[::-1], (2, 2))
+    assert rev is not inv
+    assert inversion_builds == [4, 4]
+    # reversing the settings reverses the inverse's column blocks
+    blocks = inv.reshape(16, len(labels), 4)[:, ::-1].reshape(16, -1)
+    assert np.allclose(rev, blocks, atol=1e-12)
+
+
+def test_incomplete_table_raises_on_every_call(inversion_builds):
+    g, dims = state_by_name("lambda")
+    counts = simulate_counts(g, dims, 27000, seed=0)
+    keep = [i for i, l in enumerate(counts.labels)
+            if set(l.split("/")) == {"Z"}]
+    sub = CountsTable(tuple(counts.labels[i] for i in keep),
+                      tuple(counts.counts[i] for i in keep),
+                      tuple(counts.shots[i] for i in keep))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="informationally incomplete"):
+            reconstruct(sub, dims)
+        with pytest.raises(ValueError, match="informationally incomplete"):
+            bootstrap(sub, dims, lambda rho: 1.0, resamples=2, seed=0)
+    assert inversion_builds == [8] * 4
