@@ -93,9 +93,11 @@ def _state_from_json(obj, arg):
                          f"dimensions, got {dims!r}")
     dims = tuple(json_number(d, f"state file {arg!r}: 'dims' entry", 1,
                              integer=True) for d in dims)
-    m = mat_from_json(obj["matrix"], square=True)
-    if m.shape[0] != math.prod(dims):
-        raise ValueError("state matrix size disagrees with dims")
+    m, d = mat_from_json(obj["matrix"]), math.prod(dims)
+    if m.shape != (d, d):
+        raise ValueError(f"state matrix size disagrees with dims: 'matrix' "
+                         f"is {m.shape[0]} x {m.shape[1]} ('rows' x 'cols'), "
+                         f"'dims' give {d} x {d}")
     return m, dims
 
 
@@ -131,9 +133,11 @@ def _process_from_json(obj: dict, arg) -> ProcessTensor:
     per_leg = tuple(json_number(l[1], f"process file {arg!r}: 'layout' leg "
                                 f"{l[0]!r} dim", 1, integer=True)
                     for l in legs)
-    m = mat_from_json(obj["matrix"], square=True)
-    if m.shape[0] != math.prod(per_leg):
-        raise ValueError("process matrix size disagrees with layout")
+    m, d = mat_from_json(obj["matrix"]), math.prod(per_leg)
+    if m.shape != (d, d):
+        raise ValueError(f"process matrix size disagrees with layout: "
+                         f"'matrix' is {m.shape[0]} x {m.shape[1]} ('rows' x "
+                         f"'cols'), 'layout' gives {d} x {d}")
     # inputs sit on legs 0, 2, 4; outputs are identity factors
     dims, out_dims = per_leg[0::2], per_leg[1::2]
     gamma = partial_trace(m, per_leg, (0, 2, 4)) / float(math.prod(out_dims))

@@ -227,12 +227,13 @@ def instrument_from_json(obj: dict) -> Instrument:
     if not isinstance(elements, list) or not elements:
         raise ValueError("instrument 'elements' must be a non-empty list of "
                          "matrices")
-    mats = [mat_from_json(e, f"instrument 'elements' entry {i}", square=True)
+    mats = [mat_from_json(e, f"instrument 'elements' entry {i}")
             for i, e in enumerate(elements)]
     for i, m in enumerate(mats):
         if m.shape != (dim, dim):
             raise ValueError(f"instrument 'elements' entry {i} is "
-                             f"{len(m)} x {len(m)}, but 'dim' is {dim}")
+                             f"{m.shape[0]} x {m.shape[1]}, but 'dim' is "
+                             f"{dim}")
     return instrument(mats, name)
 
 

@@ -184,6 +184,11 @@ def json_number(value, field: str, minimum: float | None = 0,
     None, and a whole one when integer is set; the error names field."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{field} must be a number, got {value!r}")
+    try:
+        float(value)
+    except OverflowError:  # an int beyond the float range
+        raise ValueError(f"{field} must be a finite number, got an integer "
+                         f"of {len(str(abs(value)))} digits") from None
     if (minimum is not None and value < minimum
             or isinstance(value, float) and not (
                 math.isfinite(value) and (value.is_integer() or not integer))):
@@ -193,16 +198,12 @@ def json_number(value, field: str, minimum: float | None = 0,
     return int(value) if integer else float(value)
 
 
-def mat_from_json(obj: dict, where: str = "matrix",
-                  square: bool = False) -> np.ndarray:
+def mat_from_json(obj: dict, where: str = "matrix") -> np.ndarray:
     """Matrix from {rows, cols, re, im}; errors name the field, prefixed by
     where (the matrix's place in its file)."""
     json_object(obj, ("rows", "cols", "re", "im"), where)
     r, c = (json_number(obj[k], f"{where} field {k!r}", 1, integer=True)
             for k in ("rows", "cols"))
-    if square and r != c:
-        raise ValueError(f"{where} fields 'rows' and 'cols' differ ({r} x "
-                         f"{c}); the matrix must be square")
     parts = []
     for key in ("re", "im"):
         vals = obj[key]
@@ -210,7 +211,11 @@ def mat_from_json(obj: dict, where: str = "matrix",
                 type(v) in (int, float) for v in vals):
             raise ValueError(f"{where} field {key!r} must be a flat list of "
                              "numbers")
-        flat = np.array(vals, dtype=float)
+        try:
+            flat = np.array(vals, dtype=float)
+        except OverflowError:  # an int beyond the float range
+            raise ValueError(f"{where} field {key!r} holds a non-finite "
+                             "entry") from None
         if flat.size != r * c:
             raise ValueError(f"{where} field {key!r} holds {flat.size} "
                              f"entries, expected rows*cols = {r * c}")

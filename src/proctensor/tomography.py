@@ -304,6 +304,9 @@ def counts_from_csv(path) -> CountsTable:
             if k not in outcomes:
                 raise ValueError(f"setting {lbl!r} has no row for outcome "
                                  f"{k}")
+        if sum(outcomes.values()) > np.iinfo(np.int64).max:
+            raise ValueError(f"setting {lbl!r}: column 'count' sums beyond "
+                             "the int64 range")
         counts.append(np.array([outcomes[k] for k in range(len(outcomes))],
                                dtype=np.int64))
     return CountsTable(tuple(per), tuple(counts),

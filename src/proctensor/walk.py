@@ -265,7 +265,7 @@ def circuit_from_json(obj: dict) -> WalkCircuit:
                 raise ValueError(f"{where}: 'coins' position {x!r} is not "
                                  "an integer") from None
             step[pos] = BITFLIP if U == "bitflip" else mat_from_json(
-                U, f"{where}: 'coins' at {x}", square=True)
+                U, f"{where}: 'coins' at {x}")
         steps.append(step)
     pairs = obj["ports"]
     if not isinstance(pairs, list) or not all(

@@ -4,9 +4,10 @@ line that names the bad field, never a traceback.
 Every file a subcommand reads is covered: state, process, instrument,
 circuit, counts and config. Each case takes a valid file of one kind and
 applies one mutation from MUTATIONS: a dropped key, a wrong type, NaN or
-inf, a wrong length, a dimension that disagrees with the data, a
-negative value, a duplicate row or a non-square matrix. Hypothesis draws the position (list index or dict key) and the
-wrong value; the table fixes the field the message must name.
+inf, an integer too large for a float, a wrong length, a dimension that
+disagrees with the data, a negative value, a duplicate row or a
+non-square matrix. Hypothesis draws the position (list index or dict key)
+and the wrong value; the table fixes the field the message must name.
 """
 import contextlib
 import copy
@@ -142,7 +143,7 @@ MUTATIONS = [
     ("instrument", ("elements", I), "duplicate", None, "elements"),
     ("instrument", ("elements", I, "re", I), "nonfinite", None, "re"),
     ("instrument", ("elements", I, "im", I), "type", "number", "im"),
-    ("instrument", ("elements", I), "nonsquare", None, "rows"),
+    ("instrument", ("elements", I), "nonsquare", None, "elements"),
     ("circuit", ("steps",), "drop", None, "steps"),
     ("circuit", ("ports",), "drop", None, "ports"),
     ("circuit", ("name",), "type", "str", "name"),
@@ -152,7 +153,7 @@ MUTATIONS = [
     ("circuit", ("steps", I, "coins"), "type", "dict", "coins"),
     ("circuit", ("steps", I, "coins", K), "type", "dict", "coins"),
     ("circuit", ("steps", I, "coins", K, "re", I), "nonfinite", None, "re"),
-    ("circuit", ("steps", I, "coins", K), "nonsquare", None, "rows"),
+    ("circuit", ("steps", I, "coins", K), "nonsquare", None, "coin"),
     ("circuit", ("ports",), "type", "list", "ports"),
     ("circuit", ("ports", I), "type", "list", "ports"),
     ("circuit", ("ports", I, I), "type", "whole", "ports"),
@@ -183,6 +184,11 @@ MUTATIONS = [
     ("counts", ("row", I), "shorten", None, "outcome"),
     ("counts", ("row", I), "duplicate", None, "outcome"),
 ]
+# an integer beyond the float (or, for counts, the int64) range, at every
+# place NaN or inf goes
+HUGE = 10 ** 400
+MUTATIONS += [(k, p, "huge", n, f) for k, p, m, n, f in MUTATIONS
+              if m == "nonfinite"]
 
 
 def _counts_view(rows):
@@ -219,6 +225,8 @@ def _mutate_json(data, doc, path, mutation, kind):
     elif mutation == "nonfinite":
         parent[last] = data.draw(st.sampled_from(
             [math.nan, math.inf, -math.inf]))
+    elif mutation == "huge":
+        parent[last] = data.draw(st.sampled_from([HUGE, -HUGE]))
     elif mutation == "negative":
         parent[last] = -data.draw(st.integers(1, 5))
     elif mutation == "bump":
@@ -241,6 +249,7 @@ def _mutate_counts(data, rows, path, mutation):
         body[path[1]][header.index(path[2])] = data.draw({
             "type": st.sampled_from(["a", "1.5", "", "1e3", "0x1", "[1]"]),
             "nonfinite": st.sampled_from(["nan", "inf", "-inf"]),
+            "huge": st.just(str(HUGE)),
             "negative": st.integers(-5, -1).map(str),
         }[mutation])
     elif mutation == "shorten":
