@@ -138,14 +138,15 @@ def _process_from_json(obj: dict, arg) -> ProcessTensor:
         raise ValueError(f"process matrix size disagrees with layout: "
                          f"'matrix' is {m.shape[0]} x {m.shape[1]} ('rows' x "
                          f"'cols'), 'layout' gives {d} x {d}")
-    # inputs sit on legs 0, 2, 4; outputs are identity factors
+    # inputs sit on legs 0, 2, 4; outputs are identity factors, checked
+    # before gamma is validated as a state
     dims, out_dims = per_leg[0::2], per_leg[1::2]
     gamma = partial_trace(m, per_leg, (0, 2, 4)) / float(math.prod(out_dims))
-    p = build_common_cause(gamma, dims, out_dims)
-    if float(np.max(np.abs(p.matrix - m))) > 1e-8:
+    if float(np.max(np.abs(ProcessTensor(gamma, dims, out_dims).matrix
+                           - m))) > 1e-8:
         raise ValueError("matrix is not a common-cause process tensor "
                          "(identity output legs expected)")
-    return p
+    return build_common_cause(gamma, dims, out_dims)
 
 
 def _load_process(arg):
@@ -239,9 +240,8 @@ def _cmd_instrument_show(args) -> int:
 def _cmd_instrument_validate(args) -> int:
     inst = _load_instrument(args.name)
     report = validate_instrument(inst)
-    report = {"name": inst.name, "dim": inst.dim, **report}
-    _emit(report, args.out, "json")
-    return 0 if report["ok"] else 3
+    _emit({"name": inst.name, "dim": inst.dim, **report}, args.out, "json")
+    return 0
 
 
 def _cmd_instrument_dual(args) -> int:

@@ -149,16 +149,19 @@ def instrument_by_name(name: str) -> Instrument:
 
 
 def validate(inst: Instrument) -> dict:
-    """PSD and completeness residuals. Raises nothing; diagnostic only."""
+    """PSD and completeness residuals (the latter a Frobenius norm).
+    Raises nothing; diagnostic only. ok applies the Instrument
+    constructor's own tests (entries of sum - 1 within 1e-10), so every
+    Instrument reports ok: a bad file fails when it is loaded."""
     psd = []
     for e in inst.elements:
         w = np.linalg.eigvalsh(hermitize(e.matrix))
         psd.append(float(max(0.0, -w.min())))
-    total = sum(inst.matrices())
-    residual = float(np.linalg.norm(total - np.eye(inst.dim)))
+    deviation = sum(inst.matrices()) - np.eye(inst.dim)
     return {"psd_violations": psd,
-            "completeness_residual": residual,
-            "ok": max(psd) <= 1e-10 and residual <= 1e-10}
+            "completeness_residual": float(np.linalg.norm(deviation)),
+            "ok": max(psd) <= 1e-10
+            and float(np.abs(deviation).max()) <= 1e-10}
 
 
 def gram_matrix(mats) -> np.ndarray:

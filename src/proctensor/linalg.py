@@ -104,8 +104,8 @@ def check_density(rho: np.ndarray, pos_tol: float = 1e-10,
     h = hermitize(rho)
     spectrum = np.linalg.eigh(h) if vectors else np.linalg.eigvalsh(h)
     w = spectrum[0] if vectors else spectrum
-    if w.min() < -pos_tol:
-        raise ValueError(f"negative eigenvalue {w.min():.3e}")
+    if w[0] < -pos_tol:  # eigenvalues come in ascending order
+        raise ValueError(f"negative eigenvalue {w[0]:.3e}")
     tr = float(np.real(np.trace(rho)))
     if abs(tr - 1.0) > trace_tol:
         raise ValueError(f"trace {tr} deviates from 1")

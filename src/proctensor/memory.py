@@ -150,11 +150,14 @@ def markov_order_test(p: ProcessTensor, inst: Instrument,
 
 
 def _entropies(rho: np.ndarray) -> np.ndarray:
-    """Batched von Neumann entropies in bits of an (n, d, d) stack, with
-    eigenvalues at or below CLIP_EPS dropped as von_neumann_entropy does.
-    Qubit blocks take their eigenvalues in closed form, (t +- r)/2 with
-    r = sqrt((a - d)^2 + 4|b|^2); larger blocks use eigvalsh."""
-    if rho.shape[-1] == 2:
+    """Batched von Neumann entropies in bits of an (n, d, d) stack, or of
+    its (n, d) spectra, with eigenvalues at or below CLIP_EPS dropped as
+    von_neumann_entropy does. Qubit blocks take their eigenvalues in closed
+    form, (t +- r)/2 with r = sqrt((a - d)^2 + 4|b|^2); larger blocks use
+    eigvalsh."""
+    if rho.ndim == 2:
+        w = rho
+    elif rho.shape[-1] == 2:
         a, d, b = rho[:, 0, 0].real, rho[:, 1, 1].real, rho[:, 0, 1]
         r = np.sqrt((a - d) ** 2 + 4 * (b.real ** 2 + b.imag ** 2))
         w = np.stack([(a + d + r) / 2, (a + d - r) / 2], axis=1)
@@ -164,37 +167,60 @@ def _entropies(rho: np.ndarray) -> np.ndarray:
     return -np.sum(w * np.log2(w), axis=1)
 
 
-def _bloch_blocks(p: ProcessTensor) -> np.ndarray:
-    """G_k = tr_B[gamma sigma_k]/2 for k = 0..3 (sigma_0 = 1), flattened
-    to (4, (dA dC)^2): a qubit projector (1 + n.sigma)/2 at B conditions
-    gamma to (1, n) @ G, and its complement to (1, -n) @ G."""
+def _bloch_blocks(p: ProcessTensor) -> tuple:
+    """G_k = tr_B[gamma sigma_k]/2 (sigma_0 = 1): a qubit projector
+    (1 + n.sigma)/2 at B conditions gamma to c @ G, c = (1, n), and its
+    complement to c = (1, -n). Returns what c multiplies, as real (4, m)
+    views: tr G_k, Tr_C G_k, Tr_A G_k and the AC blocks, the last either the
+    G_k or, flagged, their diagonals W in a joint eigenbasis.
+
+    That basis is the eigenbasis of a generic combination of the G_k, in
+    which G_k = diag(W_k) + E_k. By Weyl's inequality each eigenvalue of
+    c @ G is one of c @ W up to ||c @ E||_2 <= ||E_0||_F + |(||E_k||_F)_k>0|
+    (Cauchy-Schwarz, |n| = 1), and an event's trace is at least
+    t_min = tr G_0 - |(tr G_k)_k>0|. W is used only if that bound over
+    t_min is below CLIP_EPS, where the entropies drop eigenvalues, so an
+    accidental degeneracy that spoils the basis falls back to eigvalsh."""
     dA, dB, dC = p.input_dims
+    d = dA * dC
     g6 = p.gamma.reshape(dA, dB, dC, dA, dB, dC)
     G = np.einsum('kbD,aDcAbC->kacAC', np.array(PAULI), g6) / 2
-    return G.reshape(4, -1)
+    trace = np.einsum('kacac->k', G).real
+    marg = [np.einsum(s, G).reshape(4, -1).view(float)
+            for s in ('kacAc->kaA', 'kacaC->kcC')]
+    G = G.reshape(4, d, d)
+    U = np.linalg.eigh(np.tensordot([1, 2 ** .5, 3 ** .5, 5 ** .5], G, 1))[1]
+    R = U.conj().T @ G @ U
+    W = np.einsum('kii->ki', R).real
+    e = np.linalg.norm(R - W[:, :, None] * np.eye(d), axis=(1, 2))
+    commuting = bool(e[0] + np.linalg.norm(e[1:])
+                     < CLIP_EPS * (trace[0] - np.linalg.norm(trace[1:])))
+    return (trace, *marg, W if commuting else G.reshape(4, -1).view(float),
+            commuting)
 
 
-def _worst_event_mi(blocks: np.ndarray, kets: np.ndarray, dA: int,
+def _worst_event_mi(blocks: tuple, kets: np.ndarray, dA: int,
                     dC: int) -> np.ndarray:
     """Per-ket A:C mutual information in bits, maximised over the two
     events of the instrument {|v><v|, 1 - |v><v|}; kets is (n, 2) of unit
     norm. Equals memory_strength(...).max_event ket by ket."""
     n, d = len(kets), dA * dC
+    trace, bA, bC, bAC, commuting = blocks
     v0, v1 = kets[:, 0], kets[:, 1]
     off = v0 * v1.conj()  # <0|P|1> = (n_x - i n_y)/2
     coef = np.stack([np.ones(n), 2 * off.real, -2 * off.imag,
                      np.abs(v0) ** 2 - np.abs(v1) ** 2], axis=1)
-    flat = blocks.view(float)  # a real view: (n, 4) @ (4, 2 M) stays real
     mx = np.full(n, -np.inf)
     for sign in (1.0, -1.0):  # the projector, then its complement
-        cond = ((coef * [1.0, sign, sign, sign]) @ flat).view(complex)
-        cond = cond.reshape(n, d, d)
-        rho = cond / np.einsum('nii->n', cond).real[:, None, None]
-        rt = rho.reshape(n, dA, dC, dA, dC)
-        rA = np.einsum('nacbc->nab', rt)
-        rC = np.einsum('nabac->nbc', rt)
+        c = coef * [1.0, sign, sign, sign]
+        t = (c @ trace)[:, None, None]
+        # real (n, 4) @ real views of the blocks: complex (n, k, k) stacks
+        rA, rC = ((c @ b).view(complex).reshape(n, k, k) / t
+                  for b, k in ((bA, dA), (bC, dC)))
+        w = ((c @ bAC) / t[:, 0] if commuting
+             else (c @ bAC).view(complex).reshape(n, d, d) / t)
         mx = np.maximum(mx, _entropies(rA) + _entropies(rC)
-                        - _entropies(rho))
+                        - _entropies(w))
     return mx
 
 

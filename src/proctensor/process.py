@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .instruments import Instrument
-from .linalg import LegLayout, hermitize, kron, layout, partial_trace
+from .linalg import LegLayout, check_density, kron, layout, partial_trace
 
 PARTIES = ("A", "B", "C")
 
@@ -79,17 +79,13 @@ def build_common_cause(gamma: np.ndarray,
                        input_dims: tuple[int, int, int],
                        output_dims: tuple[int, int]) -> ProcessTensor:
     """Promote a tripartite input-leg state to a full process tensor.
-    Only gamma is validated: the Choi spectrum is gamma's, repeated."""
+    Only gamma is validated (Hermitian, PSD, unit trace): the Choi
+    spectrum is gamma's, repeated."""
     gamma = np.asarray(gamma, dtype=complex)
     dA, dB, dC = input_dims
     if gamma.shape != (dA * dB * dC, dA * dB * dC):
         raise ValueError("state dimension does not match input_dims")
-    w_min = np.linalg.eigvalsh(hermitize(gamma))[0]
-    if w_min < -1e-10:
-        raise ValueError(f"process not PSD: min eigenvalue {w_min:.3e}")
-    tr = float(np.real(np.trace(gamma)))
-    if abs(tr - 1.0) > 1e-8:
-        raise ValueError(f"state trace {tr} deviates from 1")
+    check_density(gamma)
     return ProcessTensor(gamma, tuple(input_dims), tuple(output_dims))
 
 

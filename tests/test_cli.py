@@ -80,6 +80,21 @@ def test_instrument_commands(tmp_path, capsys):
     assert code == 2
 
 
+def test_instrument_validate_agrees_with_loading(tmp_path, capsys):
+    # entries of sum - 1 within 1e-10 pass the constructor, though the
+    # Frobenius residual reported is 1.8e-10: validate says ok, exit 0
+    delta = 0.9e-10 * np.ones((2, 2))
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"dim": 2, "name": "edge", "elements": [
+        mat_to_json(np.eye(2) / 2 + delta), mat_to_json(np.eye(2) / 2)]}))
+    code, out, _ = run_cli(capsys, ["instrument", "validate", "--name",
+                                    str(path)])
+    assert code == 0
+    report = json.loads(out)
+    assert report["ok"] is True
+    assert report["completeness_residual"] > 1e-10
+
+
 def test_memory_commands(capsys):
     code, out, _ = run_cli(capsys, ["memory", "strength", "--process",
                                     "omega", "--instrument", "xi"])
@@ -247,6 +262,14 @@ def _nonfinite_state(key, value):
     return "state.json", json.dumps({"dims": list(dims), "matrix": matrix})
 
 
+def _nonhermitian_state():
+    # lambda with the imaginary part of entry (0, 1) set, (1, 0) unchanged
+    g, dims = state_by_name("lambda")
+    matrix = mat_to_json(g)
+    matrix["im"][1] = 0.05
+    return "state.json", json.dumps({"dims": list(dims), "matrix": matrix})
+
+
 def _config(**cfg):
     return "cfg.json", json.dumps({"preset": "process2", **cfg})
 
@@ -330,6 +353,9 @@ PROCESS2_KEYS = ("['cmi', 'non_markovianity', 'qutrit_sharp_event_memory', "
      "setting 'X/X/X' has negative count -5 for outcome 0"),
     (["tomo", "bootstrap", "--counts"], NEGATIVE_COUNT,
      "setting 'X/X/X' has negative count -5 for outcome 0"),
+    (["process", "build", "--state"], _nonhermitian_state(), "not Hermitian"),
+    (["memory", "strength", "--instrument", "z", "--process"],
+     _nonhermitian_state(), "not Hermitian"),
 ], ids=["reconstruct-header-only", "bootstrap-header-only",
         "reconstruct-no-count-column", "bootstrap-no-count-column",
         "reconstruct-unknown-basis", "bootstrap-unknown-basis",
@@ -348,7 +374,8 @@ PROCESS2_KEYS = ("['cmi', 'non_markovianity', 'qutrit_sharp_event_memory', "
         "config-custom-ignored-keys", "reconstruct-text-outcome",
         "bootstrap-text-outcome", "reconstruct-text-count",
         "bootstrap-text-count", "reconstruct-negative-count",
-        "bootstrap-negative-count"])
+        "bootstrap-negative-count", "build-nonhermitian-state",
+        "strength-nonhermitian-state"])
 def test_malformed_input_exits_two(tmp_path, capsys, argv, bad_input,
                                    expect):
     name, text = bad_input
@@ -474,7 +501,21 @@ PINNED = {
         "08be85fa00c21481c1a040d697a3723a6c768d826164aab3d7f396d2b986dbf2",
     "run --config cfg.json":
         "d87b33defea94ff1a36a8026604910ac74c65fd3dde146fbc8fab10d9d0029e1",
+    # a generic state: the survey kernel's eigvalsh path
+    "memory survey --samples 2000 --process rand.json":
+        "059ba31bcddefdde28aef9516c33f4a81ebd4dc73f2f6eaeca301855a63cb298",
 }
+
+
+def _random_state_text():
+    """A random full-rank (2,2,2) state, a quarter of the way from the
+    maximally mixed state to a random one; its survey fraction at 2000
+    samples is 0.4215, no sample within 4e-6 of the cutoff."""
+    rng = np.random.default_rng(222)
+    z = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    r = z @ z.conj().T
+    g = 0.75 * np.eye(8) / 8 + 0.25 * r / np.trace(r).real
+    return json.dumps({"dims": [2, 2, 2], "matrix": mat_to_json(g)})
 
 
 @pytest.mark.parametrize("cmd, digest", PINNED.items(), ids=list(PINNED))
@@ -483,6 +524,7 @@ def test_pinned_commands_byte_identical(tmp_path, monkeypatch, capsys, cmd,
     monkeypatch.chdir(tmp_path)
     (tmp_path / "cfg.json").write_text(json.dumps(
         {"preset": "process2", "tolerances": {"non_markovianity": 1.0}}))
+    (tmp_path / "rand.json").write_text(_random_state_text())
     code, out, _ = run_cli(capsys, cmd.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

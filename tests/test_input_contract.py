@@ -5,9 +5,10 @@ Every file a subcommand reads is covered: state, process, instrument,
 circuit, counts and config. Each case takes a valid file of one kind and
 applies one mutation from MUTATIONS: a dropped key, a wrong type, NaN or
 inf, an integer too large for a float, a wrong length, a dimension that
-disagrees with the data, a negative value, a duplicate row or a
-non-square matrix. Hypothesis draws the position (list index or dict key)
-and the wrong value; the table fixes the field the message must name.
+disagrees with the data, a negative value, a duplicate row, a non-square
+matrix or a non-Hermitian one. Hypothesis draws the position (list index
+or dict key) and the wrong value; the table fixes the field the message
+must name.
 """
 import contextlib
 import copy
@@ -116,6 +117,7 @@ MUTATIONS = [
     ("state", ("matrix", "re", I), "shorten", None, "re"),
     ("state", ("matrix", "im", I), "duplicate", None, "im"),
     ("state", ("matrix",), "nonsquare", None, "rows"),
+    ("state", ("matrix",), "nonhermitian", None, "not Hermitian"),
     ("process", ("layout",), "drop", None, "layout"),
     ("process", ("matrix",), "drop", None, "matrix"),
     ("process", ("layout",), "type", "list", "layout"),
@@ -130,6 +132,7 @@ MUTATIONS = [
     ("process", ("matrix", "im", I), "nonfinite", None, "im"),
     ("process", ("matrix", "re", I), "shorten", None, "re"),
     ("process", ("matrix",), "nonsquare", None, "rows"),
+    ("process", ("matrix",), "nonhermitian", None, "not Hermitian"),
     ("instrument", ("dim",), "drop", None, "dim"),
     ("instrument", ("elements",), "drop", None, "elements"),
     ("instrument", ("dim",), "type", "whole", "dim"),
@@ -236,6 +239,10 @@ def _mutate_json(data, doc, path, mutation, kind):
     elif mutation == "nonsquare":
         m = parent[last]
         m["rows"], m["cols"] = m["rows"] // 2, m["cols"] * 2
+    elif mutation == "nonhermitian":  # (1 + i eps) m: same trace and factors
+        m, eps = parent[last], data.draw(st.sampled_from([-0.5, 0.05, 1.0]))
+        m["re"], m["im"] = ([r - eps * i for r, i in zip(m["re"], m["im"])],
+                            [i + eps * r for r, i in zip(m["re"], m["im"])])
     return json.dumps(doc)
 
 

@@ -5,8 +5,8 @@ import pytest
 from proctensor.instruments import instrument, instrument_by_name
 from proctensor.linalg import kron, partial_trace
 from proctensor.memory import (
-    _bloch_blocks, _worst_event_mi, confusion_probability, markov_order_test,
-    memory_strength, mutual_information, non_markovianity,
+    _bloch_blocks, _survey_mi, _worst_event_mi, confusion_probability,
+    markov_order_test, memory_strength, mutual_information, non_markovianity,
     non_markovianity_choi, projective_survey, quantum_cmi, quantum_cmi_choi)
 from proctensor.process import build_common_cause
 from proctensor.states import bell, state_by_name
@@ -170,19 +170,61 @@ def test_survey_validation():
         projective_survey(ome_process(), 0.0125, 1000, seed=0)
 
 
-@pytest.mark.parametrize("dims", [(2, 2, 2), (3, 2, 2), (2, 2, 3),
-                                  (3, 2, 3)],
-                         ids=["2-2-2", "3-2-2", "2-2-3", "3-2-3"])
-def test_survey_kernel_matches_memory_strength(dims):
+def _generic(rng, dims):
+    return random_density(rng, int(np.prod(dims)))
+
+
+def _product_diagonal(rng, dims):
+    """A random state diagonal in a random product basis."""
+    u = kron(*(np.linalg.qr(rng.normal(size=(d, d))
+                            + 1j * rng.normal(size=(d, d)))[0]
+               for d in dims))
+    return (u * rng.dirichlet(np.ones(len(u)))) @ u.conj().T
+
+
+def _lambda(rng, dims):
+    return state_by_name("lambda")[0]
+
+
+@pytest.mark.parametrize("dims, draw, commuting", [
+    ((2, 2, 2), _generic, False), ((3, 2, 2), _generic, False),
+    ((2, 2, 3), _generic, False), ((3, 2, 3), _generic, False),
+    ((2, 2, 2), _lambda, True), ((2, 2, 2), _product_diagonal, True),
+    ((3, 2, 2), _product_diagonal, True),
+    ((3, 2, 3), _product_diagonal, True),
+], ids=["2-2-2", "3-2-2", "2-2-3", "3-2-3", "lambda", "diagonal-2-2-2",
+        "diagonal-3-2-2", "diagonal-3-2-3"])
+def test_survey_kernel_matches_memory_strength(dims, draw, commuting):
     # the Bloch-form kernel against the one exact path, projector by
-    # projector, on random states with qubit or qutrit outer legs
+    # projector, with qubit or qutrit outer legs: generic states take
+    # eigvalsh; lambda and states diagonal in a product basis, whose Bloch
+    # blocks commute, take the joint eigenbasis
     rng = np.random.default_rng(sum(dims))
     for _ in range(5):
-        p = build_common_cause(random_density(rng, int(np.prod(dims))),
-                               dims, dims[:2])
+        p = build_common_cause(draw(rng, dims), dims, dims[:2])
+        blocks = _bloch_blocks(p)
+        assert blocks[-1] is commuting
         v = rng.normal(size=2) + 1j * rng.normal(size=2)
         v /= np.linalg.norm(v)
         P = np.outer(v, v.conj())
         exact = memory_strength(p, instrument([P, np.eye(2) - P])).max_event
-        mi = _worst_event_mi(_bloch_blocks(p), v[None, :], dims[0], dims[2])
+        mi = _worst_event_mi(blocks, v[None, :], dims[0], dims[2])
         assert abs(mi[0] - exact) < 1e-12
+
+
+@pytest.mark.parametrize("seed, fraction", [(1, 0.41981), (2, 0.42164),
+                                            (3, 0.41825)])
+def test_lambda_survey_fraction_per_seed(seed, fraction):
+    # beside seed 7 (criterion 9): the fractions ROADMAP item 1 quotes
+    assert projective_survey(lam_process(), 0.0125, 100000, seed) == fraction
+
+
+def test_criterion_09_cutoff_table():
+    # one seed-7 survey of lambda read at the literal cutoff, at
+    # 0.0125 ln 2 (inside 0.288 +- 0.01) and at 0.0125 / ln 2 (what a
+    # nats/bits mix-up would give)
+    mi = _survey_mi(lam_process(), 100000, 7)
+    for cutoff, fraction in ((0.0125, 0.41743),
+                             (0.0125 * np.log(2), 0.28433),
+                             (0.0125 / np.log(2), 0.5766)):
+        assert np.count_nonzero(mi < cutoff) / mi.size == fraction
