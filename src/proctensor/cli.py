@@ -337,6 +337,8 @@ def _cmd_recover_scan(args) -> int:
 
 
 def _cmd_walk_verify(args) -> int:
+    if not 0 <= args.tol < math.inf:
+        raise ValueError(f"--tol must be finite and >= 0, got {args.tol}")
     key, obj = _resolve(args.circuit, "circuit", CIRCUITS, circuit_by_name)
     circuit = obj if key else circuit_from_json(obj)
     if not args.target and key is None:

@@ -149,30 +149,14 @@ def markov_order_test(p: ProcessTensor, inst: Instrument,
     return ok, {"events": events, "tol": tol, "markov_order_one": ok}
 
 
-def _entropies(rho: np.ndarray) -> np.ndarray:
-    """Batched von Neumann entropies in bits of an (n, d, d) stack, or of
-    its (n, d) spectra, with eigenvalues at or below CLIP_EPS dropped as
-    von_neumann_entropy does. Qubit blocks take their eigenvalues in closed
-    form, (t +- r)/2 with r = sqrt((a - d)^2 + 4|b|^2); larger blocks use
-    eigvalsh."""
-    if rho.ndim == 2:
-        w = rho
-    elif rho.shape[-1] == 2:
-        a, d, b = rho[:, 0, 0].real, rho[:, 1, 1].real, rho[:, 0, 1]
-        r = np.sqrt((a - d) ** 2 + 4 * (b.real ** 2 + b.imag ** 2))
-        w = np.stack([(a + d + r) / 2, (a + d - r) / 2], axis=1)
-    else:
-        w = np.linalg.eigvalsh(rho)
-    w = np.where(w > CLIP_EPS, w, 1.0)  # 1 log 1 = 0 drops the entry
-    return -np.sum(w * np.log2(w), axis=1)
-
-
 def _bloch_blocks(p: ProcessTensor) -> tuple:
     """G_k = tr_B[gamma sigma_k]/2 (sigma_0 = 1): a qubit projector
     (1 + n.sigma)/2 at B conditions gamma to c @ G, c = (1, n), and its
-    complement to c = (1, -n). Returns what c multiplies, as real (4, m)
-    views: tr G_k, Tr_C G_k, Tr_A G_k and the AC blocks, the last either the
-    G_k or, flagged, their diagonals W in a joint eigenbasis.
+    complement to c = (1, -n). Returns what c multiplies as one real (4, m)
+    table, and a flag. Its columns are tr G_k, Tr_C G_k, Tr_A G_k and the AC
+    blocks, the last either the G_k or, flagged, their diagonals W in a
+    joint eigenbasis. A qubit block is stored as its a, d, Re b, Im b, any
+    other block as its real view.
 
     That basis is the eigenbasis of a generic combination of the G_k, in
     which G_k = diag(W_k) + E_k. By Weyl's inequality each eigenvalue of
@@ -195,33 +179,49 @@ def _bloch_blocks(p: ProcessTensor) -> tuple:
     e = np.linalg.norm(R - W[:, :, None] * np.eye(d), axis=(1, 2))
     commuting = bool(e[0] + np.linalg.norm(e[1:])
                      < CLIP_EPS * (trace[0] - np.linalg.norm(trace[1:])))
-    return (trace, *marg, W if commuting else G.reshape(4, -1).view(float),
+    # a qubit block's real view is Re a, Im a, Re b, Im b, Re c, ..., Im d
+    marg = [b if b.shape[1] > 8 else b[:, [0, 6, 2, 3]] for b in marg]
+    return (np.hstack([trace[:, None], *marg,
+                       W if commuting else G.reshape(4, -1).view(float)]),
             commuting)
 
 
 def _worst_event_mi(blocks: tuple, kets: np.ndarray, dA: int,
                     dC: int) -> np.ndarray:
     """Per-ket A:C mutual information in bits, maximised over the two
-    events of the instrument {|v><v|, 1 - |v><v|}; kets is (n, 2) of unit
-    norm. Equals memory_strength(...).max_event ket by ket."""
-    n, d = len(kets), dA * dC
-    trace, bA, bC, bAC, commuting = blocks
-    v0, v1 = kets[:, 0], kets[:, 1]
-    off = v0 * v1.conj()  # <0|P|1> = (n_x - i n_y)/2
-    coef = np.stack([np.ones(n), 2 * off.real, -2 * off.imag,
-                     np.abs(v0) ** 2 - np.abs(v1) ** 2], axis=1)
-    mx = np.full(n, -np.inf)
-    for sign in (1.0, -1.0):  # the projector, then its complement
-        c = coef * [1.0, sign, sign, sign]
-        t = (c @ trace)[:, None, None]
-        # real (n, 4) @ real views of the blocks: complex (n, k, k) stacks
-        rA, rC = ((c @ b).view(complex).reshape(n, k, k) / t
-                  for b, k in ((bA, dA), (bC, dC)))
-        w = ((c @ bAC) / t[:, 0] if commuting
-             else (c @ bAC).view(complex).reshape(n, d, d) / t)
-        mx = np.maximum(mx, _entropies(rA) + _entropies(rC)
-                        - _entropies(w))
-    return mx
+    events of the instrument {P, 1 - P}, P = |v><v| / <v|v>; kets is (n, 2)
+    of any nonzero norm. Both events are the columns of one (m, 2n) array,
+    projectors first; their A, C and AC spectra are stacked, and eigenvalues
+    at or below CLIP_EPS are dropped as von_neumann_entropy does. Equals
+    memory_strength(...).max_event ket by ket."""
+    table, commuting = blocks
+    n = len(kets)
+    (re0, re1), (im0, im1) = kets.real.T, kets.imag.T
+    p0, p1 = re0 ** 2 + im0 ** 2, re1 ** 2 + im1 ** 2
+    c = np.ones((4, 2 * n))  # (1, n) for the projectors, (1, -n) after
+    c[1:, :n] = np.array([2 * (re0 * re1 + im0 * im1),
+                          2 * (re0 * im1 - im0 * re1), p0 - p1]) / (p0 + p1)
+    c[1:, n:] = -c[1:, :n]
+    x = table.T @ c
+    x = x[1:] / x[0]  # each event's rows over its trace
+    w, i = [], 0
+    for k, diagonal in ((dA, False), (dC, False), (dA * dC, commuting)):
+        rows = x[i:i + (k if diagonal else 4 if k == 2 else 2 * k * k)]
+        i += len(rows)
+        if diagonal:
+            w.extend(rows)
+        elif k == 2:  # closed form (t +- r)/2, r = sqrt((a - d)^2 + 4|b|^2)
+            a, d, re, im = rows
+            r = np.sqrt((a - d) ** 2 + 4 * (re ** 2 + im ** 2))
+            w += [(a + d + r) / 2, (a + d - r) / 2]
+        else:
+            rho = np.ascontiguousarray(rows.T).view(complex)
+            w.extend(np.linalg.eigvalsh(rho.reshape(-1, k, k)).T)
+    w = np.array(w)
+    w = np.where(w > CLIP_EPS, w, 1.0)  # 1 log 1 = 0 drops the entry
+    h = w * np.log2(w)
+    mi = h[dA + dC:].sum(axis=0) - h[:dA + dC].sum(axis=0)
+    return np.maximum(mi[:n], mi[n:])
 
 
 N_SURVEY_CHUNKS = 64
@@ -229,9 +229,9 @@ N_SURVEY_CHUNKS = 64
 
 def _survey_mi(p: ProcessTensor, samples: int, seed) -> np.ndarray:
     """Worst-event A:C mutual information of each Haar-random projective
-    instrument at B, in bits. The kets are normalised complex Gaussian
-    pairs drawn in 64 fixed chunks with one child seed each, so the values
-    depend only on (samples, seed)."""
+    instrument at B, in bits. The kets are complex Gaussian pairs, left
+    unnormalised, drawn in 64 fixed chunks with one child seed each, so the
+    values depend only on (samples, seed)."""
     dA, dB, dC = p.input_dims
     if dB != 2:
         raise ValueError("survey requires a qubit middle leg (Haar "
@@ -246,7 +246,6 @@ def _survey_mi(p: ProcessTensor, samples: int, seed) -> np.ndarray:
     for child, n in zip(children, sizes):
         rng = np.random.default_rng(child)
         V = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
-        V /= np.linalg.norm(V, axis=1, keepdims=True)
         mis.append(_worst_event_mi(blocks, V, dA, dC))
     return np.concatenate(mis)
 
@@ -259,8 +258,8 @@ def projective_survey(p: ProcessTensor, cutoff: float, samples: int,
     The middle leg must be a qubit; the outer legs may have any
     dimension. The result depends only on (samples, seed).
     """
-    if cutoff <= 0:
-        raise ValueError("cutoff must be positive")
+    if not 0 < cutoff < math.inf:
+        raise ValueError(f"cutoff must be positive and finite, got {cutoff}")
     if samples < 100:
         raise ValueError("need at least 100 samples")
     below = np.count_nonzero(_survey_mi(p, samples, seed) < cutoff)

@@ -160,6 +160,16 @@ def test_walk_verify_exit_codes(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_walk_verify_bad_tol_exits_two(capsys, tol):
+    # a bad option is a validation error (2), not a failed check (3)
+    code, out, err = run_cli(capsys, ["walk", "verify", "--circuit", "theta",
+                                      "--tol", tol])
+    assert code == 2
+    assert out == ""
+    assert f"--tol must be finite and >= 0, got {float(tol)}" in err
+
+
 def test_tomo_chain(tmp_path, capsys):
     counts = tmp_path / "counts.csv"
     code, out, _ = run_cli(capsys, ["tomo", "simulate", "--state", "lambda",
@@ -356,6 +366,12 @@ PROCESS2_KEYS = ("['cmi', 'non_markovianity', 'qutrit_sharp_event_memory', "
     (["process", "build", "--state"], _nonhermitian_state(), "not Hermitian"),
     (["memory", "strength", "--instrument", "z", "--process"],
      _nonhermitian_state(), "not Hermitian"),
+    (["memory", "survey", "--samples", "100", "--cutoff", "nan",
+      "--process"], _mixed_state((2, 2, 2)),
+     "cutoff must be positive and finite, got nan"),
+    (["memory", "survey", "--samples", "100", "--cutoff", "inf",
+      "--process"], _mixed_state((2, 2, 2)),
+     "cutoff must be positive and finite, got inf"),
 ], ids=["reconstruct-header-only", "bootstrap-header-only",
         "reconstruct-no-count-column", "bootstrap-no-count-column",
         "reconstruct-unknown-basis", "bootstrap-unknown-basis",
@@ -375,7 +391,8 @@ PROCESS2_KEYS = ("['cmi', 'non_markovianity', 'qutrit_sharp_event_memory', "
         "bootstrap-text-outcome", "reconstruct-text-count",
         "bootstrap-text-count", "reconstruct-negative-count",
         "bootstrap-negative-count", "build-nonhermitian-state",
-        "strength-nonhermitian-state"])
+        "strength-nonhermitian-state", "survey-nan-cutoff",
+        "survey-inf-cutoff"])
 def test_malformed_input_exits_two(tmp_path, capsys, argv, bad_input,
                                    expect):
     name, text = bad_input

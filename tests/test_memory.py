@@ -212,6 +212,29 @@ def test_survey_kernel_matches_memory_strength(dims, draw, commuting):
         assert abs(mi[0] - exact) < 1e-12
 
 
+@pytest.mark.parametrize("dims, draw", [
+    ((2, 2, 2), _generic), ((3, 2, 2), _generic), ((2, 2, 3), _generic),
+    ((3, 2, 3), _generic), ((2, 2, 2), _lambda),
+    ((2, 2, 2), _product_diagonal), ((3, 2, 2), _product_diagonal),
+    ((3, 2, 3), _product_diagonal),
+], ids=["2-2-2", "3-2-2", "2-2-3", "3-2-3", "lambda", "diagonal-2-2-2",
+        "diagonal-3-2-2", "diagonal-3-2-3"])
+def test_survey_kernel_batch_of_unnormalised_kets(dims, draw):
+    # 32 kets of norms from 1e-3 to 1e3 in one call: each result must be
+    # its own ket's, worst of its projector and complement, so a swapped
+    # half or a mixed-up sample axis shows
+    rng = np.random.default_rng(100 + sum(dims))
+    p = build_common_cause(draw(rng, dims), dims, dims[:2])
+    kets = rng.normal(size=(32, 2)) + 1j * rng.normal(size=(32, 2))
+    kets *= 10.0 ** rng.uniform(-3, 3, size=(32, 1))
+    mi = _worst_event_mi(_bloch_blocks(p), kets, dims[0], dims[2])
+    assert mi.shape == (32,)
+    for v, m in zip(kets, mi):
+        P = np.outer(v, v.conj()) / np.vdot(v, v).real
+        exact = memory_strength(p, instrument([P, np.eye(2) - P])).max_event
+        assert abs(m - exact) < 1e-12
+
+
 @pytest.mark.parametrize("seed, fraction", [(1, 0.41981), (2, 0.42164),
                                             (3, 0.41825)])
 def test_lambda_survey_fraction_per_seed(seed, fraction):
