@@ -153,10 +153,10 @@ def _bloch_blocks(p: ProcessTensor) -> tuple:
     """G_k = tr_B[gamma sigma_k]/2 (sigma_0 = 1): a qubit projector
     (1 + n.sigma)/2 at B conditions gamma to c @ G, c = (1, n), and its
     complement to c = (1, -n). Returns what c multiplies as one real (4, m)
-    table, and a flag. Its columns are tr G_k, Tr_C G_k, Tr_A G_k and the AC
-    blocks, the last either the G_k or, flagged, their diagonals W in a
-    joint eigenbasis. A qubit block is stored as its a, d, Re b, Im b, any
-    other block as its real view.
+    table, its row layout and a flag. Its columns are tr G_k and the Tr_C,
+    Tr_A and AC blocks of G_k, the last, flagged, as their diagonals W in a
+    joint eigenbasis. The layout is (kind, k, width) per block: "diagonal"
+    (W or a 1 x 1 block), "qubit" (a, d, Re b, Im b) or "full" (real view).
 
     That basis is the eigenbasis of a generic combination of the G_k, in
     which G_k = diag(W_k) + E_k. By Weyl's inequality each eigenvalue of
@@ -170,8 +170,7 @@ def _bloch_blocks(p: ProcessTensor) -> tuple:
     g6 = p.gamma.reshape(dA, dB, dC, dA, dB, dC)
     G = np.einsum('kbD,aDcAbC->kacAC', np.array(PAULI), g6) / 2
     trace = np.einsum('kacac->k', G).real
-    marg = [np.einsum(s, G).reshape(4, -1).view(float)
-            for s in ('kacAc->kaA', 'kacaC->kcC')]
+    marg = [np.einsum(s, G) for s in ('kacAc->kaA', 'kacaC->kcC')]
     G = G.reshape(4, d, d)
     U = np.linalg.eigh(np.tensordot([1, 2 ** .5, 3 ** .5, 5 ** .5], G, 1))[1]
     R = U.conj().T @ G @ U
@@ -179,11 +178,16 @@ def _bloch_blocks(p: ProcessTensor) -> tuple:
     e = np.linalg.norm(R - W[:, :, None] * np.eye(d), axis=(1, 2))
     commuting = bool(e[0] + np.linalg.norm(e[1:])
                      < CLIP_EPS * (trace[0] - np.linalg.norm(trace[1:])))
-    # a qubit block's real view is Re a, Im a, Re b, Im b, Re c, ..., Im d
-    marg = [b if b.shape[1] > 8 else b[:, [0, 6, 2, 3]] for b in marg]
-    return (np.hstack([trace[:, None], *marg,
-                       W if commuting else G.reshape(4, -1).view(float)]),
-            commuting)
+
+    def columns(block, k):  # its real view is Re a, Im a, Re b, ..., Im d
+        b = block.reshape(4, -1).view(float)
+        return (("diagonal", k, b[:, :1]) if k == 1 else
+                ("qubit", k, b[:, [0, 6, 2, 3]]) if k == 2 else ("full", k, b))
+
+    blocks = [columns(marg[0], dA), columns(marg[1], dC),
+              ("diagonal", d, W) if commuting else columns(G, d)]
+    return (np.hstack([trace[:, None]] + [b for _, _, b in blocks]),
+            tuple((kind, k, b.shape[1]) for kind, k, b in blocks), commuting)
 
 
 def _worst_event_mi(blocks: tuple, kets: np.ndarray, dA: int,
@@ -194,7 +198,7 @@ def _worst_event_mi(blocks: tuple, kets: np.ndarray, dA: int,
     projectors first; their A, C and AC spectra are stacked, and eigenvalues
     at or below CLIP_EPS are dropped as von_neumann_entropy does. Equals
     memory_strength(...).max_event ket by ket."""
-    table, commuting = blocks
+    table, layout, _ = blocks
     n = len(kets)
     (re0, re1), (im0, im1) = kets.real.T, kets.imag.T
     p0, p1 = re0 ** 2 + im0 ** 2, re1 ** 2 + im1 ** 2
@@ -205,12 +209,11 @@ def _worst_event_mi(blocks: tuple, kets: np.ndarray, dA: int,
     x = table.T @ c
     x = x[1:] / x[0]  # each event's rows over its trace
     w, i = [], 0
-    for k, diagonal in ((dA, False), (dC, False), (dA * dC, commuting)):
-        rows = x[i:i + (k if diagonal else 4 if k == 2 else 2 * k * k)]
-        i += len(rows)
-        if diagonal:
+    for kind, k, width in layout:
+        rows, i = x[i:i + width], i + width
+        if kind == "diagonal":
             w.extend(rows)
-        elif k == 2:  # closed form (t +- r)/2, r = sqrt((a - d)^2 + 4|b|^2)
+        elif kind == "qubit":  # (t +- r)/2, r = sqrt((a - d)^2 + 4|b|^2)
             a, d, re, im = rows
             r = np.sqrt((a - d) ** 2 + 4 * (re ** 2 + im ** 2))
             w += [(a + d + r) / 2, (a + d - r) / 2]

@@ -416,6 +416,23 @@ def test_survey_qutrit_outer_leg(tmp_path, capsys, dims):
     assert json.loads(out)["fraction_below_cutoff"]["value"] == 1.0
 
 
+@pytest.mark.parametrize("dims", [(1, 2, 2), (2, 2, 1)],
+                         ids=["survey-trivial-first", "survey-trivial-last"])
+def test_survey_trivial_outer_leg(tmp_path, capsys, dims):
+    # a generic state: with a one-dimensional outer leg A:C carries no
+    # information after any instrument, and the other two legs' Bloch
+    # blocks do not commute
+    rng = np.random.default_rng(5)
+    z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"dims": list(dims), "matrix": mat_to_json(
+        z @ z.conj().T / np.trace(z @ z.conj().T).real)}))
+    code, out, _ = run_cli(capsys, ["memory", "survey", "--samples", "100",
+                                    "--process", str(path)])
+    assert code == 0
+    assert json.loads(out)["fraction_below_cutoff"]["value"] == 1.0
+
+
 @pytest.mark.parametrize("argv, kind, names", [
     (["process", "build", "--state", "lamda"], "state", "lambda, omega"),
     (["tomo", "simulate", "--out", "c.csv", "--state", "lamda"], "state",

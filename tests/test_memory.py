@@ -216,13 +216,17 @@ def test_survey_kernel_matches_memory_strength(dims, draw, commuting):
     ((2, 2, 2), _generic), ((3, 2, 2), _generic), ((2, 2, 3), _generic),
     ((3, 2, 3), _generic), ((2, 2, 2), _lambda),
     ((2, 2, 2), _product_diagonal), ((3, 2, 2), _product_diagonal),
-    ((3, 2, 3), _product_diagonal),
+    ((3, 2, 3), _product_diagonal), ((1, 2, 2), _generic),
+    ((2, 2, 1), _generic), ((1, 2, 2), _product_diagonal),
+    ((2, 2, 1), _product_diagonal),
 ], ids=["2-2-2", "3-2-2", "2-2-3", "3-2-3", "lambda", "diagonal-2-2-2",
-        "diagonal-3-2-2", "diagonal-3-2-3"])
+        "diagonal-3-2-2", "diagonal-3-2-3", "1-2-2", "2-2-1",
+        "diagonal-1-2-2", "diagonal-2-2-1"])
 def test_survey_kernel_batch_of_unnormalised_kets(dims, draw):
     # 32 kets of norms from 1e-3 to 1e3 in one call: each result must be
     # its own ket's, worst of its projector and complement, so a swapped
-    # half or a mixed-up sample axis shows
+    # half or a mixed-up sample axis shows; an outer leg of dimension 1
+    # leaves a 1 x 1 marginal and a 2 x 2 AC block, generic or commuting
     rng = np.random.default_rng(100 + sum(dims))
     p = build_common_cause(draw(rng, dims), dims, dims[:2])
     kets = rng.normal(size=(32, 2)) + 1j * rng.normal(size=(32, 2))
