@@ -25,16 +25,12 @@ from .instruments import (INSTRUMENTS, Instrument, dual_frame, gram_matrix,
                           validate_instrument)
 from .linalg import (fidelity, json_number, json_object, mat_from_json,
                      mat_to_json, partial_trace, path_or_handle)
-from .memory import (markov_order_test, memory_strength, projective_survey,
-                     state_non_markovianity)
 from .presets import PRESET_SEEDS, PRESETS, _verify_circuit, references
 from .process import (ProcessTensor, born_probability, build_common_cause,
                       check_causality)
-from .recovery import deviation_scan, noisy_replay, recover
 from .states import STATE_NAMES, state_by_name
-from .tomography import (bootstrap, counts_from_csv, counts_to_csv,
-                         reconstruct, simulate_counts)
-from .walk import CIRCUITS, circuit_by_name, circuit_from_json
+
+# memory, recovery, tomography and walk load in the handlers that use them
 
 CONFIG_KEYS = {"preset", "seed", "output", "format", "tolerances",
                "command"}
@@ -263,6 +259,7 @@ def _cmd_instrument_dual(args) -> int:
 
 
 def _cmd_memory_strength(args) -> int:
+    from .memory import markov_order_test, memory_strength
     p = _load_process(args.process)
     inst = _load_instrument(args.instrument)
     rep = memory_strength(p, inst)
@@ -279,6 +276,7 @@ def _cmd_memory_strength(args) -> int:
 
 
 def _cmd_memory_survey(args) -> int:
+    from .memory import projective_survey
     p = _load_process(args.process)
     frac = projective_survey(p, args.cutoff, args.samples, args.seed)
     _emit({
@@ -292,6 +290,7 @@ def _cmd_memory_survey(args) -> int:
 
 
 def _cmd_recover_build(args) -> int:
+    from .recovery import recover
     p = _load_process(args.process)
     inst = _load_instrument(args.instrument)
     rec = recover(p, inst)
@@ -312,6 +311,7 @@ def _cmd_recover_build(args) -> int:
 
 
 def _cmd_recover_scan(args) -> int:
+    from .recovery import deviation_scan, noisy_replay, recover
     p = _load_process(args.process)
     inst = _load_instrument(args.instrument)
     if args.noise:
@@ -337,6 +337,7 @@ def _cmd_recover_scan(args) -> int:
 
 
 def _cmd_walk_verify(args) -> int:
+    from .walk import CIRCUITS, circuit_by_name, circuit_from_json
     if not 0 <= args.tol < math.inf:
         raise ValueError(f"--tol must be finite and >= 0, got {args.tol}")
     key, obj = _resolve(args.circuit, "circuit", CIRCUITS, circuit_by_name)
@@ -359,6 +360,7 @@ def _counts_for(args):
     """(counts, dims, built-in state key or None) for tomo commands.
     Counts come from --counts, else are simulated from --state; dims from
     --state, else from the first label (one-letter bases are qubits)."""
+    from .tomography import counts_from_csv, simulate_counts
     counts = counts_from_csv(args.counts) if args.counts else None
     if args.state:
         g, dims, key = _load_state(args.state)
@@ -374,6 +376,7 @@ def _counts_for(args):
 
 
 def _cmd_tomo_simulate(args) -> int:
+    from .tomography import counts_to_csv, simulate_counts
     g, dims, _ = _load_state(args.state)
     counts = simulate_counts(g, dims, args.shots, args.seed)
     counts_to_csv(counts, args.out)
@@ -389,6 +392,7 @@ def _cmd_tomo_simulate(args) -> int:
 
 
 def _cmd_tomo_reconstruct(args) -> int:
+    from .tomography import reconstruct
     counts, dims, key = _counts_for(args)
     rho = reconstruct(counts, dims)
     out = {
@@ -397,6 +401,7 @@ def _cmd_tomo_reconstruct(args) -> int:
         "dims": list(dims),
     }
     if key is not None:
+        from .memory import state_non_markovianity
         g, _ = state_by_name(key)
         out["fidelity"] = {"value": fidelity(rho, g)}
         out["non_markovianity_reconstructed"] = {
@@ -413,8 +418,10 @@ def _cmd_tomo_reconstruct(args) -> int:
 
 
 def _cmd_tomo_bootstrap(args) -> int:
+    from .tomography import bootstrap
     counts, dims, key = _counts_for(args)
     if key is not None:
+        from .memory import state_non_markovianity
         name, stat = "non_markovianity", (
             lambda sigma: state_non_markovianity(sigma, dims))
     else:
@@ -468,6 +475,18 @@ class _CommandParser(argparse.ArgumentParser):
         raise ValueError(f"custom preset 'command': {message}")
 
 
+def _seed(text) -> int:
+    """Type of every --seed: an int >= 0, checked before numpy sees it."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
+    return seed
+
+
 def build_parser(parser=argparse.ArgumentParser) -> argparse.ArgumentParser:
     ap = parser(
         prog="proctensor",
@@ -515,7 +534,7 @@ def build_parser(parser=argparse.ArgumentParser) -> argparse.ArgumentParser:
     sp.add_argument("--process", default="lambda")
     sp.add_argument("--cutoff", type=float, default=0.0125)
     sp.add_argument("--samples", type=int, default=100000)
-    sp.add_argument("--seed", type=int, default=PRESET_SEEDS["survey"])
+    sp.add_argument("--seed", type=_seed, default=PRESET_SEEDS["survey"])
     sp.add_argument("--out")
 
     rc = group("recover", "instrument-span reconstruction")
@@ -540,7 +559,7 @@ def build_parser(parser=argparse.ArgumentParser) -> argparse.ArgumentParser:
              out=False)
     sp.add_argument("--target")
     sp.add_argument("--tol", type=float, default=1e-8)
-    sp.add_argument("--seed", type=int, default=PRESET_SEEDS["walk_verify"])
+    sp.add_argument("--seed", type=_seed, default=PRESET_SEEDS["walk_verify"])
     sp.add_argument("--out")
 
     tomo = group("tomo", "simulated tomography")
@@ -548,7 +567,7 @@ def build_parser(parser=argparse.ArgumentParser) -> argparse.ArgumentParser:
              "multinomial counts for every product setting", "--state",
              out=False)
     sp.add_argument("--shots", type=int, default=1000000)
-    sp.add_argument("--seed", type=int, default=PRESET_SEEDS["tomo"])
+    sp.add_argument("--seed", type=_seed, default=PRESET_SEEDS["tomo"])
     sp.add_argument("--out", required=True)
     for nm, fn, hp in (("reconstruct", _cmd_tomo_reconstruct,
                         "linear-inversion state estimate"),
@@ -558,7 +577,7 @@ def build_parser(parser=argparse.ArgumentParser) -> argparse.ArgumentParser:
         sp.add_argument("--counts")
         sp.add_argument("--state")
         sp.add_argument("--shots", type=int, default=1000000)
-        sp.add_argument("--seed", type=int, default=PRESET_SEEDS["tomo"])
+        sp.add_argument("--seed", type=_seed, default=PRESET_SEEDS["tomo"])
         sp.add_argument("--out")
         if nm == "reconstruct":
             sp.add_argument("--matrix-out")
@@ -568,7 +587,7 @@ def build_parser(parser=argparse.ArgumentParser) -> argparse.ArgumentParser:
     sp = add(sub, "preset", _cmd_preset, "run one reproduction preset",
              out=False)
     sp.add_argument("name", choices=sorted(PRESETS))
-    sp.add_argument("--seed", type=int)
+    sp.add_argument("--seed", type=_seed)
     sp.add_argument("--format", default="json", choices=["json", "csv"])
     sp.add_argument("--out")
     add(sub, "run", _cmd_run, "run from a JSON config file", "--config",

@@ -267,11 +267,3 @@ def projective_survey(p: ProcessTensor, cutoff: float, samples: int,
         raise ValueError("need at least 100 samples")
     below = np.count_nonzero(_survey_mi(p, samples, seed) < cutoff)
     return int(below) / samples
-
-
-__all__ = [
-    "MemoryReport", "confusion_probability", "markov_order_test",
-    "memory_strength", "mutual_information", "non_markovianity",
-    "non_markovianity_choi", "projective_survey", "quantum_cmi",
-    "quantum_cmi_choi", "state_non_markovianity",
-]

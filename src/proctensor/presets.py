@@ -13,20 +13,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .instruments import instrument_by_name
+from .instruments import _REF_THETA_WEIGHTS, instrument_by_name
 from .linalg import fidelity, kron, mat_to_json, trace_distance
-from .memory import (confusion_probability, markov_order_test,
-                     memory_strength, non_markovianity, projective_survey,
-                     quantum_cmi, quantum_cmi_choi, state_non_markovianity)
 from .process import (born_probability, build_common_cause,
                       condition_instrument)
-from .recovery import (_REF_THETA_WEIGHTS, deviation_scan, noisy_replay,
-                       recover, reference_recovered_lambda,
-                       reference_recovered_omega)
 from .states import STATE_NAMES, state_by_name, werner
-from .tomography import bootstrap, reconstruct, simulate_counts
-from .walk import (align_frames, circuit_by_name, extract_povm,
-                   port_probabilities)
+
+# memory, recovery, tomography and walk load in the functions that use them
 
 PRESET_SEEDS = {"process1": 0, "process2": 0, "walk_verify": 11,
                 "survey": 7, "tomo": 3}
@@ -132,6 +125,7 @@ def _entry(value, refs, key, i=None) -> dict:
 
 
 def _scan_pair(p, rec, grid=64):
+    from .recovery import deviation_scan
     proj = deviation_scan(p, rec, grid=grid, convention="projector")
     corr = deviation_scan(p, rec, grid=grid, convention="correlator")
     return proj, corr
@@ -140,6 +134,8 @@ def _scan_pair(p, rec, grid=64):
 def _process_report(name, refs):
     """(state, dims, process, report) for a built-in state; the report
     opens with the process's non-Markovianity and CMI."""
+    from .memory import (confusion_probability, non_markovianity,
+                         quantum_cmi, quantum_cmi_choi)
     g, dims = state_by_name(name)
     p = build_common_cause(g, dims, dims[:2])
     nm = non_markovianity(p)
@@ -155,6 +151,8 @@ def _process_report(name, refs):
 
 def preset_process1(seed=None, refs=REFERENCES["process1"]) -> dict:
     """Two-qubit common-cause process: memory metrics and recovery."""
+    from .memory import markov_order_test, memory_strength
+    from .recovery import noisy_replay, recover, reference_recovered_lambda
     g, dims, p, r = _process_report("lambda", refs)
     theta = instrument_by_name("theta")
     z = instrument_by_name("z")
@@ -206,6 +204,8 @@ def preset_process1(seed=None, refs=REFERENCES["process1"]) -> dict:
 
 def preset_process2(seed=None, refs=REFERENCES["process2"]) -> dict:
     """Qubit-qutrit common-cause process: exact Markov-order-one middle."""
+    from .memory import markov_order_test, memory_strength
+    from .recovery import recover, reference_recovered_omega
     g, dims, p, r = _process_report("omega", refs)
     xi = instrument_by_name("xi")
     sharp = instrument_by_name("qutrit_sharp")
@@ -250,6 +250,7 @@ def preset_process2(seed=None, refs=REFERENCES["process2"]) -> dict:
 
 
 def _walk_born_consistency(circuit, inst, seed, trials=100):
+    from .walk import port_probabilities
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
@@ -266,6 +267,7 @@ def _verify_circuit(circuit, target, seed, refs=CIRCUIT_REFERENCES,
                     prefix=""):
     """A circuit's extracted POVM against its target instrument; refs
     holds the references under prefix + CIRCUIT_REFERENCES' keys."""
+    from .walk import align_frames, extract_povm
     extracted = extract_povm(circuit)
     if len(extracted) != len(target):
         raise ValueError("circuit and target element counts differ")
@@ -294,6 +296,7 @@ def _verify_circuit(circuit, target, seed, refs=CIRCUIT_REFERENCES,
 
 def preset_walk_verify(seed=None, refs=REFERENCES["walk_verify"]) -> dict:
     """Both walk circuits against their target instruments."""
+    from .walk import circuit_by_name
     seed = PRESET_SEEDS["walk_verify"] if seed is None else seed
     r = {name: _verify_circuit(circuit_by_name(name),
                                instrument_by_name(name), seed, refs,
@@ -307,6 +310,7 @@ def preset_walk_verify(seed=None, refs=REFERENCES["walk_verify"]) -> dict:
 def preset_survey(seed=None, refs=REFERENCES["survey"], samples=100000,
                   cutoff=0.0125) -> dict:
     """Projective-instrument survey on the two-qubit process."""
+    from .memory import projective_survey
     seed = PRESET_SEEDS["survey"] if seed is None else seed
     g, dims = state_by_name("lambda")
     p = build_common_cause(g, dims, dims[:2])
@@ -326,6 +330,8 @@ def preset_survey(seed=None, refs=REFERENCES["survey"], samples=100000,
 def preset_tomo(seed=None, refs=REFERENCES["tomo"], shots=1000000,
                 resamples=100) -> dict:
     """Simulated tomography of both states at a fixed shot budget."""
+    from .memory import state_non_markovianity
+    from .tomography import bootstrap, reconstruct, simulate_counts
     seed = PRESET_SEEDS["tomo"] if seed is None else seed
     r = {"shots": shots, "seed": seed}
     for name in STATE_NAMES:

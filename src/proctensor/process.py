@@ -260,11 +260,3 @@ def cp_divisibility_check(p: ProcessTensor) -> dict:
     }
     return {"residuals": residuals,
             "ok": all(v < 1e-10 for v in residuals.values())}
-
-
-__all__ = [
-    "ConditionalProcess", "PARTIES", "ProcessTensor", "born_probability",
-    "born_rule", "build_common_cause", "check_causality",
-    "condition", "condition_instrument", "cp_divisibility_check",
-    "final_choi", "marginals", "markov_product", "measure_discard_choi",
-]

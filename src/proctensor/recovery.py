@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .instruments import Instrument, PAULI, dual_frame, span_project
+from .instruments import (_REF_THETA_WEIGHTS, _RT2, Instrument, PAULI,
+                          dual_frame, span_project)
 from .linalg import kron, partial_trace, path_or_handle
 from .process import PROB_TOL, ProcessTensor, condition_instrument
 
@@ -258,13 +259,8 @@ def noisy_replay(gamma: np.ndarray, dims, strengths) -> np.ndarray:
     return g
 
 
-_RT2 = float(np.sqrt(2.0))
-
-# tabulated event weights and rounded conditional marginals for the
-# theta reconstruction of the two-qubit common-cause process
-_REF_THETA_WEIGHTS = (2.0 * (3.0 - 2.0 * _RT2),
-                      2.0 * (3.0 - 2.0 * _RT2),
-                      8.0 * _RT2 - 11.0)
+# rounded conditional marginals for the theta reconstruction of the
+# two-qubit common-cause process; its event weights are _REF_THETA_WEIGHTS
 _REF_THETA_MARGINALS = (
     np.array([[0.5, 0.008967], [0.008967, 0.5]]),
     np.array([[0.5, 0.1976], [0.1976, 0.5]]),
@@ -304,11 +300,3 @@ def reference_recovered_omega() -> np.ndarray:
     term2 = kron(np.diag([1.0, 0.0]), np.diag([0.0, 0.0, 1.0]),
                  np.diag([1.0, 0.0]))
     return (0.5 * (term1 + term2)).astype(complex)
-
-
-__all__ = [
-    "Observable", "RecoveredProcess", "ScanResult", "deviation_scan",
-    "expectation", "noisy_replay", "observable", "recover",
-    "reference_recovered_lambda", "reference_recovered_omega",
-    "validate_observable",
-]

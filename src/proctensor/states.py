@@ -166,10 +166,3 @@ def state_by_name(name: str) -> tuple[np.ndarray, tuple[int, int, int]]:
     if key == "omega":
         return omega_state(), OMEGA_DIMS
     raise KeyError(f"unknown state {name!r} (expected lambda or omega)")
-
-
-__all__ = [
-    "LAMBDA_DIMS", "OMEGA_DIMS", "STATE_NAMES", "StateEnsemble", "bell",
-    "ensemble_to_state", "lambda_ensemble", "lambda_state", "omega_ensemble",
-    "omega_state", "state_by_name", "werner", "kron",
-]

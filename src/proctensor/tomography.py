@@ -311,11 +311,3 @@ def counts_from_csv(path) -> CountsTable:
                                dtype=np.int64))
     return CountsTable(tuple(per), tuple(counts),
                        tuple(int(c.sum()) for c in counts))
-
-
-__all__ = [
-    "CountsTable", "bootstrap", "born_probabilities", "counts_from_csv",
-    "counts_to_csv", "inversion_matrix", "product_settings", "qubit_bases",
-    "qutrit_bases", "reconstruct", "resample_counts", "simplex_projection",
-    "simulate_counts",
-]

@@ -350,12 +350,3 @@ def save_circuit(circuit: WalkCircuit, path) -> None:
 def load_circuit(path) -> WalkCircuit:
     with open(path) as fh:
         return circuit_from_json(json.load(fh))
-
-
-__all__ = [
-    "BITFLIP", "CIRCUITS", "WalkCircuit", "WalkState", "align_frames",
-    "apply_coins", "bloch_vector", "circuit_by_name", "circuit_from_json",
-    "circuit_to_json", "coin_state", "extract_povm", "load_circuit",
-    "port_probabilities", "run_protocol", "save_circuit", "tetra_circuit",
-    "theta_circuit", "translate",
-]

@@ -63,7 +63,9 @@ def test_instrument_commands(tmp_path, capsys):
     code, out, _ = run_cli(capsys, ["instrument", "validate", "--name",
                                     "tetra"])
     assert code == 0
-    assert json.loads(out)["ok"]
+    report = json.loads(out)
+    assert "ok" not in report
+    assert report["completeness_residual"] < 1e-12
     code, out, _ = run_cli(capsys, ["instrument", "dual", "--name", "theta"])
     assert code == 0
     assert json.loads(out)["duality_residual"] < 1e-10
@@ -82,7 +84,7 @@ def test_instrument_commands(tmp_path, capsys):
 
 def test_instrument_validate_agrees_with_loading(tmp_path, capsys):
     # entries of sum - 1 within 1e-10 pass the constructor, though the
-    # Frobenius residual reported is 1.8e-10: validate says ok, exit 0
+    # Frobenius residual reported is 1.8e-10: exit 0, and no ok flag
     delta = 0.9e-10 * np.ones((2, 2))
     path = tmp_path / "inst.json"
     path.write_text(json.dumps({"dim": 2, "name": "edge", "elements": [
@@ -91,7 +93,7 @@ def test_instrument_validate_agrees_with_loading(tmp_path, capsys):
                                     str(path)])
     assert code == 0
     report = json.loads(out)
-    assert report["ok"] is True
+    assert "ok" not in report
     assert report["completeness_residual"] > 1e-10
 
 
@@ -372,6 +374,9 @@ PROCESS2_KEYS = ("['cmi', 'non_markovianity', 'qutrit_sharp_event_memory', "
     (["memory", "survey", "--samples", "100", "--cutoff", "inf",
       "--process"], _mixed_state((2, 2, 2)),
      "cutoff must be positive and finite, got inf"),
+    (["run", "--config"], ("cfg.json", json.dumps({
+        "preset": "custom", "command": ["preset", "survey", "--seed", "-1"]})),
+     "custom preset 'command': argument --seed: must be >= 0, got -1"),
 ], ids=["reconstruct-header-only", "bootstrap-header-only",
         "reconstruct-no-count-column", "bootstrap-no-count-column",
         "reconstruct-unknown-basis", "bootstrap-unknown-basis",
@@ -392,7 +397,7 @@ PROCESS2_KEYS = ("['cmi', 'non_markovianity', 'qutrit_sharp_event_memory', "
         "bootstrap-text-count", "reconstruct-negative-count",
         "bootstrap-negative-count", "build-nonhermitian-state",
         "strength-nonhermitian-state", "survey-nan-cutoff",
-        "survey-inf-cutoff"])
+        "survey-inf-cutoff", "config-custom-negative-seed"])
 def test_malformed_input_exits_two(tmp_path, capsys, argv, bad_input,
                                    expect):
     name, text = bad_input
@@ -468,6 +473,24 @@ def test_nonpositive_shots_exits_two(tmp_path, monkeypatch, capsys,
     assert code == 2
     assert out == ""
     assert err == f"error: shots must be at least 1, got {shots}\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["memory", "survey"], ["preset", "survey"],
+    ["walk", "verify", "--circuit", "theta"],
+    ["tomo", "simulate", "--state", "lambda", "--out", "c.csv"],
+    ["tomo", "reconstruct", "--state", "lambda"],
+    ["tomo", "bootstrap", "--state", "lambda"]],
+    ids=["survey", "preset", "walk", "simulate", "reconstruct", "bootstrap"])
+def test_negative_seed_exits_two(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--seed", "-1"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith("error: argument --seed: must be >= 0, got -1\n")
+    assert not any(tmp_path.iterdir())
 
 
 def test_walk_verify_circuit_file_needs_target(tmp_path, capsys):
@@ -564,6 +587,72 @@ def test_pinned_commands_byte_identical(tmp_path, monkeypatch, capsys, cmd,
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# stdout sha256 of every --help at 80 columns; the parser is built without
+# the modules the handlers load (preset choices and seed defaults come
+# from presets.py)
+HELP = {
+    "":
+        "edbc8852799ce4ed8f1eba3a85c5e534031692a61fb1c2628583a5cf3564f673",
+    "states":
+        "ed8e3155db9cbf2eb7ea136f11b1208337689de44f13f9f4e1875a245e95f1b8",
+    "states emit":
+        "b29aade86ede4a95d6b5b21a84cca9f105475a42e8acfa7bea477f1f021524e2",
+    "process":
+        "16d7e938f23c7d76079271a780820a2762ad5be2679f494c964d6e306b5e85ce",
+    "process build":
+        "9b95e3c157558c500cd02dd236eda8c624fed7c632fe185e4dbd14dec9910d98",
+    "process check":
+        "d5c05cfb45a7e58626f935d33607f8183325300698bacc5d591cf5bc08ce89d3",
+    "instrument":
+        "a778d8586ff08eb9a0fad01da7e2a57b628c6fa3aa1049a6c979de2c4df58bd8",
+    "instrument show":
+        "a42220b8622c5356f79c4119dc53c1d8525a8f174d702faedfa58fa4c0fb02fc",
+    "instrument validate":
+        "5a55583bd9cca51aaa6330b37a256ed8bf38320469e3999c08f50d6752fec4c9",
+    "instrument dual":
+        "ddb2e968fc205d19d702d3f82363a779e76ac1ad0e2b4a146aafd83cf6c2048f",
+    "memory":
+        "d628d6706d013ea55d5423c1a9a56b991a2b331da5360af1fd13459665b0021a",
+    "memory strength":
+        "2ea54c905563128e09a7552c60aaacc9909d56810fefa9a3197ea41a96015f11",
+    "memory survey":
+        "8240c7dd26036aa3ec0dc0781dc5dbaf39c4dd6d4661c6d57ab8f66828fffad5",
+    "recover":
+        "98944eb6142f2fb77b970e89c9af8d1a5bde3787e542e34e7a97f2e0ca63be98",
+    "recover build":
+        "99d3c7c287cfc11a7471a7eb7b451c312e3e7372854111b12ccbf657dc93ca95",
+    "recover scan":
+        "3f75766c8b52a7ed687a8695e64aa3c0fdc7aec5a5633c4b561509cdd7a1cd8b",
+    "walk":
+        "3b78cab88570a5bc2e97540e0eb31aa9692db767164cb273ed1ac5a0e510e5ed",
+    "walk verify":
+        "b099e6c1a8af3eb8e4b0c6381ad67447f454974c8f16aadff713e1c38b7fe291",
+    "tomo":
+        "eeca283316062e1e8e5586e5836d78755b03260d6c4b896c872867cffb881855",
+    "tomo simulate":
+        "e51466d9578938c2a4fcd98b2987fa1c3d51ff1bc80a58cccb3c12da82e6f9f6",
+    "tomo reconstruct":
+        "f46d8eeb148d0fdafb258b3291ffe3e0b00d829bfd19c7f1533dd912e51c46fd",
+    "tomo bootstrap":
+        "4a3f90f2fae79c3c94acc69b87dda37abbd11f3db7612faaa62f2f08d803d320",
+    "preset":
+        "bb834ab5261dce83cc435b6c025b3bf91aa6e317cac189e5c3cc7c500dd05715",
+    "run":
+        "390e4531216c5a7a5acd7a72f3e0dc24f4f8c205ed4f9b4b9d03736efb4da856",
+}
+
+
+@pytest.mark.parametrize("cmd, digest", HELP.items(),
+                         ids=[c or "top" for c in HELP])
+def test_help_byte_identical(monkeypatch, capsys, cmd, digest):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(cmd.split() + ["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_preset_process1_values(tmp_path, capsys):
     out_a = tmp_path / "a.json"
     out_b = tmp_path / "b.json"
@@ -635,7 +724,8 @@ def test_run_config(tmp_path, capsys):
                                            "--name", "xi"]}))
     code, out, _ = run_cli(capsys, ["run", "--config", str(cfg)])
     assert code == 0
-    assert json.loads(out)["ok"]
+    report = json.loads(out)
+    assert report["name"] == "xi" and "ok" not in report
 
     cfg.write_text(json.dumps({"preset": "custom",
                                "command": ["run", "--config", str(cfg)]}))

@@ -65,7 +65,7 @@ def test_element_and_instrument_validation():
     with pytest.raises(ValueError):
         Instrument(())
     rep = validate(theta_povm())
-    assert rep["ok"] and rep["completeness_residual"] < 1e-12
+    assert "ok" not in rep and rep["completeness_residual"] < 1e-12
 
 
 def test_gram_matrix_properties():

@@ -1,0 +1,120 @@
+"""The package namespace: the public API, lazy module loading, and the
+contract with perfbench/tracer.py (a lookup through the package sees a
+patched function and never outlives its restore)."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import proctensor
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+MODULES = ("linalg", "states", "process", "instruments", "memory",
+           "recovery", "walk", "tomography", "presets", "cli")
+
+PUBLIC = [
+    "ConditionalProcess", "CountsTable", "DualFrame", "Instrument",
+    "MemoryReport", "Observable", "PovmElement", "ProcessTensor",
+    "RecoveredProcess", "ScanResult", "StateEnsemble", "WalkCircuit",
+    "WalkState", "align_frames", "bell", "bootstrap", "born_probability",
+    "born_rule", "build_common_cause", "check_causality", "circuit_by_name",
+    "condition", "condition_instrument", "confusion_probability",
+    "counts_from_csv", "counts_to_csv", "cp_divisibility_check",
+    "deviation_scan", "dual_frame", "ensemble_to_state", "expectation",
+    "extract_povm", "fidelity", "gram_matrix", "hermitize", "instrument",
+    "instrument_by_name", "kron", "lambda_ensemble", "lambda_state",
+    "load_circuit", "marginals", "markov_order_test", "markov_product",
+    "memory_strength", "mutual_information", "noisy_replay",
+    "non_markovianity", "non_markovianity_choi", "observable",
+    "omega_ensemble", "omega_state", "partial_trace", "port_probabilities",
+    "product_settings", "projective_survey", "quantum_cmi",
+    "quantum_cmi_choi", "qubit_bases", "qutrit_bases", "qutrit_sharp",
+    "random_projective", "reconstruct", "recover",
+    "reference_recovered_lambda", "reference_recovered_omega",
+    "relative_entropy", "run_protocol", "save_circuit", "simulate_counts",
+    "span_project", "state_by_name", "state_non_markovianity",
+    "tetra_circuit", "tetra_povm", "theta_circuit", "theta_povm",
+    "trace_distance", "trace_norm", "validate_observable",
+    "von_neumann_entropy", "werner", "xi_noisy", "z_basis",
+]
+
+
+def _python(code, cwd=None):
+    """Run code in a fresh interpreter with src on the path; its stdout."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_public_api_is_pinned():
+    assert len(PUBLIC) == 84 and PUBLIC == sorted(PUBLIC)
+    assert proctensor.__all__ == PUBLIC
+    for name in PUBLIC:
+        obj = getattr(proctensor, name)
+        assert obj.__module__.startswith("proctensor."), name
+        assert obj is getattr(sys.modules[obj.__module__], name), name
+
+
+def test_star_import_dir_and_unknown_name():
+    namespace = {}
+    exec("from proctensor import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == PUBLIC
+    assert set(PUBLIC) <= set(dir(proctensor))
+    assert "__version__" in dir(proctensor)
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        proctensor.no_such_name
+    assert not hasattr(proctensor, "validate")  # instruments' own, not public
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_imports_standalone(module):
+    _python(f"import proctensor.{module}")
+
+
+@pytest.mark.parametrize("argv, unloaded", [
+    (["preset", "survey"], {"walk", "tomography", "recovery"}),
+    (["tomo", "simulate", "--state", "lambda", "--shots", "1000", "--out",
+      "c.csv"], {"memory", "recovery", "walk"}),
+], ids=["preset-survey", "tomo-simulate"])
+def test_command_loads_only_its_modules(tmp_path, argv, unloaded):
+    loaded = _python(
+        "import contextlib, io, sys\n"
+        "from proctensor.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 0\n"
+        "print(' '.join(m for m in sys.modules "
+        "if m.startswith('proctensor.')))", cwd=tmp_path).split()
+    assert "proctensor.cli" in loaded
+    assert not {f"proctensor.{m}" for m in unloaded} & set(loaded)
+
+
+def test_tracer_wrapper_does_not_outlive_uninstall():
+    """The package's first lookup of a function happens with the tracer
+    installed; it must see the wrapper, and after uninstall the original,
+    with no function left bound in the package itself."""
+    out = _python(
+        "import inspect, sys\n"
+        f"sys.path.insert(0, {str(ROOT / 'perfbench')!r})\n"
+        "from tracer import Tracer\n"
+        "import proctensor\n"
+        f"tracer = Tracer('proctensor', {MODULES!r})\n"
+        "original = vars(proctensor.process)['build_common_cause']\n"
+        "tracer.install()\n"
+        "wrapped = proctensor.build_common_cause\n"
+        "assert wrapped is not original\n"
+        "assert wrapped.__wrapped__ is original\n"
+        "tracer.uninstall()\n"
+        "assert proctensor.build_common_cause is original\n"
+        "assert proctensor.build_common_cause is "
+        "proctensor.process.build_common_cause\n"
+        "bound = [name for name, obj in vars(proctensor).items()\n"
+        "         if inspect.isfunction(obj)\n"
+        "         and obj.__module__.startswith('proctensor.')]\n"
+        "assert not bound, bound\n"
+        "print('ok')")
+    assert out == "ok\n"
