@@ -73,22 +73,25 @@ def kron(*mats: np.ndarray) -> np.ndarray:
 
 def partial_trace(m: np.ndarray, dims: tuple[int, ...],
                   keep: tuple[int, ...]) -> np.ndarray:
-    """Trace out all legs not in keep; kept legs stay in their given order.
+    """Trace out all legs not in keep; kept legs stay in the order of m.
 
     dims lists every leg dimension of the square matrix m; keep holds leg
-    positions. Trace is preserved: tr(result) = tr(m).
+    positions, strictly increasing. Trace is preserved: tr(result) = tr(m).
     """
     n = len(dims)
     keep = tuple(keep)
     if any(k < 0 or k >= n for k in keep):
         raise IndexError("keep positions out of range")
+    if any(a >= b for a, b in zip(keep, keep[1:])):
+        raise ValueError(f"keep must list leg positions in strictly "
+                         f"increasing order, got {keep}")
     if math.prod(dims) != m.shape[0] or m.shape[0] != m.shape[1]:
         raise ValueError("dims do not match matrix shape")
     t = np.asarray(m, dtype=complex).reshape(*dims, *dims)
     drop = [i for i in range(n) if i not in keep]
-    for off, i in enumerate(sorted(drop)):
+    for off, i in enumerate(drop):
         ax = i - off
-        t = np.trace(t, axis1=ax, axis2=ax + (n - off))
+        t = t.trace(axis1=ax, axis2=ax + (n - off))
     d_keep = math.prod(dims[i] for i in keep)
     return t.reshape(d_keep, d_keep)
 
@@ -106,7 +109,7 @@ def check_density(rho: np.ndarray, pos_tol: float = 1e-10,
     w = spectrum[0] if vectors else spectrum
     if w[0] < -pos_tol:  # eigenvalues come in ascending order
         raise ValueError(f"negative eigenvalue {w[0]:.3e}")
-    tr = float(np.real(np.trace(rho)))
+    tr = float(rho.trace().real)
     if abs(tr - 1.0) > trace_tol:
         raise ValueError(f"trace {tr} deviates from 1")
     return spectrum
@@ -119,12 +122,23 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     return float(-np.sum(w * np.log2(w)))
 
 
+def _same_shape(x: np.ndarray, y: np.ndarray) -> None:
+    if np.shape(x) != np.shape(y):
+        raise ValueError(f"operands have different shapes {np.shape(x)} "
+                         f"and {np.shape(y)}")
+
+
 def relative_entropy(x: np.ndarray, y: np.ndarray) -> float:
     """S(x||y) = tr[x(log x - log y)] in bits.
 
     Raises if the support of x is not contained in the support of y.
     """
-    wx, _ = check_density(x, vectors=True)
+    _same_shape(x, y)
+    return _relative_entropy(x, check_density(x, vectors=True)[0], y)
+
+
+def _relative_entropy(x: np.ndarray, wx: np.ndarray, y: np.ndarray) -> float:
+    """relative_entropy for a checked x whose eigh eigenvalues are wx."""
     wy, vy = check_density(y, vectors=True)
     ker = vy[:, wy <= CLIP_EPS]
     if ker.shape[1] and np.linalg.norm(ker.conj().T @ x @ ker) > 1e-10:
@@ -132,7 +146,7 @@ def relative_entropy(x: np.ndarray, y: np.ndarray) -> float:
     wx_c = wx[wx > CLIP_EPS]
     t1 = float(np.sum(wx_c * np.log2(wx_c)))
     log_y = (vy * np.log2(np.clip(wy, CLIP_EPS, None))) @ vy.conj().T
-    t2 = float(np.real(np.trace(x @ log_y)))
+    t2 = float((x @ log_y).trace().real)
     return t1 - t2
 
 
@@ -143,6 +157,7 @@ def sqrtm_psd(rho: np.ndarray) -> np.ndarray:
 
 def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Squared fidelity F = (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2."""
+    _same_shape(rho, sigma)
     check_density(rho)
     check_density(sigma)
     s = sqrtm_psd(rho)

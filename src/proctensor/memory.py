@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instruments import PAULI, Instrument
-from .linalg import (CLIP_EPS, kron, partial_trace, relative_entropy,
-                     trace_distance, von_neumann_entropy)
+from .linalg import (CLIP_EPS, _relative_entropy, kron, partial_trace,
+                     relative_entropy, trace_distance, von_neumann_entropy)
 from .process import (PROB_TOL, ProcessTensor, build_common_cause,
                       condition_instrument, marginals, markov_product)
 
@@ -28,7 +28,7 @@ def non_markovianity(p: ProcessTensor) -> float:
     cancel between the two normalized Choi operators.
     """
     gA, gB, gC = marginals(p)
-    return relative_entropy(p.gamma, kron(gA, gB, gC))
+    return _relative_entropy(p.gamma, p.spectrum[0], kron(gA, gB, gC))
 
 
 def state_non_markovianity(gamma: np.ndarray, dims) -> float:

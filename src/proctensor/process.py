@@ -74,19 +74,27 @@ class ProcessTensor:
     def matrix(self) -> np.ndarray:
         return _choi(self.gamma, self.layout)
 
+    @cached_property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """eigh (w, v) of hermitize(gamma), from the density check that
+        raises unless gamma is a state."""
+        return check_density(self.gamma, vectors=True)
+
 
 def build_common_cause(gamma: np.ndarray,
                        input_dims: tuple[int, int, int],
                        output_dims: tuple[int, int]) -> ProcessTensor:
     """Promote a tripartite input-leg state to a full process tensor.
     Only gamma is validated (Hermitian, PSD, unit trace): the Choi
-    spectrum is gamma's, repeated."""
+    spectrum is gamma's, repeated. The check's spectrum stays on the
+    process for reuse."""
     gamma = np.asarray(gamma, dtype=complex)
     dA, dB, dC = input_dims
     if gamma.shape != (dA * dB * dC, dA * dB * dC):
         raise ValueError("state dimension does not match input_dims")
-    check_density(gamma)
-    return ProcessTensor(gamma, tuple(input_dims), tuple(output_dims))
+    p = ProcessTensor(gamma, tuple(input_dims), tuple(output_dims))
+    p.spectrum  # the density check: raises unless gamma is a state
+    return p
 
 
 def check_causality(p: ProcessTensor) -> dict:
@@ -230,11 +238,12 @@ def condition_instrument(p: ProcessTensor, party: str,
 
 
 def marginals(p: ProcessTensor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    dims = p.input_dims
-    gA = partial_trace(p.gamma, dims, (0,))
-    gB = partial_trace(p.gamma, dims, (1,))
-    gC = partial_trace(p.gamma, dims, (2,))
-    return gA, gB, gC
+    """Single-party marginals of gamma: partial_trace's traces, axes and
+    order for keep = (0,), (1,), (2,), with B and C sharing the A-trace."""
+    g6 = np.asarray(p.gamma, dtype=complex).reshape(p.input_dims * 2)
+    gA = g6.trace(axis1=1, axis2=4).trace(axis1=1, axis2=3)
+    g4 = g6.trace(axis1=0, axis2=3)
+    return gA, g4.trace(axis1=1, axis2=3), g4.trace(axis1=0, axis2=2)
 
 
 def markov_product(p: ProcessTensor) -> ProcessTensor:

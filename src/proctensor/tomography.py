@@ -92,9 +92,11 @@ def _unitaries(labels, dims) -> np.ndarray:
 
 
 def born_probabilities(rho: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Outcome distribution of a basis measurement; clipped, normalized."""
-    p = np.clip(np.real(np.diag(basis.conj().T @ rho @ basis)), 0, None)
-    return p / p.sum()
+    """Outcome distribution of a basis measurement, or an (n, d) stack of
+    them for an (n, d, d) stack of bases; clipped, normalized."""
+    q = basis.conj().swapaxes(-1, -2) @ rho @ basis
+    p = np.clip(np.real(np.diagonal(q, axis1=-2, axis2=-1)), 0, None)
+    return p / p.sum(axis=-1, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -134,9 +136,9 @@ def simulate_counts(gamma: np.ndarray, dims, shots: int,
         raise ValueError(f"shots must be at least 1, got {shots}")
     settings = product_settings(dims)
     shots_per = max(1, int(round(shots / len(settings))))
-    rng = np.random.default_rng(seed)
-    counts = [rng.multinomial(shots_per, born_probabilities(gamma, U))
-              for _, U in settings]
+    P = born_probabilities(gamma, np.array([U for _, U in settings]))
+    # one 2-D draw takes the rows from the stream in setting order
+    counts = np.random.default_rng(seed).multinomial(shots_per, P)
     return CountsTable(tuple(l for l, _ in settings), tuple(counts),
                        (shots_per,) * len(settings))
 
@@ -207,8 +209,9 @@ def simplex_projection(evals: np.ndarray) -> np.ndarray:
 def _estimate(inv: np.ndarray, freqs: np.ndarray, d: int) -> np.ndarray:
     """(m, d, d) states from m stacked frequency vectors: linear inversion,
     then each spectrum projected onto the simplex."""
-    # one matvec per row: a single stacked matmul rounds differently
-    rho = hermitize(np.array([inv @ f for f in freqs]).reshape(-1, d, d))
+    # a stacked matvec per row: one (m, n) @ (n, d^2) matmul rounds
+    # differently
+    rho = hermitize(np.matmul(inv, freqs[:, :, None]).reshape(-1, d, d))
     w, v = np.linalg.eigh(rho)
     w = simplex_projection(w)
     return (v * w[:, None, :]) @ v.conj().swapaxes(-1, -2)

@@ -1,4 +1,5 @@
 """Core linear-algebra helpers: partial traces, entropies, metrics."""
+import re
 from functools import reduce
 
 import numpy as np
@@ -100,6 +101,24 @@ def test_partial_trace_rejects_bad_args():
         partial_trace(m, (2, 2), (2,))
     with pytest.raises(ValueError):
         partial_trace(m, (2, 3), (0,))
+
+
+@pytest.mark.parametrize("keep", [(1, 0), (0, 0), (2, 0, 1)])
+def test_partial_trace_rejects_unordered_keep(keep):
+    """The result keeps m's leg order, so a reordered or repeated keep is
+    refused."""
+    msg = f"keep must list leg positions in strictly increasing order, " \
+          f"got {keep}"
+    with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+        partial_trace(np.eye(12) / 12, (2, 3, 2), keep)
+
+
+@pytest.mark.parametrize("call", [relative_entropy, fidelity],
+                         ids=["relative_entropy", "fidelity"])
+def test_metrics_reject_mismatched_shapes(call):
+    msg = "operands have different shapes (2, 2) and (4, 4)"
+    with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+        call(np.eye(2) / 2, np.eye(4) / 4)
 
 
 def test_layout():

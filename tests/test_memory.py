@@ -3,12 +3,12 @@ import numpy as np
 import pytest
 
 from proctensor.instruments import instrument, instrument_by_name
-from proctensor.linalg import kron, partial_trace
+from proctensor.linalg import kron, partial_trace, relative_entropy
 from proctensor.memory import (
     _bloch_blocks, _survey_mi, _worst_event_mi, confusion_probability,
     markov_order_test, memory_strength, mutual_information, non_markovianity,
     non_markovianity_choi, projective_survey, quantum_cmi, quantum_cmi_choi)
-from proctensor.process import build_common_cause
+from proctensor.process import ProcessTensor, build_common_cause, marginals
 from proctensor.states import bell, state_by_name
 
 
@@ -42,6 +42,28 @@ def test_non_markovianity_frozen_values():
                       atol=1e-12)
     assert np.isclose(non_markovianity(ome_process()), 1.1225562489182659,
                       atol=1e-12)
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2), (3, 2, 3)])
+def test_non_markovianity_bit_equal_to_relative_entropy(dims):
+    """Reusing the build check's spectrum of gamma changes no bit."""
+    rng = np.random.default_rng(34)
+    states = [random_density(rng, int(np.prod(dims))) for _ in range(5)]
+    states += [g for g, d in map(state_by_name, ("lambda", "omega"))
+               if d == dims]
+    for g in states:
+        p = build_common_cause(g, dims, dims[:2])
+        ref = relative_entropy(g, kron(*marginals(p)))
+        assert (np.float64(non_markovianity(p)).tobytes()
+                == np.float64(ref).tobytes())
+
+
+def test_unvalidated_process_raises_from_non_markovianity():
+    bad = np.diag([1.5, -0.5, 0, 0, 0, 0, 0, 0]).astype(complex)
+    with pytest.raises(ValueError, match="^negative eigenvalue -5.000e-01$"):
+        build_common_cause(bad, (2, 2, 2), (2, 2))
+    with pytest.raises(ValueError, match="^negative eigenvalue -5.000e-01$"):
+        non_markovianity(ProcessTensor(bad, (2, 2, 2), (2, 2)))
 
 
 def test_choi_path_agrees_with_state_path():

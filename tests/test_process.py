@@ -165,6 +165,28 @@ def test_marginals_and_markov_product():
     assert rep["ok"]
 
 
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2), (3, 2, 3),
+                                  (1, 2, 3), (2, 1, 1)])
+def test_marginals_bit_equal_to_partial_trace(dims):
+    rng = np.random.default_rng(sum(dims))
+    for _ in range(5):
+        g = random_density(rng, int(np.prod(dims)))
+        p = build_common_cause(g, dims, dims[:2])
+        for k, m in enumerate(marginals(p)):
+            ref = partial_trace(p.gamma, dims, (k,))
+            assert m.shape == ref.shape
+            assert m.tobytes() == ref.tobytes()
+
+
+def test_spectrum_is_the_build_checks_eigh():
+    g = random_density(np.random.default_rng(3), 8)
+    p = build_common_cause(g, (2, 2, 2), (2, 2))
+    w, v = np.linalg.eigh((p.gamma + p.gamma.conj().T) / 2)
+    assert p.spectrum[0].tobytes() == w.tobytes()
+    assert p.spectrum[1].tobytes() == v.tobytes()
+    assert p.spectrum is p.spectrum
+
+
 def test_cp_divisibility():
     for p in (lam_process(), ome_process()):
         rep = cp_divisibility_check(p)

@@ -299,6 +299,45 @@ def test_stacked_simplex_projection_equals_rows():
     assert simplex_projection(spectra[:3].reshape(3, 1, 6)).shape == (3, 1, 6)
 
 
+@pytest.mark.parametrize("dims", BIT_DIMS)
+def test_stacked_born_probabilities_equal_per_basis(dims):
+    rho = random_density(np.random.default_rng(31), int(np.prod(dims)))
+    bases = [U for _, U in product_settings(dims)]
+    stacked = born_probabilities(rho, np.array(bases))
+    rows = np.array([born_probabilities(rho, U) for U in bases])
+    assert stacked.shape == (len(bases), int(np.prod(dims)))
+    assert stacked.tobytes() == rows.tobytes()
+
+
+@pytest.mark.parametrize("dims", BIT_DIMS)
+def test_simulate_counts_equals_per_setting_loop(dims):
+    """One 2-D multinomial draw gives the counts of one draw per setting."""
+    rng = np.random.default_rng(32)
+    settings = product_settings(dims)
+    for seed in (0, 5, 12345):
+        g = random_density(rng, int(np.prod(dims)))
+        counts = simulate_counts(g, dims, 50000, seed)
+        shots_per = counts.shots[0]
+        ref = np.random.default_rng(seed)
+        for (lbl, U), label, c in zip(settings, counts.labels, counts.counts):
+            want = ref.multinomial(shots_per, born_probabilities(g, U))
+            assert label == lbl
+            assert c.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dims", BIT_DIMS)
+def test_estimate_equals_per_row_matvecs(dims):
+    d = int(np.prod(dims))
+    inv = _pseudo_inverse(_labels(dims), dims)
+    rng = np.random.default_rng(33)
+    freqs = rng.dirichlet(np.ones(d), size=(4, inv.shape[1] // d))
+    freqs = freqs.reshape(4, -1)
+    rho = np.array([inv @ f for f in freqs]).reshape(-1, d, d)
+    w, v = np.linalg.eigh((rho + rho.conj().swapaxes(-1, -2)) / 2)
+    ref = (v * simplex_projection(w)[:, None, :]) @ v.conj().swapaxes(-1, -2)
+    assert tomography._estimate(inv, freqs, d).tobytes() == ref.tobytes()
+
+
 def test_simulate_counts_rejects_nonpositive_shots():
     g, dims = state_by_name("lambda")
     for shots in (0, -5):
