@@ -19,16 +19,19 @@ import sys
 
 import numpy as np
 
-from .instruments import (INSTRUMENTS, Instrument, dual_frame, gram_matrix,
+from .instruments import (INSTRUMENTS, Instrument, dual_frame,
                           instrument_by_name, instrument_from_json,
                           instrument_to_json, validate as
                           validate_instrument)
-from .linalg import (fidelity, json_number, json_object, mat_from_json,
-                     mat_to_json, partial_trace, path_or_handle)
-from .presets import PRESET_SEEDS, PRESETS, _verify_circuit, references
-from .process import (ProcessTensor, born_probability, build_common_cause,
-                      check_causality)
-from .states import STATE_NAMES, state_by_name
+from .linalg import (builtin, fidelity, json_number, json_object,
+                     mat_from_json, mat_to_json, partial_trace,
+                     path_or_handle)
+from .presets import (PRESET_SEEDS, PRESETS, SURVEY_CUTOFF, SURVEY_SAMPLES,
+                      TOMO_RESAMPLES, TOMO_SHOTS, _verify_circuit,
+                      references)
+from .process import (ProcessTensor, _legs, born_probability,
+                      build_common_cause, check_causality)
+from .states import STATES, state_by_name
 
 # memory, recovery, tomography and walk load in the handlers that use them
 
@@ -62,18 +65,19 @@ def _emit(obj, out_path=None, fmt="json"):
                 w.writerow([path, json.dumps(val)])
 
 
-def _resolve(arg, kind, names, by_name):
-    """(key, built-in object) for a built-in name, else (None, the parsed
+def _resolve(arg, kind, table, by_name):
+    """(key, built-in object) for a name in table, else (None, the parsed
     JSON file named by arg). Built-in names win over files."""
-    key = str(arg).strip().lower().replace("-", "_")
-    if key in names:
-        return key, by_name(key)
-    if not os.path.isfile(arg):
-        raise ValueError(f"{kind} {arg!r} is not a built-in name (one of "
-                         f"{', '.join(sorted(names))}) and no such file "
-                         "exists")
-    with open(arg) as fh:
-        return None, json.load(fh)
+    try:
+        key, _ = builtin(table, arg, kind)
+    except KeyError:
+        if not os.path.isfile(arg):
+            raise ValueError(f"{kind} {arg!r} is not a built-in name (one "
+                             f"of {', '.join(sorted(table))}) and no such "
+                             "file exists") from None
+        with open(arg) as fh:
+            return None, json.load(fh)
+    return key, by_name(key)
 
 
 def _state_to_json(g, dims) -> dict:
@@ -99,7 +103,7 @@ def _state_from_json(obj, arg):
 
 def _load_state(arg):
     """(state, dims, built-in key or None) for a state name or file."""
-    key, obj = _resolve(arg, "state", STATE_NAMES, state_by_name)
+    key, obj = _resolve(arg, "state", STATES, state_by_name)
     g, dims = obj if key else _state_from_json(obj, arg)
     return g, dims, key
 
@@ -112,8 +116,8 @@ def _process_to_json(p: ProcessTensor) -> dict:
     }
 
 
-_CANON_LEGS = [("A_in", "input"), ("A_out", "output"), ("B_in", "input"),
-               ("B_out", "output"), ("C_in", "input")]
+_CANON_LEGS = [(leg.label, leg.direction)
+               for leg in _legs("ABC", (1, 1, 1), (1, 1)).legs]
 
 
 def _process_from_json(obj: dict, arg) -> ProcessTensor:
@@ -138,16 +142,17 @@ def _process_from_json(obj: dict, arg) -> ProcessTensor:
     # before gamma is validated as a state
     dims, out_dims = per_leg[0::2], per_leg[1::2]
     gamma = partial_trace(m, per_leg, (0, 2, 4)) / float(math.prod(out_dims))
-    if float(np.max(np.abs(ProcessTensor(gamma, dims, out_dims).matrix
-                           - m))) > 1e-8:
+    p = ProcessTensor(gamma, dims, out_dims)
+    if float(np.max(np.abs(p.matrix - m))) > 1e-8:
         raise ValueError("matrix is not a common-cause process tensor "
                          "(identity output legs expected)")
-    return build_common_cause(gamma, dims, out_dims)
+    p.spectrum  # build_common_cause's density check
+    return p
 
 
 def _load_process(arg):
     """Process from a state name, a process file or a state file."""
-    key, obj = _resolve(arg, "process", STATE_NAMES, state_by_name)
+    key, obj = _resolve(arg, "process", STATES, state_by_name)
     if key is None and isinstance(obj, dict) and "layout" in obj:
         return _process_from_json(obj, arg)
     if key is None and not (isinstance(obj, dict) and "dims" in obj):
@@ -163,11 +168,11 @@ def _load_instrument(arg) -> Instrument:
 
 
 def _run_preset(name, seed=None, out=None, fmt="json", tols=None) -> int:
-    key = str(name).strip().lower().replace("-", "_")
-    if key not in PRESETS:
-        raise ValueError(f"unknown preset {name!r} "
-                         f"(expected one of {sorted(PRESETS)})")
-    bundle = PRESETS[key](seed=seed, refs=references(key, tols))
+    key, preset = builtin(PRESETS, name, "preset")
+    if seed is not None and key not in PRESET_SEEDS:
+        raise ValueError(f"preset {key!r} takes no seed, got {seed}")
+    seeded = {"seed": seed} if key in PRESET_SEEDS else {}
+    bundle = preset(refs=references(key, tols), **seeded)
     _emit({"preset": key, **bundle}, out, fmt)
     return 0
 
@@ -204,12 +209,8 @@ def _load_config(path) -> dict:
 # ---------------------------------------------------------------- handlers
 
 def _cmd_states_emit(args) -> int:
-    name = args.name.strip().lower()
-    if name not in STATE_NAMES:
-        raise ValueError(f"unknown state {args.name!r} "
-                         f"(expected one of {list(STATE_NAMES)})")
-    g, dims = state_by_name(name)
-    _emit({"name": name, **_state_to_json(g, dims)}, args.out, "json")
+    name, (factory, dims) = builtin(STATES, args.name, "state")
+    _emit({"name": name, **_state_to_json(factory(), dims)}, args.out)
     return 0
 
 
@@ -243,7 +244,6 @@ def _cmd_instrument_validate(args) -> int:
 def _cmd_instrument_dual(args) -> int:
     inst = _load_instrument(args.name)
     frame = dual_frame(inst)
-    gram = gram_matrix(inst.matrices())
     worst = 0.0
     for x, d in enumerate(frame.duals):
         for y, e in enumerate(inst.matrices()):
@@ -252,7 +252,7 @@ def _cmd_instrument_dual(args) -> int:
     _emit({
         "name": inst.name,
         "duals": [mat_to_json(d) for d in frame.duals],
-        "gram": mat_to_json(gram),
+        "gram": mat_to_json(frame.gram),
         "duality_residual": worst,
     }, args.out, "json")
     return 0
@@ -357,7 +357,7 @@ def _cmd_walk_verify(args) -> int:
 
 
 def _counts_for(args):
-    """(counts, dims, built-in state key or None) for tomo commands.
+    """(counts, dims, the built-in state or None) for tomo commands.
     Counts come from --counts, else are simulated from --state; dims from
     --state, else from the first label (one-letter bases are qubits)."""
     from .tomography import counts_from_csv, simulate_counts
@@ -372,7 +372,7 @@ def _counts_for(args):
                      for lbl in counts.labels[0].split("/"))
     if counts is None:
         counts = simulate_counts(g, dims, args.shots, args.seed)
-    return counts, dims, key
+    return counts, dims, g if key else None
 
 
 def _cmd_tomo_simulate(args) -> int:
@@ -393,23 +393,20 @@ def _cmd_tomo_simulate(args) -> int:
 
 def _cmd_tomo_reconstruct(args) -> int:
     from .tomography import reconstruct
-    counts, dims, key = _counts_for(args)
+    counts, dims, g = _counts_for(args)
     rho = reconstruct(counts, dims)
     out = {
         "settings": len(counts.labels),
         "total_shots": int(counts.total_shots),
         "dims": list(dims),
     }
-    if key is not None:
+    if g is not None:
         from .memory import state_non_markovianity
-        g, _ = state_by_name(key)
         out["fidelity"] = {"value": fidelity(rho, g)}
         out["non_markovianity_reconstructed"] = {
             "value": state_non_markovianity(rho, dims)}
     if args.matrix_out:
-        with open(args.matrix_out, "w") as fh:
-            json.dump(_state_to_json(rho, dims), fh, indent=1,
-                      sort_keys=True)
+        _emit(_state_to_json(rho, dims), args.matrix_out)
         out["matrix_file"] = str(args.matrix_out)
     else:
         out["matrix"] = mat_to_json(rho)
@@ -419,8 +416,8 @@ def _cmd_tomo_reconstruct(args) -> int:
 
 def _cmd_tomo_bootstrap(args) -> int:
     from .tomography import bootstrap
-    counts, dims, key = _counts_for(args)
-    if key is not None:
+    counts, dims, g = _counts_for(args)
+    if g is not None:
         from .memory import state_non_markovianity
         name, stat = "non_markovianity", (
             lambda sigma: state_non_markovianity(sigma, dims))
@@ -532,8 +529,8 @@ def build_parser(parser=argparse.ArgumentParser) -> argparse.ArgumentParser:
     sp = add(mem, "survey", _cmd_memory_survey,
              "Haar survey of projective middle instruments", out=False)
     sp.add_argument("--process", default="lambda")
-    sp.add_argument("--cutoff", type=float, default=0.0125)
-    sp.add_argument("--samples", type=int, default=100000)
+    sp.add_argument("--cutoff", type=float, default=SURVEY_CUTOFF)
+    sp.add_argument("--samples", type=int, default=SURVEY_SAMPLES)
     sp.add_argument("--seed", type=_seed, default=PRESET_SEEDS["survey"])
     sp.add_argument("--out")
 
@@ -566,7 +563,7 @@ def build_parser(parser=argparse.ArgumentParser) -> argparse.ArgumentParser:
     sp = add(tomo, "simulate", _cmd_tomo_simulate,
              "multinomial counts for every product setting", "--state",
              out=False)
-    sp.add_argument("--shots", type=int, default=1000000)
+    sp.add_argument("--shots", type=int, default=TOMO_SHOTS)
     sp.add_argument("--seed", type=_seed, default=PRESET_SEEDS["tomo"])
     sp.add_argument("--out", required=True)
     for nm, fn, hp in (("reconstruct", _cmd_tomo_reconstruct,
@@ -576,13 +573,13 @@ def build_parser(parser=argparse.ArgumentParser) -> argparse.ArgumentParser:
         sp = add(tomo, nm, fn, hp, out=False)
         sp.add_argument("--counts")
         sp.add_argument("--state")
-        sp.add_argument("--shots", type=int, default=1000000)
+        sp.add_argument("--shots", type=int, default=TOMO_SHOTS)
         sp.add_argument("--seed", type=_seed, default=PRESET_SEEDS["tomo"])
         sp.add_argument("--out")
         if nm == "reconstruct":
             sp.add_argument("--matrix-out")
         else:
-            sp.add_argument("--resamples", type=int, default=100)
+            sp.add_argument("--resamples", type=int, default=TOMO_RESAMPLES)
 
     sp = add(sub, "preset", _cmd_preset, "run one reproduction preset",
              out=False)
@@ -600,7 +597,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, KeyError, OSError, np.linalg.LinAlgError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError quotes its message; print the message itself
+        msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {msg}", file=sys.stderr)
         return 2
 
 

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (hermitize, is_hermitian, json_number, json_object, kron,
-                     mat_from_json, mat_to_json)
+from .linalg import (builtin, hermitize, is_hermitian, json_number,
+                     json_object, kron, mat_from_json, mat_to_json)
 
 PAULI = (
     np.eye(2, dtype=complex),
@@ -33,7 +33,7 @@ class PovmElement:
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", m)
-        if not is_hermitian(m, 1e-10):
+        if not is_hermitian(m):
             raise ValueError(f"element {self.label!r} is not Hermitian")
         w = np.linalg.eigvalsh(hermitize(m))
         if w.min() < -1e-10 or w.max() > 1 + 1e-10:
@@ -70,6 +70,7 @@ class Instrument:
 @dataclass(frozen=True)
 class DualFrame:
     duals: tuple[np.ndarray, ...]
+    gram: np.ndarray
 
 
 def instrument(mats, name: str = "") -> Instrument:
@@ -151,10 +152,7 @@ INSTRUMENTS = {"theta": theta_povm, "tetra": tetra_povm, "xi": xi_noisy,
 
 
 def instrument_by_name(name: str) -> Instrument:
-    key = name.strip().lower().replace("-", "_")
-    if key not in INSTRUMENTS:
-        raise KeyError(f"unknown instrument {name!r}")
-    return INSTRUMENTS[key]()
+    return builtin(INSTRUMENTS, name, "instrument")[1]()
 
 
 def validate(inst: Instrument) -> dict:
@@ -201,7 +199,7 @@ def dual_frame(inst: Instrument) -> DualFrame:
     for x in range(len(mats)):
         d = sum(Ginv[y, x] * mats[y] for y in range(len(mats)))
         duals.append(hermitize(d))
-    return DualFrame(tuple(duals))
+    return DualFrame(tuple(duals), G)
 
 
 def span_project(m: np.ndarray, mats) -> np.ndarray:

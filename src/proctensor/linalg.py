@@ -12,7 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-HERM_TOL = 1e-12
+# density checks: entrywise Hermiticity, least eigenvalue, unit trace
+HERM_TOL = 1e-10
+PSD_TOL = 1e-10
+TRACE_TOL = 1e-8
 CLIP_EPS = 1e-12
 
 
@@ -51,8 +54,8 @@ def layout(*spec: tuple[str, int, str]) -> LegLayout:
     return LegLayout(tuple(Leg(*s) for s in spec))
 
 
-def is_hermitian(m: np.ndarray, tol: float = HERM_TOL) -> bool:
-    return bool(np.abs(m - m.conj().T).max() <= tol)
+def is_hermitian(m: np.ndarray) -> bool:
+    return bool(np.abs(m - m.conj().T).max() <= HERM_TOL)
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
@@ -96,21 +99,20 @@ def partial_trace(m: np.ndarray, dims: tuple[int, ...],
     return t.reshape(d_keep, d_keep)
 
 
-def check_density(rho: np.ndarray, pos_tol: float = 1e-10,
-                  trace_tol: float = 1e-8, vectors: bool = False):
+def check_density(rho: np.ndarray, vectors: bool = False):
     """Raise unless rho is Hermitian, positive semidefinite and of unit
     trace. Returns the spectrum of hermitize(rho) the check computed:
     eigvalsh's eigenvalues, or eigh's (w, v) when vectors is set, so a
     caller reuses it instead of decomposing rho again."""
-    if not is_hermitian(rho, 1e-10):
+    if not is_hermitian(rho):
         raise ValueError("density matrix is not Hermitian")
     h = hermitize(rho)
     spectrum = np.linalg.eigh(h) if vectors else np.linalg.eigvalsh(h)
     w = spectrum[0] if vectors else spectrum
-    if w[0] < -pos_tol:  # eigenvalues come in ascending order
+    if w[0] < -PSD_TOL:  # eigenvalues come in ascending order
         raise ValueError(f"negative eigenvalue {w[0]:.3e}")
     tr = float(rho.trace().real)
-    if abs(tr - 1.0) > trace_tol:
+    if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"trace {tr} deviates from 1")
     return spectrum
 
@@ -211,6 +213,16 @@ def json_number(value, field: str, minimum: float | None = 0,
         bound = "" if minimum is None else f" >= {minimum}"
         raise ValueError(f"{field} must be {kind}{bound}, got {value!r}")
     return int(value) if integer else float(value)
+
+
+def builtin(table: dict, name, kind: str):
+    """(key, table[key]) for a built-in name: case and surrounding space
+    ignored, '-' read as '_'. A KeyError names kind and the choices."""
+    key = str(name).strip().lower().replace("-", "_")
+    if key not in table:
+        raise KeyError(f"unknown {kind} {name!r} (expected one of "
+                       f"{', '.join(sorted(table))})")
+    return key, table[key]
 
 
 def mat_from_json(obj: dict, where: str = "matrix") -> np.ndarray:

@@ -17,12 +17,17 @@ from .instruments import _REF_THETA_WEIGHTS, instrument_by_name
 from .linalg import fidelity, kron, mat_to_json, trace_distance
 from .process import (born_probability, build_common_cause,
                       condition_instrument)
-from .states import STATE_NAMES, state_by_name, werner
+from .states import STATES, state_by_name, werner
 
 # memory, recovery, tomography and walk load in the functions that use them
 
-PRESET_SEEDS = {"process1": 0, "process2": 0, "walk_verify": 11,
-                "survey": 7, "tomo": 3}
+# default seeds; process1 and process2 draw nothing at random, take none
+PRESET_SEEDS = {"walk_verify": 11, "survey": 7, "tomo": 3}
+# the survey and tomo budgets, also the defaults of their CLI options
+SURVEY_CUTOFF = 0.0125
+SURVEY_SAMPLES = 100000
+TOMO_SHOTS = 1000000
+TOMO_RESAMPLES = 100
 
 # single-qubit change of frame carrying the sharp-instrument conditional
 # states onto Bell-diagonal form, with the event -> Bell index map
@@ -149,7 +154,7 @@ def _process_report(name, refs):
     }
 
 
-def preset_process1(seed=None, refs=REFERENCES["process1"]) -> dict:
+def preset_process1(refs=REFERENCES["process1"]) -> dict:
     """Two-qubit common-cause process: memory metrics and recovery."""
     from .memory import markov_order_test, memory_strength
     from .recovery import noisy_replay, recover, reference_recovered_lambda
@@ -202,7 +207,7 @@ def preset_process1(seed=None, refs=REFERENCES["process1"]) -> dict:
     return r
 
 
-def preset_process2(seed=None, refs=REFERENCES["process2"]) -> dict:
+def preset_process2(refs=REFERENCES["process2"]) -> dict:
     """Qubit-qutrit common-cause process: exact Markov-order-one middle."""
     from .memory import markov_order_test, memory_strength
     from .recovery import recover, reference_recovered_omega
@@ -307,18 +312,17 @@ def preset_walk_verify(seed=None, refs=REFERENCES["walk_verify"]) -> dict:
     return r
 
 
-def preset_survey(seed=None, refs=REFERENCES["survey"], samples=100000,
-                  cutoff=0.0125) -> dict:
+def preset_survey(seed=None, refs=REFERENCES["survey"]) -> dict:
     """Projective-instrument survey on the two-qubit process."""
     from .memory import projective_survey
     seed = PRESET_SEEDS["survey"] if seed is None else seed
     g, dims = state_by_name("lambda")
     p = build_common_cause(g, dims, dims[:2])
-    frac = projective_survey(p, cutoff, samples, seed)
+    frac = projective_survey(p, SURVEY_CUTOFF, SURVEY_SAMPLES, seed)
     return {
         "process": "lambda",
-        "cutoff": cutoff,
-        "samples": samples,
+        "cutoff": SURVEY_CUTOFF,
+        "samples": SURVEY_SAMPLES,
         "seed": seed,
         "fraction_below_cutoff": _entry(frac, refs, "fraction_below_cutoff"),
         "note": ("the computed fraction sits near 0.417 for this matrix; "
@@ -327,16 +331,15 @@ def preset_survey(seed=None, refs=REFERENCES["survey"], samples=100000,
     }
 
 
-def preset_tomo(seed=None, refs=REFERENCES["tomo"], shots=1000000,
-                resamples=100) -> dict:
+def preset_tomo(seed=None, refs=REFERENCES["tomo"]) -> dict:
     """Simulated tomography of both states at a fixed shot budget."""
     from .memory import state_non_markovianity
     from .tomography import bootstrap, reconstruct, simulate_counts
     seed = PRESET_SEEDS["tomo"] if seed is None else seed
-    r = {"shots": shots, "seed": seed}
-    for name in STATE_NAMES:
+    r = {"shots": TOMO_SHOTS, "seed": seed}
+    for name in STATES:
         g, dims = state_by_name(name)
-        counts = simulate_counts(g, dims, shots, seed)
+        counts = simulate_counts(g, dims, TOMO_SHOTS, seed)
         rho = reconstruct(counts, dims)
         block = {
             "settings": len(counts.labels),
@@ -348,10 +351,10 @@ def preset_tomo(seed=None, refs=REFERENCES["tomo"], shots=1000000,
                 "non_markovianity_reconstructed")
             mean, err = bootstrap(
                 counts, dims, lambda s: state_non_markovianity(s, dims),
-                resamples=resamples, seed=seed)
+                resamples=TOMO_RESAMPLES, seed=seed)
             block["bootstrap"] = {
                 "statistic": "non_markovianity",
-                "resamples": resamples,
+                "resamples": TOMO_RESAMPLES,
                 "mean": {"value": mean},
                 "stderr": _entry(err, refs, "bootstrap_stderr"),
             }

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import check_density, kron
+from .linalg import builtin, check_density, kron
 
 LAMBDA_DIMS = (2, 2, 2)
 OMEGA_DIMS = (2, 3, 2)
@@ -156,13 +156,10 @@ def werner(x: int, r: float) -> np.ndarray:
     return r * np.outer(b, b.conj()) + (1 - r) * np.eye(4) / 4
 
 
-STATE_NAMES = ("lambda", "omega")
+STATES = {"lambda": (lambda_state, LAMBDA_DIMS),
+          "omega": (omega_state, OMEGA_DIMS)}
 
 
 def state_by_name(name: str) -> tuple[np.ndarray, tuple[int, int, int]]:
-    key = name.strip().lower()
-    if key == "lambda":
-        return lambda_state(), LAMBDA_DIMS
-    if key == "omega":
-        return omega_state(), OMEGA_DIMS
-    raise KeyError(f"unknown state {name!r} (expected lambda or omega)")
+    factory, dims = builtin(STATES, name, "state")[1]
+    return factory(), dims

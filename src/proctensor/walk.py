@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instruments import PAULI, Instrument, instrument
-from .linalg import json_number, json_object, mat_from_json, mat_to_json
+from .linalg import (builtin, json_number, json_object, mat_from_json,
+                     mat_to_json)
 
 NORM_TOL = 1e-12
 UNITARY_TOL = 1e-10
@@ -227,10 +228,7 @@ CIRCUITS = {"theta": theta_circuit, "tetra": tetra_circuit}
 
 
 def circuit_by_name(name: str) -> WalkCircuit:
-    if name not in CIRCUITS:
-        raise KeyError(f"unknown circuit {name!r} "
-                       f"(expected one of {sorted(CIRCUITS)})")
-    return CIRCUITS[name]()
+    return builtin(CIRCUITS, name, "circuit")[1]()
 
 
 def circuit_to_json(circuit: WalkCircuit) -> dict:
@@ -324,22 +322,14 @@ def align_frames(target_mats, mats) -> tuple[np.ndarray, float]:
         raise ValueError("element lists differ in length")
     va = np.array([bloch_vector(m) for m in target_mats])
     vb = np.array([bloch_vector(m) for m in mats])
-    corr = vb.T @ va
-    u, _, vt = np.linalg.svd(corr)
+    u, _, vt = np.linalg.svd(vb.T @ va)
     # det correction flips the smallest-singular-value axis so degenerate
     # (coplanar) vector sets still yield a proper rotation
-    d1 = np.diag([1.0, 1.0, float(np.linalg.det(vt.T @ u.T))])
-    d2 = np.diag([1.0, 1.0, float(np.linalg.det(u @ vt))])
-    best = None
-    for rot in (vt.T @ d1 @ u.T, u @ d2 @ vt):
-        cand = _su2_from_rotation(rot)
-        for op in (cand, cand.conj().T):
-            resid = max(
-                float(np.max(np.abs(a - op @ b @ op.conj().T)))
+    d = np.diag([1.0, 1.0, float(np.linalg.det(vt.T @ u.T))])
+    U = _su2_from_rotation(vt.T @ d @ u.T)
+    resid = max(float(np.max(np.abs(a - U @ b @ U.conj().T)))
                 for a, b in zip(target_mats, mats))
-            if best is None or resid < best[1]:
-                best = (op, resid)
-    return best
+    return U, resid
 
 
 def save_circuit(circuit: WalkCircuit, path) -> None:

@@ -7,10 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from proctensor import tomography
+from proctensor import process, tomography
 from proctensor.cli import main
-from proctensor.instruments import instrument_by_name, instrument_to_json
-from proctensor.linalg import mat_from_json, mat_to_json
+from proctensor.instruments import (INSTRUMENTS, gram_matrix,
+                                    instrument_by_name, instrument_to_json)
+from proctensor.linalg import builtin, mat_from_json, mat_to_json
+from proctensor.presets import PRESETS
 from proctensor.states import lambda_state, state_by_name
 from proctensor.tomography import counts_to_csv, simulate_counts
 from proctensor.walk import circuit_by_name, save_circuit
@@ -377,6 +379,13 @@ PROCESS2_KEYS = ("['cmi', 'non_markovianity', 'qutrit_sharp_event_memory', "
     (["run", "--config"], ("cfg.json", json.dumps({
         "preset": "custom", "command": ["preset", "survey", "--seed", "-1"]})),
      "custom preset 'command': argument --seed: must be >= 0, got -1"),
+    (["preset", "process2", "--seed", "99", "--out"], ("out.json", ""),
+     "preset 'process2' takes no seed, got 99"),
+    (["run", "--config"], _config(seed=5),
+     "preset 'process2' takes no seed, got 5"),
+    (["run", "--config"], ("cfg.json", json.dumps({
+        "preset": "Process1", "seed": 0})),
+     "preset 'process1' takes no seed, got 0"),
 ], ids=["reconstruct-header-only", "bootstrap-header-only",
         "reconstruct-no-count-column", "bootstrap-no-count-column",
         "reconstruct-unknown-basis", "bootstrap-unknown-basis",
@@ -397,7 +406,9 @@ PROCESS2_KEYS = ("['cmi', 'non_markovianity', 'qutrit_sharp_event_memory', "
         "bootstrap-text-count", "reconstruct-negative-count",
         "bootstrap-negative-count", "build-nonhermitian-state",
         "strength-nonhermitian-state", "survey-nan-cutoff",
-        "survey-inf-cutoff", "config-custom-negative-seed"])
+        "survey-inf-cutoff", "config-custom-negative-seed",
+        "preset-seedless-seed", "config-seedless-seed",
+        "config-seedless-zero-seed"])
 def test_malformed_input_exits_two(tmp_path, capsys, argv, bad_input,
                                    expect):
     name, text = bad_input
@@ -459,6 +470,110 @@ def test_unknown_name_exits_two(tmp_path, monkeypatch, capsys, argv, kind,
     assert out == ""
     assert err == (f"error: {kind} {argv[-1]!r} is not a built-in name "
                    f"(one of {names}) and no such file exists\n")
+
+
+# the name rule: case and surrounding space ignored, '-' read as '_'
+LOOKUPS = {
+    "state": lambda name: state_by_name(name)[1],
+    "instrument": lambda name: instrument_by_name(name).name,
+    "circuit": lambda name: circuit_by_name(name).name,
+    "preset": lambda name: builtin(PRESETS, name, "preset")[0],
+}
+BUILTIN_KEYS = {"state": ("lambda", "omega"), "instrument": tuple(INSTRUMENTS),
+                "circuit": ("tetra", "theta"), "preset": tuple(PRESETS)}
+
+
+def _cli_name(tmp_path, capsys, kind, name):
+    """(exit code, stdout JSON or None, stderr) of a command naming name."""
+    if kind == "preset":
+        (tmp_path / "cfg.json").write_text(json.dumps({"preset": name}))
+    argv = {"state": ["states", "emit", "--name", name],
+            "instrument": ["instrument", "show", "--name", name],
+            "circuit": ["walk", "verify", "--circuit", name],
+            "preset": ["run", "--config", "cfg.json"]}[kind]
+    code, out, err = run_cli(capsys, argv)
+    return code, json.loads(out) if out else None, err
+
+
+@pytest.mark.parametrize("kind, name, key", [
+    ("state", "Lambda", "lambda"), ("state", " OMEGA ", "omega"),
+    ("instrument", " Theta ", "theta"),
+    ("instrument", "QUTRIT-SHARP", "qutrit_sharp"),
+    ("circuit", " Theta ", "theta"), ("circuit", "Tetra", "tetra"),
+    ("preset", "Walk-Verify", "walk_verify")],
+    ids=["state", "state-spaced", "instrument", "instrument-dash",
+         "circuit", "circuit-case", "preset"])
+def test_name_rule_library_and_cli(tmp_path, monkeypatch, capsys, kind,
+                                   name, key):
+    monkeypatch.chdir(tmp_path)
+    assert LOOKUPS[kind](name) == LOOKUPS[kind](key)
+    code, obj, _ = _cli_name(tmp_path, capsys, kind, name)
+    assert code == 0
+    if kind == "state":
+        assert obj["name"] == key
+        assert np.array_equal(mat_from_json(obj["matrix"]),
+                              state_by_name(key)[0])
+    elif kind == "instrument":
+        assert obj["name"] == key
+    elif kind == "circuit":
+        assert obj["match"] == ("exact" if key == "theta"
+                                else "rotated_frame")
+    else:
+        assert obj["preset"] == key
+
+
+@pytest.mark.parametrize("kind", list(LOOKUPS))
+def test_unknown_builtin_name(tmp_path, monkeypatch, capsys, kind):
+    monkeypatch.chdir(tmp_path)
+    choices = ", ".join(sorted(BUILTIN_KEYS[kind]))
+    with pytest.raises(KeyError) as exc:
+        LOOKUPS[kind]("nope")
+    assert exc.value.args == (f"unknown {kind} 'nope' (expected one of "
+                              f"{choices})",)
+    code, obj, err = _cli_name(tmp_path, capsys, kind, "nope")
+    assert code == 2 and obj is None
+    if kind in ("instrument", "circuit"):  # the name could be a file
+        assert err == (f"error: {kind} 'nope' is not a built-in name (one "
+                       f"of {choices}) and no such file exists\n")
+    else:  # one line, not the quoted str() of the KeyError
+        assert err == f"error: {exc.value.args[0]}\n"
+
+
+def test_process_check_builds_one_choi(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "proc.json"
+    assert run_cli(capsys, ["process", "build", "--state", "omega", "--out",
+                            str(path)])[0] == 0
+    calls = []
+    choi = process._choi
+    monkeypatch.setattr(process, "_choi",
+                        lambda *a: calls.append(a) or choi(*a))
+    code, out, _ = run_cli(capsys, ["process", "check", "--process",
+                                    str(path)])
+    assert code == 0 and json.loads(out)["ok"]
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", sorted(INSTRUMENTS))
+def test_instrument_dual_prints_the_gram_matrix(capsys, name):
+    code, out, _ = run_cli(capsys, ["instrument", "dual", "--name", name])
+    assert code == 0
+    assert np.array_equal(mat_from_json(json.loads(out)["gram"]),
+                          gram_matrix(instrument_by_name(name).matrices()))
+
+
+def test_matrix_out_ends_with_newline_and_loads(tmp_path, capsys):
+    rho_file = tmp_path / "rho.json"
+    code, out, _ = run_cli(capsys, ["tomo", "reconstruct", "--state",
+                                    "lambda", "--shots", "27000",
+                                    "--matrix-out", str(rho_file)])
+    assert code == 0
+    assert json.loads(out)["matrix_file"] == str(rho_file)
+    text = rho_file.read_text()
+    assert text.endswith("}\n") and not text.endswith("\n\n")
+    code, out, _ = run_cli(capsys, ["tomo", "reconstruct", "--state",
+                                    str(rho_file), "--shots", "27000"])
+    assert code == 0
+    assert json.loads(out)["dims"] == [2, 2, 2]
 
 
 @pytest.mark.parametrize("command", [

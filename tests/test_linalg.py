@@ -253,7 +253,7 @@ def test_sqrtm_psd():
         rho = random_density(rng, 4)
         s = sqrtm_psd(rho)
         assert np.allclose(s @ s, rho)
-        assert is_hermitian(s, 1e-10)
+        assert is_hermitian(s)
 
 
 def test_mat_json_roundtrip():

@@ -6,7 +6,8 @@ import pytest
 
 from proctensor.instruments import instrument_by_name
 from proctensor.walk import (
-    BITFLIP, WalkCircuit, WalkState, align_frames, apply_coins,
+    BITFLIP, WalkCircuit, WalkState, _su2_from_rotation, align_frames,
+    apply_coins,
     bloch_vector, circuit_by_name, circuit_from_json, circuit_to_json,
     coin_state, extract_povm, load_circuit, port_probabilities,
     run_protocol, save_circuit, tetra_circuit, theta_circuit, translate)
@@ -166,6 +167,45 @@ def test_align_frames_reports_true_mismatch():
     permuted = [tetra[1], tetra[0], tetra[2], tetra[3]]
     _, resid = align_frames(tetra, permuted)
     assert resid > 0.1
+
+
+def _align_four_candidates(target_mats, mats):
+    """Reference: the search over {R, R^T} x {U, U^dag} that align_frames
+    once scored, R the det-corrected Procrustes rotation; the first of
+    equal residuals wins."""
+    va = np.array([bloch_vector(m) for m in target_mats])
+    vb = np.array([bloch_vector(m) for m in mats])
+    u, _, vt = np.linalg.svd(vb.T @ va)
+    d1 = np.diag([1.0, 1.0, float(np.linalg.det(vt.T @ u.T))])
+    d2 = np.diag([1.0, 1.0, float(np.linalg.det(u @ vt))])
+    best = None
+    for rot in (vt.T @ d1 @ u.T, u @ d2 @ vt):
+        cand = _su2_from_rotation(rot)
+        for op in (cand, cand.conj().T):
+            resid = max(float(np.max(np.abs(a - op @ b @ op.conj().T)))
+                        for a, b in zip(target_mats, mats))
+            if best is None or resid < best[1]:
+                best = (op, resid)
+    return best
+
+
+def test_align_frames_matches_four_candidate_search():
+    rng = np.random.default_rng(26)
+    for name in ("tetra", "theta"):
+        target = instrument_by_name(name).matrices()
+        for _ in range(500):
+            U = rand_su2(rng)
+            rotated = [U @ m @ U.conj().T for m in target]
+            _, resid = align_frames(target, rotated)
+            _, ref = _align_four_candidates(target, rotated)
+            assert resid <= ref + 1e-15
+    # both built-in circuits: the rotation and residual are bit-equal
+    for circuit in (theta_circuit(), tetra_circuit()):
+        target = instrument_by_name(circuit.name).matrices()
+        got = extract_povm(circuit).matrices()
+        U, resid = align_frames(target, got)
+        U_ref, ref = _align_four_candidates(target, got)
+        assert np.array_equal(U, U_ref) and resid == ref
 
 
 def test_circuit_json_roundtrip(tmp_path):
