@@ -25,11 +25,11 @@ from .instruments import (INSTRUMENTS, Instrument, dual_frame,
                           validate_instrument)
 from .linalg import (builtin, fidelity, json_number, json_object,
                      mat_from_json, mat_to_json, partial_trace,
-                     path_or_handle)
+                     path_or_handle, write_json)
 from .presets import (PRESET_SEEDS, PRESETS, SURVEY_CUTOFF, SURVEY_SAMPLES,
                       TOMO_RESAMPLES, TOMO_SHOTS, _verify_circuit,
                       references)
-from .process import (ProcessTensor, _legs, born_probability,
+from .process import (LEGS, ProcessTensor, born_probability,
                       build_common_cause, check_causality)
 from .states import STATES, state_by_name
 
@@ -53,16 +53,16 @@ def _flatten_rows(node, prefix, rows):
 
 
 def _emit(obj, out_path=None, fmt="json"):
+    if fmt == "json":
+        write_json(obj, out_path or sys.stdout)
+        return
     with path_or_handle(out_path or sys.stdout, "w") as fh:
-        if fmt == "json":
-            fh.write(json.dumps(obj, indent=1, sort_keys=True) + "\n")
-        else:
-            rows = []
-            _flatten_rows(obj, "", rows)
-            w = csv.writer(fh)
-            w.writerow(["field", "value"])
-            for path, val in rows:
-                w.writerow([path, json.dumps(val)])
+        rows = []
+        _flatten_rows(obj, "", rows)
+        w = csv.writer(fh)
+        w.writerow(["field", "value"])
+        for path, val in rows:
+            w.writerow([path, json.dumps(val)])
 
 
 def _resolve(arg, kind, table, by_name):
@@ -109,15 +109,9 @@ def _load_state(arg):
 
 
 def _process_to_json(p: ProcessTensor) -> dict:
-    return {
-        "layout": [[leg.label, leg.dim, leg.direction]
-                   for leg in p.layout.legs],
-        "matrix": mat_to_json(p.matrix),
-    }
-
-
-_CANON_LEGS = [(leg.label, leg.direction)
-               for leg in _legs("ABC", (1, 1, 1), (1, 1)).legs]
+    return {"layout": [[label, d, direction] for (label, direction), d
+                       in zip(LEGS, p.choi_dims)],
+            "matrix": mat_to_json(p.matrix)}
 
 
 def _process_from_json(obj: dict, arg) -> ProcessTensor:
@@ -127,9 +121,9 @@ def _process_from_json(obj: dict, arg) -> ProcessTensor:
             isinstance(l, list) and len(l) == 3 for l in legs):
         raise ValueError(f"process file {arg!r}: 'layout' must list "
                          f"[label, dim, direction] legs, got {legs!r}")
-    if [(l[0], l[2]) for l in legs] != _CANON_LEGS:
+    if tuple((l[0], l[2]) for l in legs) != LEGS:
         raise ValueError(f"process file {arg!r}: 'layout' must list the "
-                         f"(label, direction) legs {_CANON_LEGS} in order")
+                         f"(label, direction) legs {list(LEGS)} in order")
     per_leg = tuple(json_number(l[1], f"process file {arg!r}: 'layout' leg "
                                 f"{l[0]!r} dim", 1, integer=True)
                     for l in legs)
@@ -185,10 +179,15 @@ def _load_config(path) -> dict:
     unknown = sorted(set(cfg) - CONFIG_KEYS)
     if unknown:
         raise ValueError(f"unknown config keys: {unknown}")
-    if "command" in cfg and cfg.get("preset") != "custom":
+    if cfg.get("preset") is None:
+        raise ValueError("config needs a 'preset' key")
+    # 'custom' follows the name rule of the built-in presets
+    cfg["preset"], _ = builtin({**PRESETS, "custom": None}, cfg["preset"],
+                               "preset")
+    if "command" in cfg and cfg["preset"] != "custom":
         raise ValueError("'command' is only valid with preset 'custom'")
     ignored = sorted(set(cfg) - {"preset", "command"})
-    if cfg.get("preset") == "custom" and ignored:
+    if cfg["preset"] == "custom" and ignored:
         raise ValueError(f"preset 'custom' takes only 'command'; {ignored} "
                          "would be ignored (pass options inside 'command')")
     tols = cfg.get("tolerances")
@@ -444,9 +443,7 @@ def _cmd_preset(args) -> int:
 
 def _cmd_run(args) -> int:
     cfg = _load_config(args.config)
-    preset = cfg.get("preset")
-    if preset is None:
-        raise ValueError("config needs a 'preset' key")
+    preset = cfg["preset"]
     if preset == "custom":
         command = cfg.get("command")
         if (not isinstance(command, list)

@@ -1,4 +1,4 @@
-"""Dense complex linear algebra on small labeled tensor legs.
+"""Dense complex linear algebra on small tensor legs, and JSON file helpers.
 
 Everything here operates on plain numpy arrays. Entropic quantities are in
 bits (log base 2) throughout the package; eigenvalues below CLIP_EPS are
@@ -7,8 +7,9 @@ treated as exact zeros when taking logarithms.
 from __future__ import annotations
 
 import contextlib
+import json
 import math
-from dataclasses import dataclass
+import os
 
 import numpy as np
 
@@ -17,41 +18,6 @@ HERM_TOL = 1e-10
 PSD_TOL = 1e-10
 TRACE_TOL = 1e-8
 CLIP_EPS = 1e-12
-
-
-@dataclass(frozen=True)
-class Leg:
-    label: str
-    dim: int
-    direction: str  # "input" | "output"
-
-    def __post_init__(self):
-        if self.direction not in ("input", "output"):
-            raise ValueError(f"bad leg direction {self.direction!r}")
-        if self.dim < 1:
-            raise ValueError("leg dimension must be positive")
-
-
-@dataclass(frozen=True)
-class LegLayout:
-    """Ordered list of legs; total dimension is the product of leg dims."""
-    legs: tuple[Leg, ...]
-
-    def __post_init__(self):
-        labels = [leg.label for leg in self.legs]
-        if len(set(labels)) != len(labels):
-            raise ValueError("leg labels must be unique")
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(leg.dim for leg in self.legs)
-
-    def labels(self) -> tuple[str, ...]:
-        return tuple(leg.label for leg in self.legs)
-
-
-def layout(*spec: tuple[str, int, str]) -> LegLayout:
-    return LegLayout(tuple(Leg(*s) for s in spec))
 
 
 def is_hermitian(m: np.ndarray) -> bool:
@@ -255,10 +221,17 @@ def mat_from_json(obj: dict, where: str = "matrix") -> np.ndarray:
 
 @contextlib.contextmanager
 def path_or_handle(target, mode: str = "r"):
-    """Open a str path for the block and close it after, or pass an open
+    """Open a path for the block and close it after, or pass an open
     handle through untouched."""
-    if isinstance(target, (str, bytes)):
+    if isinstance(target, (str, bytes, os.PathLike)):
         with open(target, mode, newline="") as fh:
             yield fh
     else:
         yield target
+
+
+def write_json(obj, target) -> None:
+    """Write obj to a path or an open handle in the package's JSON file
+    format: indent 1, sorted keys and a final newline."""
+    with path_or_handle(target, "w") as fh:
+        fh.write(json.dumps(obj, indent=1, sort_keys=True) + "\n")

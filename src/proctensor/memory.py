@@ -71,7 +71,7 @@ def quantum_cmi_choi(p: ProcessTensor) -> float:
     """I(A:C|B) on the trace-normalized full Choi operator, with the B
     block taken as (B_in, B_out). Equals the state-level value for
     common-cause processes (identity legs contribute zero)."""
-    dA, dAo, dB, dBo, dC = p.layout.dims
+    dA, dAo, dB, dBo, dC = p.choi_dims
     m = p.matrix / math.prod(p.output_dims)
     # legs are contiguous per party, so regrouping is just coarser dims
     return quantum_cmi(m, (dA * dAo, dB * dBo, dC))

@@ -18,61 +18,47 @@ from functools import cached_property
 import numpy as np
 
 from .instruments import Instrument
-from .linalg import LegLayout, check_density, kron, layout, partial_trace
+from .linalg import check_density, kron, partial_trace
 
 PARTIES = ("A", "B", "C")
+# the Choi matrix's (label, direction) legs in chronological order
+LEGS = (("A_in", "input"), ("A_out", "output"), ("B_in", "input"),
+        ("B_out", "output"), ("C_in", "input"))
 
 # events at or below this probability count as impossible
 PROB_TOL = 1e-14
 
 
-def _legs(parties: str, input_dims: tuple[int, ...],
-          output_dims: tuple[int, int]) -> LegLayout:
-    """Chronological legs of the listed parties: each party's input leg,
-    then its output leg; output_dims are the process's (A_out, B_out). The
-    final party C has no output leg."""
-    spec = []
-    for party, d in zip(parties, input_dims):
-        spec.append((f"{party}_in", d, "input"))
-        if party != "C":
-            spec.append((f"{party}_out", output_dims[PARTIES.index(party)],
-                         "output"))
-    return layout(*spec)
-
-
-def _choi(state: np.ndarray, lay: LegLayout) -> np.ndarray:
-    """Choi matrix of a state on the layout's input legs with an identity
-    on each of its output legs."""
-    n = len(lay.legs)
-    # input legs come from the state, each output leg from an identity;
-    # the broadcast product lands every leg at its chronological axis
-    m = np.asarray(state).reshape(
-        [leg.dim if leg.direction == "input" else 1 for leg in lay.legs] * 2)
-    for i, leg in enumerate(lay.legs):
-        if leg.direction == "output":
-            shape = [1] * (2 * n)
-            shape[i] = shape[n + i] = leg.dim
-            m = m * np.eye(leg.dim).reshape(shape)
-    d = math.prod(lay.dims)
+def _choi(gamma: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
+    """Choi matrix on LEGS of dims (dA, dAo, dB, dBo, dC): gamma on the
+    input legs times an identity on A_out and B_out, each leg broadcast
+    onto its chronological axis."""
+    dA, dAo, dB, dBo, dC = dims
+    m = np.asarray(gamma).reshape((dA, 1, dB, 1, dC) * 2)
+    m = m * np.eye(dAo).reshape(1, dAo, 1, 1, 1, 1, dAo, 1, 1, 1)
+    m = m * np.eye(dBo).reshape(1, 1, 1, dBo, 1, 1, 1, 1, dBo, 1)
+    d = math.prod(dims)
     return m.reshape(d, d)
 
 
 @dataclass(frozen=True)
 class ProcessTensor:
     """Common-cause process: its input-leg state gamma on (A_in, B_in,
-    C_in). The Choi matrix in chronological leg order, gamma with an
-    identity on each output leg, is built on first access."""
+    C_in). The Choi matrix on LEGS, gamma with an identity on each output
+    leg, and its choi_dims are built on first access."""
     gamma: np.ndarray = field(repr=False)
     input_dims: tuple[int, int, int]
     output_dims: tuple[int, int]
 
     @cached_property
-    def layout(self) -> LegLayout:
-        return _legs("ABC", self.input_dims, self.output_dims)
+    def choi_dims(self) -> tuple[int, int, int, int, int]:
+        """Leg dims (dA, dAo, dB, dBo, dC) in the order of LEGS."""
+        (dA, dB, dC), (dAo, dBo) = self.input_dims, self.output_dims
+        return dA, dAo, dB, dBo, dC
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        return _choi(self.gamma, self.layout)
+        return _choi(self.gamma, self.choi_dims)
 
     @cached_property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
@@ -100,7 +86,7 @@ def build_common_cause(gamma: np.ndarray,
 def check_causality(p: ProcessTensor) -> dict:
     """Trace-condition hierarchy: discarding the future must leave an
     identity output leg times the earlier process. Diagnostic report."""
-    dims = p.layout.dims  # (dA, dAo, dB, dBo, dC)
+    dims = p.choi_dims
     dA, dAo, dB, dBo, dC = dims
     # level 3: trace C_in, compare to 1_{B_out} x Upsilon_{2:1}
     g3 = partial_trace(p.matrix, dims, (0, 1, 2, 3))
@@ -139,7 +125,7 @@ def born_rule(p: ProcessTensor, ops: list[np.ndarray]) -> float:
     """
     if len(ops) != 3:
         raise ValueError("need one op per party")
-    dA, dAo, dB, dBo, dC = p.layout.dims
+    dA, dAo, dB, dBo, dC = p.choi_dims
     expect = ((dA * dAo, dA * dAo), (dB * dBo, dB * dBo), (dC, dC))
     for op, shape in zip(ops, expect):
         if np.asarray(op).shape != shape:
@@ -172,17 +158,14 @@ def born_probability(p: ProcessTensor,
 
 @dataclass(frozen=True)
 class ConditionalProcess:
-    """Process left over after one party's instrument fires one event.
-
-    The normalized state and the Choi matrix on the remaining legs are
-    derived from the unnormalized conditional state on first access.
+    """Process left over after one party's instrument fires one event:
+    the unnormalized state on the remaining input legs, in time order. The
+    normalized state is derived on first access; no Choi matrix is kept.
     """
-    unnormalized: np.ndarray = field(repr=False)  # remaining-input state
+    unnormalized: np.ndarray = field(repr=False)
     probability: float
     event_index: int
-    parties: str  # remaining parties in time order
-    input_dims: tuple[int, ...]
-    output_dims: tuple[int, int]  # of the conditioned process
+    input_dims: tuple[int, int]
 
     @cached_property
     def state(self) -> np.ndarray:
@@ -190,15 +173,6 @@ class ConditionalProcess:
         if self.probability > PROB_TOL:
             return self.unnormalized / self.probability
         return self.unnormalized
-
-    @cached_property
-    def layout(self) -> LegLayout:
-        return _legs(self.parties, self.input_dims, self.output_dims)
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """Unnormalized Choi matrix, identity on the remaining outputs."""
-        return _choi(self.unnormalized, self.layout)
 
 
 def condition(p: ProcessTensor, party: str, element: np.ndarray,
@@ -226,9 +200,7 @@ def condition(p: ProcessTensor, party: str, element: np.ndarray,
     cond = np.einsum(f"{x}D,{g_sub}->{rest}{rest.upper()}", element, g6)
     cond = cond.reshape(dims[0] * dims[1], dims[0] * dims[1])
     prob = float(np.real(np.trace(cond)))
-    return ConditionalProcess(cond, prob, event_index,
-                              "".join(q for q in PARTIES if q != party),
-                              dims, p.output_dims)
+    return ConditionalProcess(cond, prob, event_index, dims)
 
 
 def condition_instrument(p: ProcessTensor, party: str,
@@ -255,7 +227,7 @@ def markov_product(p: ProcessTensor) -> ProcessTensor:
 def cp_divisibility_check(p: ProcessTensor) -> dict:
     """Verify the step maps are channels whose Chois factor as
     identity-output x next-input-marginal, so composition holds exactly."""
-    dims = p.layout.dims
+    dims = p.choi_dims
     dA, dAo, dB, dBo, dC = dims
     gA, gB, gC = marginals(p)
     # each traced-out output leg contributes its dimension to the norm

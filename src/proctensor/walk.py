@@ -18,7 +18,7 @@ import numpy as np
 
 from .instruments import PAULI, Instrument, instrument
 from .linalg import (builtin, json_number, json_object, mat_from_json,
-                     mat_to_json)
+                     mat_to_json, write_json)
 
 NORM_TOL = 1e-12
 UNITARY_TOL = 1e-10
@@ -333,8 +333,7 @@ def align_frames(target_mats, mats) -> tuple[np.ndarray, float]:
 
 
 def save_circuit(circuit: WalkCircuit, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(circuit_to_json(circuit), fh, indent=1, sort_keys=True)
+    write_json(circuit_to_json(circuit), path)
 
 
 def load_circuit(path) -> WalkCircuit:

@@ -386,6 +386,16 @@ PROCESS2_KEYS = ("['cmi', 'non_markovianity', 'qutrit_sharp_event_memory', "
     (["run", "--config"], ("cfg.json", json.dumps({
         "preset": "Process1", "seed": 0})),
      "preset 'process1' takes no seed, got 0"),
+    (["run", "--config"], ("cfg.json", json.dumps({"preset": "bogus"})),
+     "unknown preset 'bogus' (expected one of custom, process1, process2, "
+     "survey, tomo, walk_verify)"),
+    (["run", "--config"], ("cfg.json", json.dumps({
+        "preset": " Custom ", "command": ["states", "emit", "--name",
+                                          "lambda"], "seed": 1})),
+     "preset 'custom' takes only 'command'; ['seed'] would be ignored"),
+    (["run", "--config"], _config(command=["states", "emit", "--name",
+                                           "lambda"]),
+     "'command' is only valid with preset 'custom'"),
 ], ids=["reconstruct-header-only", "bootstrap-header-only",
         "reconstruct-no-count-column", "bootstrap-no-count-column",
         "reconstruct-unknown-basis", "bootstrap-unknown-basis",
@@ -408,7 +418,8 @@ PROCESS2_KEYS = ("['cmi', 'non_markovianity', 'qutrit_sharp_event_memory', "
         "strength-nonhermitian-state", "survey-nan-cutoff",
         "survey-inf-cutoff", "config-custom-negative-seed",
         "preset-seedless-seed", "config-seedless-seed",
-        "config-seedless-zero-seed"])
+        "config-seedless-zero-seed", "config-unknown-preset",
+        "config-custom-case-ignored-keys", "config-command-without-custom"])
 def test_malformed_input_exits_two(tmp_path, capsys, argv, bad_input,
                                    expect):
     name, text = bad_input
@@ -535,6 +546,9 @@ def test_unknown_builtin_name(tmp_path, monkeypatch, capsys, kind):
     if kind in ("instrument", "circuit"):  # the name could be a file
         assert err == (f"error: {kind} 'nope' is not a built-in name (one "
                        f"of {choices}) and no such file exists\n")
+    elif kind == "preset":  # a config preset may also be 'custom'
+        assert err == (f"error: unknown preset 'nope' (expected one of "
+                       f"custom, {choices})\n")
     else:  # one line, not the quoted str() of the KeyError
         assert err == f"error: {exc.value.args[0]}\n"
 
@@ -676,6 +690,15 @@ PINNED = {
     # a generic state: the survey kernel's eigvalsh path
     "memory survey --samples 2000 --process rand.json":
         "059ba31bcddefdde28aef9516c33f4a81ebd4dc73f2f6eaeca301855a63cb298",
+    # process files: the full Choi matrix and its leg table
+    "process build --state lambda":
+        "a6dab6692cd02e4e0eca0e50d6c671873bd1c26f5fb86ed0b56ec66c75ccfd7e",
+    "process build --state omega":
+        "121f5678dd4d2be6c2c5226ae1475b18e01dbca54127c051e41845d349369092",
+    "process check --process omega":
+        "b557c951883e6ee1a5c58751d72be131e89965f03e9a591a0ef1f1d5d41c1451",
+    "recover build --process lambda --instrument theta":
+        "3dc733fcb15f2effdb13f02e15bb60fc79450e8e77fe6db73efa870d534d26ab",
 }
 
 
@@ -850,6 +873,16 @@ def test_run_config(tmp_path, capsys):
     cfg.write_text(json.dumps({"preset": "nothere"}))
     code, _, _ = run_cli(capsys, ["run", "--config", str(cfg)])
     assert code == 2
+
+
+@pytest.mark.parametrize("preset", ["Custom", " CUSTOM "])
+def test_config_custom_follows_the_name_rule(tmp_path, capsys, preset):
+    cfg = tmp_path / "cfg.json"
+    command = ["states", "emit", "--name", "lambda"]
+    cfg.write_text(json.dumps({"preset": preset, "command": command}))
+    code, out, err = run_cli(capsys, ["run", "--config", str(cfg)])
+    assert code == 0 and err == ""
+    assert out == run_cli(capsys, command)[1]
 
 
 def test_custom_state_process_pipeline(tmp_path, capsys):

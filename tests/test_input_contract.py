@@ -24,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 from proctensor.cli import main
 from proctensor.instruments import instrument_by_name, instrument_to_json
 from proctensor.linalg import mat_to_json
-from proctensor.process import build_common_cause
+from proctensor.process import LEGS, build_common_cause
 from proctensor.states import state_by_name
 from proctensor.tomography import counts_to_csv, simulate_counts
 from proctensor.walk import circuit_by_name, circuit_to_json
@@ -40,8 +40,8 @@ def _valid_files():
     rows = [line.split(",") for line in buf.getvalue().splitlines()]
     return {
         "state": {"dims": list(dims), "matrix": mat_to_json(g)},
-        "process": {"layout": [[leg.label, leg.dim, leg.direction]
-                               for leg in p.layout.legs],
+        "process": {"layout": [[label, d, direction] for (label, direction),
+                               d in zip(LEGS, p.choi_dims)],
                     "matrix": mat_to_json(p.matrix)},
         "instrument": instrument_to_json(instrument_by_name("theta")),
         "circuit": circuit_to_json(circuit_by_name("theta")),

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from proctensor.linalg import (
-    Leg, LegLayout, check_density, fidelity, hermitize,
-    is_hermitian, kron, layout, mat_from_json, mat_to_json, partial_trace,
+    check_density, fidelity, hermitize,
+    is_hermitian, kron, mat_from_json, mat_to_json, partial_trace,
     relative_entropy, sqrtm_psd, trace_distance, trace_norm,
     von_neumann_entropy)
 
@@ -119,16 +119,6 @@ def test_metrics_reject_mismatched_shapes(call):
     msg = "operands have different shapes (2, 2) and (4, 4)"
     with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
         call(np.eye(2) / 2, np.eye(4) / 4)
-
-
-def test_layout():
-    lay = layout(("A", 2, "input"), ("B", 3, "input"), ("C", 2, "input"))
-    assert lay.dims == (2, 3, 2)
-    assert lay.labels() == ("A", "B", "C")
-    with pytest.raises(ValueError):
-        Leg("A", 2, "sideways")
-    with pytest.raises(ValueError):
-        LegLayout((Leg("A", 2, "input"), Leg("A", 2, "input")))
 
 
 def test_check_density_raises():

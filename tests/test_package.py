@@ -1,6 +1,9 @@
 """The package namespace: the public API, lazy module loading, and the
 contract with perfbench/tracer.py (a lookup through the package sees a
 patched function and never outlives its restore)."""
+import ast
+import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -118,3 +121,25 @@ def test_tracer_wrapper_does_not_outlive_uninstall():
         "assert not bound, bound\n"
         "print('ok')")
     assert out == "ok\n"
+
+
+def _layer_functions():
+    """perfbench/run.py's LAYER_FUNCTIONS, read from its source."""
+    tree = ast.parse((ROOT / "perfbench" / "run.py").read_text())
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and [t.id for t in node.targets] == ["LAYER_FUNCTIONS"]):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/run.py defines no LAYER_FUNCTIONS")
+
+
+@pytest.mark.parametrize("module, names", _layer_functions().items())
+def test_benchmark_traces_public_functions(module, names):
+    """The tracer counts calls by name, so a benchmarked function that is
+    renamed or deleted would report 0 calls instead of failing."""
+    mod = importlib.import_module(f"proctensor.{module}")
+    for name in names:
+        obj = vars(mod).get(name)
+        assert not name.startswith("_"), name
+        assert inspect.isfunction(obj), f"{module}.{name} is not a function"
+        assert obj.__module__ == mod.__name__, f"{module}.{name} is imported"

@@ -7,7 +7,7 @@ import pytest
 from proctensor.instruments import instrument_by_name, random_projective
 from proctensor.linalg import kron, partial_trace
 from proctensor.process import (
-    ProcessTensor, born_probability, born_rule, build_common_cause,
+    LEGS, ProcessTensor, born_probability, born_rule, build_common_cause,
     check_causality, condition, condition_instrument, cp_divisibility_check,
     final_choi, marginals, markov_product, measure_discard_choi)
 from proctensor.states import state_by_name
@@ -42,11 +42,13 @@ def random_density(rng, d):
 def test_build_shapes_and_trace():
     p = lam_process()
     assert p.matrix.shape == (32, 32)
-    assert p.layout.dims == (2, 2, 2, 2, 2)
+    assert p.choi_dims == (2, 2, 2, 2, 2)
     assert np.isclose(np.trace(p.matrix).real, 4.0)
     q = ome_process()
     assert q.matrix.shape == (72, 72)
-    assert q.layout.dims == (2, 2, 3, 3, 2)
+    assert q.choi_dims == (2, 2, 3, 3, 2)
+    assert [label for label, _ in LEGS] == ["A_in", "A_out", "B_in",
+                                            "B_out", "C_in"]
     assert np.isclose(np.trace(q.matrix).real, 6.0)
     with pytest.raises(ValueError):
         build_common_cause(np.eye(8) / 8, (2, 3, 2), (2, 2))
@@ -60,9 +62,10 @@ def test_build_rejects_invalid_states():
 
 def test_output_legs_are_identity_factors():
     p = lam_process()
-    dims = p.layout.dims
+    outputs = tuple(i for i, (_, direction) in enumerate(LEGS)
+                    if direction == "output")
     # tracing the input legs leaves the identity on each output leg
-    outs = partial_trace(p.matrix, dims, (1, 3))
+    outs = partial_trace(p.matrix, p.choi_dims, outputs)
     assert np.allclose(outs, np.eye(4))
 
 
@@ -124,7 +127,8 @@ def test_condition_linearity_and_probability():
     c1 = condition(p, "B", e1)
     c2 = condition(p, "B", e2)
     csum = condition(p, "B", e1 + e2)
-    assert np.allclose(c1.matrix + c2.matrix, csum.matrix, atol=1e-12)
+    assert np.allclose(c1.unnormalized + c2.unnormalized, csum.unnormalized,
+                       atol=1e-12)
     assert np.isclose(c1.probability, born_probability(p, b_element=e1))
     assert np.isclose(c1.probability + c2.probability, 1.0)
     assert np.isclose(np.trace(c1.state).real, 1.0)
@@ -141,17 +145,19 @@ def test_condition_sums_to_marginal_process():
 
 
 def test_condition_on_each_party():
-    p = lam_process()
-    proj = np.diag([1.0, 0.0]).astype(complex)
-    for party, labels in (("A", ("B_in", "B_out", "C_in")),
-                          ("B", ("A_in", "A_out", "C_in")),
-                          ("C", ("A_in", "A_out", "B_in", "B_out"))):
+    dims = (2, 3, 2)
+    g = random_density(np.random.default_rng(8), 12)
+    p = build_common_cause(g, dims, dims[:2])
+    for party, remaining in (("A", (3, 2)), ("B", (2, 2)), ("C", (2, 3))):
+        d = dims["ABC".index(party)]
+        proj = np.diag([1.0] + [0.0] * (d - 1)).astype(complex)
         c = condition(p, party, proj)
-        assert c.layout.labels() == labels
+        assert c.input_dims == remaining
+        assert c.unnormalized.shape == (int(np.prod(remaining)),) * 2
         assert 0 <= c.probability <= 1
         assert np.isclose(np.trace(c.state).real, 1.0)
     with pytest.raises(KeyError):
-        condition(p, "D", proj)
+        condition(p, "D", np.eye(2))
 
 
 def test_marginals_and_markov_product():

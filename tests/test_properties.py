@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from proctensor.instruments import instrument
 from proctensor.linalg import kron, partial_trace
-from proctensor.process import born_probability, build_common_cause, condition
+from proctensor.process import (LEGS, born_probability, build_common_cause,
+                                condition)
 from proctensor.recovery import recover
 from proctensor.tomography import (CountsTable, born_probabilities,
                                    product_settings, reconstruct)
@@ -18,11 +19,9 @@ PROPS = settings(max_examples=25, deadline=None)
 DIMS = st.tuples(*[st.sampled_from((2, 3))] * 3)
 SEEDS = st.integers(0, 2 ** 32 - 1)
 
-REMAINING_LABELS = {
-    "A": ("B_in", "B_out", "C_in"),
-    "B": ("A_in", "A_out", "C_in"),
-    "C": ("A_in", "A_out", "B_in", "B_out"),
-}
+# Choi leg positions of the input and the output legs
+INPUTS = tuple(i for i, (_, way) in enumerate(LEGS) if way == "input")
+OUTPUTS = tuple(i for i, (_, way) in enumerate(LEGS) if way == "output")
 
 
 def random_state(rng, d):
@@ -72,15 +71,7 @@ def test_condition_matches_born_and_partial_trace(dims, seed):
             # tr_party[gamma (element at party)], built independently
             ref = partial_trace(p.gamma @ embed(e, k, dims), dims, rest)
             assert np.allclose(c.unnormalized, ref, atol=1e-12)
-            assert c.layout.labels() == REMAINING_LABELS[party]
-            # the Choi matrix reduces to the unnormalized state
-            legs = c.layout.legs
-            ins = tuple(i for i, leg in enumerate(legs)
-                        if leg.direction == "input")
-            norm = np.prod([leg.dim for leg in legs
-                            if leg.direction == "output"])
-            reduced = partial_trace(c.matrix, c.layout.dims, ins) / norm
-            assert np.allclose(reduced, ref, atol=1e-12)
+            assert c.input_dims == tuple(dims[i] for i in rest)
         assert np.allclose(total, partial_trace(p.gamma, dims, rest),
                            atol=1e-10)
 
@@ -89,12 +80,13 @@ def test_condition_matches_born_and_partial_trace(dims, seed):
 @given(DIMS, SEEDS)
 def test_common_cause_choi_reduces_to_gamma(dims, seed):
     p, _ = random_process(dims, seed)
-    assert p.layout.labels() == ("A_in", "A_out", "B_in", "B_out", "C_in")
-    reduced = partial_trace(p.matrix, p.layout.dims, (0, 2, 4))
+    (dA, dB, dC), (dAo, dBo) = dims, p.output_dims
+    assert p.choi_dims == (dA, dAo, dB, dBo, dC)
+    reduced = partial_trace(p.matrix, p.choi_dims, INPUTS)
     assert np.allclose(reduced / np.prod(p.output_dims), p.gamma,
                        atol=1e-12)
     # output legs alone carry the identity
-    assert np.allclose(partial_trace(p.matrix, p.layout.dims, (1, 3)),
+    assert np.allclose(partial_trace(p.matrix, p.choi_dims, OUTPUTS),
                        np.eye(int(np.prod(p.output_dims))), atol=1e-12)
 
 
@@ -104,8 +96,8 @@ def test_recover_preserves_event_probabilities(dims, seed):
     p, povms = random_process(dims, seed)
     inst = instrument(povms[1], "random")
     rec = recover(p, inst)
-    assert np.allclose(partial_trace(rec.matrix, rec.layout.dims,
-                                     (0, 2, 4)) / np.prod(rec.output_dims),
+    assert np.allclose(partial_trace(rec.matrix, rec.choi_dims,
+                                     INPUTS) / np.prod(rec.output_dims),
                        rec.gamma, atol=1e-12)
     # each middle event, alone and jointly with either outer party's
     # events; the recovered process keeps only the outer marginals, so

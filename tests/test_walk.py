@@ -238,3 +238,12 @@ def test_circuit_by_name():
     assert circuit_by_name("theta").name == "theta"
     with pytest.raises(KeyError):
         circuit_by_name("walkabout")
+
+
+def test_saved_circuit_ends_with_newline_and_loads(tmp_path):
+    path = tmp_path / "theta.json"
+    circuit = theta_circuit()
+    save_circuit(circuit, path)
+    text = path.read_bytes()
+    assert text.endswith(b"]\n}\n")
+    assert circuit_to_json(load_circuit(path)) == circuit_to_json(circuit)
