@@ -16,8 +16,8 @@ import numpy as np
 from .instruments import PAULI, Instrument
 from .linalg import (CLIP_EPS, _relative_entropy, kron, partial_trace,
                      relative_entropy, trace_distance, von_neumann_entropy)
-from .process import (PROB_TOL, ProcessTensor, build_common_cause,
-                      condition_instrument, marginals, markov_product)
+from .process import (ProcessTensor, _events, build_common_cause, marginals,
+                      markov_product)
 
 
 def non_markovianity(p: ProcessTensor) -> float:
@@ -105,24 +105,30 @@ class MemoryReport:
         }
 
 
+def _event_rows(p: ProcessTensor, inst: Instrument):
+    """Per middle-instrument event: (probability, A:C state's trace distance
+    to its marginals' product, A:C MI in bits), all zero if impossible."""
+    for ev in _events(p, inst):
+        if ev is None:
+            yield 0.0, 0.0, 0.0
+        else:
+            prob, state, rA, rC = ev
+            mi = (von_neumann_entropy(rA) + von_neumann_entropy(rC)
+                  - von_neumann_entropy(state))
+            yield prob, trace_distance(state, kron(rA, rC)), max(mi, 0.0)
+
+
 def memory_strength(p: ProcessTensor, inst: Instrument) -> MemoryReport:
     """Per-event mutual information between the first and last party after
     the middle party's instrument fires, plus uniform and probability
-    weighted aggregates."""
-    dA, _, dC = p.input_dims
-    rows = []
-    flags = []
-    for cp in condition_instrument(p, "B", inst):
-        if cp.probability <= PROB_TOL:
-            rows.append((0.0, 0.0))
-            flags.append(f"event {cp.event_index}: zero probability")
-            continue
-        mi = mutual_information(cp.state, (dA, dC))
-        rows.append((cp.probability, max(mi, 0.0)))
-    mis = np.array([m for _, m in rows])
-    ps = np.array([pr for pr, _ in rows])
-    return MemoryReport(tuple(rows), float(mis.mean()),
-                        float(ps @ mis), float(mis.max()), tuple(flags))
+    weighted aggregates. Impossible events are flagged, numbered from 1."""
+    rows = list(_event_rows(p, inst))
+    ps, _, mis = map(np.array, zip(*rows))
+    flags = tuple(f"event {i}: zero probability"
+                  for i, (pr, _, _) in enumerate(rows, 1) if pr == 0.0)
+    return MemoryReport(tuple((pr, mi) for pr, _, mi in rows),
+                        float(mis.mean()), float(ps @ mis), float(mis.max()),
+                        flags)
 
 
 def markov_order_test(p: ProcessTensor, inst: Instrument,
@@ -130,21 +136,9 @@ def markov_order_test(p: ProcessTensor, inst: Instrument,
     """True iff every event's conditional state is product across the
     first/last split within trace distance tol. Mutual information is
     reported alongside as the secondary criterion."""
-    dA, _, dC = p.input_dims
-    events = []
-    for cp in condition_instrument(p, "B", inst):
-        if cp.probability <= PROB_TOL:
-            events.append({"event": cp.event_index, "probability": 0.0,
-                           "trace_distance": 0.0, "mutual_information": 0.0})
-            continue
-        rA = partial_trace(cp.state, (dA, dC), (0,))
-        rC = partial_trace(cp.state, (dA, dC), (1,))
-        td = trace_distance(cp.state, kron(rA, rC))
-        mi = mutual_information(cp.state, (dA, dC))
-        events.append({"event": cp.event_index,
-                       "probability": cp.probability,
-                       "trace_distance": td,
-                       "mutual_information": max(mi, 0.0)})
+    events = [{"event": i, "probability": pr, "trace_distance": td,
+               "mutual_information": mi}
+              for i, (pr, td, mi) in enumerate(_event_rows(p, inst), 1)]
     ok = all(e["trace_distance"] < tol for e in events)
     return ok, {"events": events, "tol": tol, "markov_order_one": ok}
 

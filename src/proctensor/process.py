@@ -75,6 +75,8 @@ def build_common_cause(gamma: np.ndarray,
     spectrum is gamma's, repeated. The check's spectrum stays on the
     process for reuse."""
     gamma = np.asarray(gamma, dtype=complex)
+    if len(input_dims) != 3:
+        raise ValueError(f"dims must list 3 input legs, got {input_dims}")
     dA, dB, dC = input_dims
     if gamma.shape != (dA * dB * dC, dA * dB * dC):
         raise ValueError("state dimension does not match input_dims")
@@ -164,7 +166,6 @@ class ConditionalProcess:
     """
     unnormalized: np.ndarray = field(repr=False)
     probability: float
-    event_index: int
     input_dims: tuple[int, int]
 
     @cached_property
@@ -175,8 +176,8 @@ class ConditionalProcess:
         return self.unnormalized
 
 
-def condition(p: ProcessTensor, party: str, element: np.ndarray,
-              event_index: int = 0) -> ConditionalProcess:
+def condition(p: ProcessTensor, party: str,
+              element: np.ndarray) -> ConditionalProcess:
     """Condition the process on one instrument event at one party.
 
     cond = tr_party[gamma (element at party)], one einsum for any party:
@@ -200,13 +201,23 @@ def condition(p: ProcessTensor, party: str, element: np.ndarray,
     cond = np.einsum(f"{x}D,{g_sub}->{rest}{rest.upper()}", element, g6)
     cond = cond.reshape(dims[0] * dims[1], dims[0] * dims[1])
     prob = float(np.real(np.trace(cond)))
-    return ConditionalProcess(cond, prob, event_index, dims)
+    return ConditionalProcess(cond, prob, dims)
 
 
 def condition_instrument(p: ProcessTensor, party: str,
                          inst: Instrument) -> list[ConditionalProcess]:
-    return [condition(p, party, e.matrix, i + 1)
-            for i, e in enumerate(inst.elements)]
+    return [condition(p, party, e.matrix) for e in inst.elements]
+
+
+def _events(p: ProcessTensor, inst: Instrument) -> list:
+    """Per middle-instrument event: (probability, normalized A:C state, A
+    marginal, C marginal), or None for one at or below PROB_TOL."""
+    dA, _, dC = p.input_dims
+    return [None if cp.probability <= PROB_TOL else
+            (cp.probability, cp.state,
+             partial_trace(cp.state, (dA, dC), (0,)),
+             partial_trace(cp.state, (dA, dC), (1,)))
+            for cp in condition_instrument(p, "B", inst)]
 
 
 def marginals(p: ProcessTensor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
 from .instruments import (_REF_THETA_WEIGHTS, _RT2, Instrument, PAULI,
                           dual_frame, span_project)
 from .linalg import kron, partial_trace, path_or_handle
-from .process import PROB_TOL, ProcessTensor, condition_instrument
+from .process import ProcessTensor, _events
 
 SPAN_TOL = 1e-10
 
@@ -47,16 +48,13 @@ def recover(p: ProcessTensor, inst: Instrument) -> RecoveredProcess:
     """
     dA, dB, dC = p.input_dims
     frame = dual_frame(inst)
-    conds = condition_instrument(p, "B", inst)
     gamma_rec = np.zeros((dA * dB * dC, dA * dB * dC), dtype=complex)
     events = []
-    for cond, dual in zip(conds, frame.duals):
-        prob = cond.probability
-        if prob <= PROB_TOL:
+    for ev, dual in zip(_events(p, inst), frame.duals):
+        if ev is None:
             events.append((0.0, np.eye(dA) / dA, np.eye(dC) / dC))
             continue
-        gA = partial_trace(cond.state, (dA, dC), (0,))
-        gC = partial_trace(cond.state, (dA, dC), (1,))
+        prob, _, gA, gC = ev
         gamma_rec = gamma_rec + prob * kron(gA, dual, gC)
         events.append((prob, gA, gC))
     return RecoveredProcess(gamma_rec, p.input_dims, p.output_dims, inst,
@@ -146,12 +144,11 @@ def _ac_bloch_data(p):
 
 @dataclass(frozen=True)
 class ScanResult:
-    """Flat grid of true/reconstructed expectation values and differences."""
+    """True/reconstructed values and differences over pairs of directions
+    in thetas x phases, theta slow; to_csv writes each pair's angles."""
     convention: str
-    theta1: np.ndarray = field(repr=False)
-    phi: np.ndarray = field(repr=False)
-    theta2: np.ndarray = field(repr=False)
-    psi: np.ndarray = field(repr=False)
+    thetas: np.ndarray = field(repr=False)
+    phases: np.ndarray = field(repr=False)
     true_values: np.ndarray = field(repr=False)
     recovered_values: np.ndarray = field(repr=False)
     abs_diff: np.ndarray = field(repr=False)
@@ -159,14 +156,15 @@ class ScanResult:
     argmax: dict
 
     def to_csv(self, path) -> None:
+        dirs = product(self.thetas, self.phases)
         with path_or_handle(path, "w") as fh:
             w = csv.writer(fh)
             w.writerow(["theta1", "phi", "theta2", "psi",
                         "true", "recovered", "abs_diff"])
-            for row in zip(self.theta1, self.phi, self.theta2, self.psi,
-                           self.true_values, self.recovered_values,
-                           self.abs_diff):
-                w.writerow([f"{v:.12g}" for v in row])
+            values = zip(self.true_values, self.recovered_values,
+                         self.abs_diff)
+            for (d1, d2), vals in zip(product(dirs, repeat=2), values):
+                w.writerow([f"{v:.12g}" for v in (*d1, *d2, *vals)])
 
 
 def deviation_scan(true_p, recovered_p, grid: int = 64,
@@ -187,8 +185,8 @@ def deviation_scan(true_p, recovered_p, grid: int = 64,
         raise ValueError(f"unknown convention {convention!r}")
     if grid < 2:
         raise ValueError("grid needs at least 2 steps per angle")
-    if full and ((grid + 1) * grid) ** 2 > 2 ** 22:
-        raise ValueError("full scan too large; reduce grid")
+    if ((grid + 1) * (grid if full else 1)) ** 2 > 2 ** 22:
+        raise ValueError(f"grid {grid} makes a scan of over 2**22 points")
     # grid counts steps: thetas inclusive of both ends, phases periodic
     thetas = np.linspace(0.0, np.pi / 2, grid + 1)
     phases = np.linspace(0.0, 2 * np.pi, grid, endpoint=False) if full \
@@ -215,12 +213,8 @@ def deviation_scan(true_p, recovered_p, grid: int = 64,
         "theta1": float(thetas[i1 // n_ph]), "phi": float(phases[i1 % n_ph]),
         "theta2": float(thetas[i2 // n_ph]), "psi": float(phases[i2 % n_ph]),
     }
-    th1 = np.repeat(thetas, n_ph)
-    ph1 = np.tile(phases, len(thetas))
     return ScanResult(
-        convention=convention,
-        theta1=np.repeat(th1, len(N2)), phi=np.repeat(ph1, len(N2)),
-        theta2=np.tile(th1, len(N1)), psi=np.tile(ph1, len(N1)),
+        convention=convention, thetas=thetas, phases=phases,
         true_values=tv.reshape(-1), recovered_values=rv.reshape(-1),
         abs_diff=diff.reshape(-1), max_abs_diff=float(diff[i1, i2]),
         argmax=ang)

@@ -69,7 +69,10 @@ def _check_unitary(U: np.ndarray, pos) -> np.ndarray:
 
 def apply_coins(s: WalkState, coins: dict) -> WalkState:
     """Apply position-controlled coin unitaries, identity elsewhere."""
-    ops = {int(x): _check_unitary(U, x) for x, U in coins.items()}
+    return _apply(s, {int(x): _check_unitary(U, x) for x, U in coins.items()})
+
+
+def _apply(s: WalkState, ops: dict) -> WalkState:
     present = {x for (x, _), a in s.amplitudes.items()
                if abs(a) > PORT_AMP_TOL}
     idle = sorted(set(ops) - present)
@@ -119,7 +122,7 @@ def run_protocol(initial_coin, circuit: WalkCircuit) -> dict:
     """
     s = coin_state(initial_coin)
     for coins in circuit.steps:
-        s = translate(apply_coins(s, coins))
+        s = translate(_apply(s, coins))  # checked by WalkCircuit
     out = {}
     for (x, c), a in s.amplitudes.items():
         pair = out.setdefault(x, [0j, 0j])

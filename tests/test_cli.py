@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from proctensor import process, tomography
+from proctensor import process, recovery, tomography
 from proctensor.cli import main
 from proctensor.instruments import (INSTRUMENTS, gram_matrix,
                                     instrument_by_name, instrument_to_json)
@@ -288,6 +288,10 @@ def _config(**cfg):
     return "cfg.json", json.dumps({"preset": "process2", **cfg})
 
 
+def _no_grid(*args):
+    raise AssertionError("a scan grid was built")
+
+
 PROCESS2_KEYS = ("['cmi', 'non_markovianity', 'qutrit_sharp_event_memory', "
                  "'recovered_fidelity_tabulated_form', 'scan_projector_max', "
                  "'werner_literal_max_trace_distance', "
@@ -396,6 +400,18 @@ PROCESS2_KEYS = ("['cmi', 'non_markovianity', 'qutrit_sharp_event_memory', "
     (["run", "--config"], _config(command=["states", "emit", "--name",
                                            "lambda"]),
      "'command' is only valid with preset 'custom'"),
+    (["process", "build", "--state"], _mixed_state((2, 2)),
+     "dims must list 3 input legs, got (2, 2)"),
+    (["process", "build", "--state"], _mixed_state((2, 2, 2, 2)),
+     "dims must list 3 input legs, got (2, 2, 2, 2)"),
+    (["memory", "strength", "--instrument", "z", "--process"],
+     _mixed_state((2, 2)), "dims must list 3 input legs, got (2, 2)"),
+    (["recover", "build", "--instrument", "theta", "--process"],
+     _mixed_state((2, 2, 2, 2)),
+     "dims must list 3 input legs, got (2, 2, 2, 2)"),
+    (["recover", "scan", "--process", "lambda", "--instrument", "theta",
+      "--grid", "100000", "--out"], ("scan.csv", ""),
+     "grid 100000 makes a scan of over 2**22 points"),
 ], ids=["reconstruct-header-only", "bootstrap-header-only",
         "reconstruct-no-count-column", "bootstrap-no-count-column",
         "reconstruct-unknown-basis", "bootstrap-unknown-basis",
@@ -419,9 +435,13 @@ PROCESS2_KEYS = ("['cmi', 'non_markovianity', 'qutrit_sharp_event_memory', "
         "survey-inf-cutoff", "config-custom-negative-seed",
         "preset-seedless-seed", "config-seedless-seed",
         "config-seedless-zero-seed", "config-unknown-preset",
-        "config-custom-case-ignored-keys", "config-command-without-custom"])
-def test_malformed_input_exits_two(tmp_path, capsys, argv, bad_input,
-                                   expect):
+        "config-custom-case-ignored-keys", "config-command-without-custom",
+        "build-two-legs", "build-four-legs", "strength-two-legs",
+        "recover-four-legs", "scan-grid-over-cap"])
+def test_malformed_input_exits_two(tmp_path, monkeypatch, capsys, argv,
+                                   bad_input, expect):
+    # no malformed input may get as far as building a scan's grid
+    monkeypatch.setattr(recovery, "_bloch_vectors", _no_grid)
     name, text = bad_input
     path = tmp_path / name
     path.write_text(text)
@@ -699,7 +719,24 @@ PINNED = {
         "b557c951883e6ee1a5c58751d72be131e89965f03e9a591a0ef1f1d5d41c1451",
     "recover build --process lambda --instrument theta":
         "3dc733fcb15f2effdb13f02e15bb60fc79450e8e77fe6db73efa870d534d26ab",
+    # memory strength and the Markov-order test read one event table
+    "memory strength --process lambda --instrument theta":
+        "49686cc4606ab0155870dce782bfef3de184fdc7ebdc4acf1a29970e4c924dad",
+    "memory strength --process lambda --instrument z":
+        "7722dc13bbaf612ed8f122d5027d3c9796c32cd6b26a1a8cec63b3f6059b4f8a",
+    "memory strength --process omega --instrument qutrit_sharp":
+        "43adc673dd3784835edd64fc99ab7e09493b865afadfbd0057ea8d41d35e6d1e",
+    "memory strength --process omega --instrument xi":
+        "3fa0409fc2d9b75f1a2bdca7d00fa2ef945801b771d95b261d621f48acc13ffd",
+    # an instrument with an impossible event: the zero-probability path
+    "memory strength --process lambda --instrument zero.json":
+        "e57fc9c35e172a4cfd15bba7e0c7c99ebb88fa28347b62f6705350279ee0fecd",
 }
+
+# an instrument whose first element is zero
+ZERO_INSTRUMENT = {"dim": 2, "name": "zero",
+                   "elements": [mat_to_json(np.zeros((2, 2))),
+                                mat_to_json(np.eye(2))]}
 
 
 def _random_state_text():
@@ -720,9 +757,33 @@ def test_pinned_commands_byte_identical(tmp_path, monkeypatch, capsys, cmd,
     (tmp_path / "cfg.json").write_text(json.dumps(
         {"preset": "process2", "tolerances": {"non_markovianity": 1.0}}))
     (tmp_path / "rand.json").write_text(_random_state_text())
+    (tmp_path / "zero.json").write_text(json.dumps(ZERO_INSTRUMENT))
     code, out, _ = run_cli(capsys, cmd.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of the CSV file of a grid-8 lambda/theta scan, by extra options
+SCAN_CSV = {
+    "": "f756c8bf2f58336e25391716da854f45e68fefc59807f8424d1da97197ada364",
+    "--convention correlator":
+        "6664c8ef72fd6a74a51fe8c89edf1914a0fc16fec7a95fa4fceb1c49a06e0569",
+    "--full":
+        "3f711c58d816198a1cd2ae5b504b15750db2e917ad9d7f70fe878dcad12a9ca2",
+    "--noise 0.05":
+        "d3e2c7652524aaebc59b072078b6aad563bda194f508464eb50003d61fae10d6",
+}
+
+
+@pytest.mark.parametrize("extra, digest", SCAN_CSV.items(),
+                         ids=["projector", "correlator", "full", "noise"])
+def test_scan_csv_byte_identical(tmp_path, capsys, extra, digest):
+    path = tmp_path / "scan.csv"
+    code, _, _ = run_cli(capsys, ["recover", "scan", "--process", "lambda",
+                                  "--instrument", "theta", "--grid", "8",
+                                  "--out", str(path)] + extra.split())
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 # stdout sha256 of every --help at 80 columns; the parser is built without

@@ -2,13 +2,14 @@
 import numpy as np
 import pytest
 
-from proctensor.instruments import instrument, instrument_by_name
+from proctensor.instruments import instrument, instrument_by_name, z_basis
 from proctensor.linalg import kron, partial_trace, relative_entropy
 from proctensor.memory import (
     _bloch_blocks, _survey_mi, _worst_event_mi, confusion_probability,
     markov_order_test, memory_strength, mutual_information, non_markovianity,
     non_markovianity_choi, projective_survey, quantum_cmi, quantum_cmi_choi)
 from proctensor.process import ProcessTensor, build_common_cause, marginals
+from proctensor.recovery import recover
 from proctensor.states import bell, state_by_name
 
 
@@ -147,6 +148,36 @@ def test_memory_strength_zero_probability_event():
     rep = memory_strength(lam_process(), inst)
     assert rep.per_event[0] == (0.0, 0.0)
     assert any("zero probability" in f for f in rep.flags)
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2), (2, 2, 3)])
+def test_reports_share_one_event_table(dims):
+    # a correlated A:C state with B in |0>: every z event but the first
+    # has probability exactly 0
+    dA, dB, dC = dims
+    rho = random_density(np.random.default_rng(sum(dims)), dA * dC)
+    ket0 = np.diag(np.arange(dB) == 0).astype(complex)
+    g = np.einsum("acAC,bB->abcABC", rho.reshape(dA, dC, dA, dC), ket0)
+    p = build_common_cause(g.reshape(np.prod(dims), -1), dims, (dA, dB))
+    z = instrument_by_name("z") if dB == 2 else z_basis(dB)
+    rep = memory_strength(p, z)
+    ok, detail = markov_order_test(p, z)
+    rec = recover(p, z)
+    zero = list(range(2, dB + 1))
+    assert rep.flags == tuple(f"event {i}: zero probability" for i in zero)
+    for i in zero:
+        assert detail["events"][i - 1] == {
+            "event": i, "probability": 0.0, "trace_distance": 0.0,
+            "mutual_information": 0.0}
+        prob, gA, gC = rec.events[i - 1]
+        assert prob == 0.0
+        assert np.array_equal(gA, np.eye(dA) / dA)
+        assert np.array_equal(gC, np.eye(dC) / dC)
+    assert not ok and rep.per_event[0][1] > 0.0
+    for (pr, mi), e, (rpr, _, _) in zip(rep.per_event, detail["events"],
+                                        rec.events, strict=True):
+        assert pr == e["probability"] == rpr
+        assert mi == e["mutual_information"]
 
 
 def test_markov_order():

@@ -4,6 +4,7 @@ import io
 import numpy as np
 import pytest
 
+from proctensor import recovery
 from proctensor.instruments import (dual_frame, instrument,
                                     instrument_by_name, random_projective)
 from proctensor.linalg import fidelity, kron, partial_trace
@@ -197,6 +198,24 @@ def test_scan_grid_shapes_and_validation():
     pw = build_common_cause(wide, (3, 2, 2), (3, 2))
     with pytest.raises(ValueError):
         deviation_scan(pw, pw, grid=4)
+
+
+class GridBuilt(Exception):
+    pass
+
+
+def test_scan_point_cap(monkeypatch):
+    # every scan is capped at 2**22 points before its grid is built
+    def build(*args):
+        raise GridBuilt
+    monkeypatch.setattr(recovery, "_bloch_vectors", build)
+    p = lam_process()
+    for grid, full in ((2048, False), (100000, False), (45, True)):
+        with pytest.raises(ValueError, match=f"grid {grid} makes a scan"):
+            deviation_scan(p, p, grid=grid, full=full)
+    for grid, full in ((2047, False), (44, True)):  # the largest allowed
+        with pytest.raises(GridBuilt):
+            deviation_scan(p, p, grid=grid, full=full)
 
 
 def test_scan_csv():

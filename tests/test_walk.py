@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from proctensor import walk
 from proctensor.instruments import instrument_by_name
 from proctensor.walk import (
     BITFLIP, WalkCircuit, WalkState, _su2_from_rotation, align_frames,
@@ -49,6 +50,24 @@ def test_apply_coins_checks_and_warns():
         apply_coins(s, {5: np.eye(2, dtype=complex)})
     flipped = apply_coins(s, {0: BITFLIP})
     assert np.isclose(flipped.amplitudes[(0, 1)], 1.0)
+
+
+def test_run_protocol_applies_the_checked_coins(monkeypatch):
+    # WalkCircuit checks its coins once; a run does not check them again
+    circuit = tetra_circuit()
+    calls = []
+    check = walk._check_unitary
+    monkeypatch.setattr(walk, "_check_unitary",
+                        lambda U, x: calls.append(x) or check(U, x))
+    run_protocol([1, 0], circuit)
+    assert calls == []
+    apply_coins(coin_state([1, 0]), {0: BITFLIP})
+    assert calls == [0]
+    bad = np.array([[1, 1], [0, 1]], dtype=complex)
+    with pytest.raises(ValueError, match="not unitary"):
+        apply_coins(coin_state([1, 0]), {0: bad})
+    with pytest.raises(ValueError, match="not unitary"):
+        WalkCircuit(({0: bad},), {-1: 1, 1: 2})
 
 
 def test_norm_conservation_along_run():
