@@ -258,11 +258,11 @@ def _cmd_instrument_dual(args) -> int:
 
 
 def _cmd_memory_strength(args) -> int:
-    from .memory import markov_order_test, memory_strength
+    from .memory import memory_strength
     p = _load_process(args.process)
     inst = _load_instrument(args.instrument)
     rep = memory_strength(p, inst)
-    ok, detail = markov_order_test(p, inst)
+    ok, detail = rep.markov_order()
     _emit({
         "process": str(args.process),
         "instrument": inst.name or str(args.instrument),

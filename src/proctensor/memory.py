@@ -19,6 +19,8 @@ from .linalg import (CLIP_EPS, _relative_entropy, kron, partial_trace,
 from .process import (ProcessTensor, _events, build_common_cause, marginals,
                       markov_product)
 
+MARKOV_TOL = 1e-8  # markov_order's default trace-distance tolerance
+
 
 def non_markovianity(p: ProcessTensor) -> float:
     """Relative entropy to the nearest memoryless process, in bits.
@@ -92,6 +94,7 @@ class MemoryReport:
     aggregate_uniform: float
     aggregate_weighted: float
     max_event: float
+    trace_distances: tuple[float, ...]  # per event, A:C state to product
     flags: tuple[str, ...] = ()
 
     def as_dict(self) -> dict:
@@ -104,43 +107,42 @@ class MemoryReport:
             "flags": list(self.flags),
         }
 
-
-def _event_rows(p: ProcessTensor, inst: Instrument):
-    """Per middle-instrument event: (probability, A:C state's trace distance
-    to its marginals' product, A:C MI in bits), all zero if impossible."""
-    for ev in _events(p, inst):
-        if ev is None:
-            yield 0.0, 0.0, 0.0
-        else:
-            prob, state, rA, rC = ev
-            mi = (von_neumann_entropy(rA) + von_neumann_entropy(rC)
-                  - von_neumann_entropy(state))
-            yield prob, trace_distance(state, kron(rA, rC)), max(mi, 0.0)
+    def markov_order(self, tol: float = MARKOV_TOL) -> tuple[bool, dict]:
+        """True iff every event's conditional state is product across the
+        first/last split within trace distance tol. Mutual information is
+        reported alongside as the secondary criterion."""
+        events = [{"event": i, "probability": pr, "trace_distance": td,
+                   "mutual_information": mi} for i, ((pr, mi), td)
+                  in enumerate(zip(self.per_event, self.trace_distances), 1)]
+        ok = all(td < tol for td in self.trace_distances)
+        return ok, {"events": events, "tol": tol, "markov_order_one": ok}
 
 
 def memory_strength(p: ProcessTensor, inst: Instrument) -> MemoryReport:
-    """Per-event mutual information between the first and last party after
+    """Per-event A:C mutual information and trace distance to product after
     the middle party's instrument fires, plus uniform and probability
     weighted aggregates. Impossible events are flagged, numbered from 1."""
-    rows = list(_event_rows(p, inst))
-    ps, _, mis = map(np.array, zip(*rows))
+    rows = []
+    for ev in _events(p, inst):
+        if ev is None:
+            rows.append((0.0, 0.0, 0.0))
+            continue
+        prob, state, rA, rC = ev
+        mi = (von_neumann_entropy(rA) + von_neumann_entropy(rC)
+              - von_neumann_entropy(state))
+        rows.append((prob, max(mi, 0.0), trace_distance(state, kron(rA, rC))))
+    ps, mis, tds = zip(*rows)
+    w = np.array(mis)
     flags = tuple(f"event {i}: zero probability"
-                  for i, (pr, _, _) in enumerate(rows, 1) if pr == 0.0)
-    return MemoryReport(tuple((pr, mi) for pr, _, mi in rows),
-                        float(mis.mean()), float(ps @ mis), float(mis.max()),
-                        flags)
+                  for i, pr in enumerate(ps, 1) if pr == 0.0)
+    return MemoryReport(tuple(zip(ps, mis)), float(w.mean()),
+                        float(np.array(ps) @ w), float(w.max()), tds, flags)
 
 
 def markov_order_test(p: ProcessTensor, inst: Instrument,
-                      tol: float = 1e-8) -> tuple[bool, dict]:
-    """True iff every event's conditional state is product across the
-    first/last split within trace distance tol. Mutual information is
-    reported alongside as the secondary criterion."""
-    events = [{"event": i, "probability": pr, "trace_distance": td,
-               "mutual_information": mi}
-              for i, (pr, td, mi) in enumerate(_event_rows(p, inst), 1)]
-    ok = all(e["trace_distance"] < tol for e in events)
-    return ok, {"events": events, "tol": tol, "markov_order_one": ok}
+                      tol: float = MARKOV_TOL) -> tuple[bool, dict]:
+    """memory_strength(p, inst).markov_order(tol)."""
+    return memory_strength(p, inst).markov_order(tol)
 
 
 def _bloch_blocks(p: ProcessTensor) -> tuple:
@@ -259,5 +261,10 @@ def projective_survey(p: ProcessTensor, cutoff: float, samples: int,
         raise ValueError(f"cutoff must be positive and finite, got {cutoff}")
     if samples < 100:
         raise ValueError("need at least 100 samples")
+    # a sample keeps one float64 MI, twice while the chunks are joined, and
+    # a chunk (samples / 64) takes 0.6 KiB a sample on lambda, 6.4 KiB on a
+    # (3,2,3) state: 2**24 samples bound the working set at 0.4 to 1.9 GiB
+    if samples > 2 ** 24:
+        raise ValueError(f"samples {samples} is over 2**24")
     below = np.count_nonzero(_survey_mi(p, samples, seed) < cutoff)
     return int(below) / samples

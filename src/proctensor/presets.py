@@ -156,7 +156,7 @@ def _process_report(name, refs):
 
 def preset_process1(refs=REFERENCES["process1"]) -> dict:
     """Two-qubit common-cause process: memory metrics and recovery."""
-    from .memory import markov_order_test, memory_strength
+    from .memory import memory_strength
     from .recovery import noisy_replay, recover, reference_recovered_lambda
     g, dims, p, r = _process_report("lambda", refs)
     theta = instrument_by_name("theta")
@@ -172,10 +172,8 @@ def preset_process1(refs=REFERENCES["process1"]) -> dict:
     r["theta_memory"] = rep.as_dict()
     r["theta_max_event_memory"] = _entry(rep.max_event, refs,
                                          "theta_max_event_memory")
-    ok, detail = markov_order_test(p, theta)
-    r["theta_markov_order_one"] = {"value": bool(ok)}
-    r["theta_trace_distances"] = [
-        {"value": e["trace_distance"]} for e in detail["events"]]
+    r["theta_markov_order_one"] = {"value": bool(rep.markov_order()[0])}
+    r["theta_trace_distances"] = [{"value": td} for td in rep.trace_distances]
     repz = memory_strength(p, z)
     r["z_memory"] = repz.as_dict()
     r["z_first_event_memory"] = _entry(repz.per_event[0][1], refs,
@@ -209,14 +207,13 @@ def preset_process1(refs=REFERENCES["process1"]) -> dict:
 
 def preset_process2(refs=REFERENCES["process2"]) -> dict:
     """Qubit-qutrit common-cause process: exact Markov-order-one middle."""
-    from .memory import markov_order_test, memory_strength
+    from .memory import memory_strength
     from .recovery import recover, reference_recovered_omega
     g, dims, p, r = _process_report("omega", refs)
     xi = instrument_by_name("xi")
     sharp = instrument_by_name("qutrit_sharp")
-    ok, detail = markov_order_test(p, xi)
-    r["xi_markov_order_one"] = {"value": bool(ok)}
     repx = memory_strength(p, xi)
+    r["xi_markov_order_one"] = {"value": bool(repx.markov_order()[0])}
     r["xi_memory"] = repx.as_dict()
     r["xi_max_event_memory"] = _entry(repx.max_event, refs,
                                       "xi_max_event_memory")

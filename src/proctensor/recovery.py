@@ -9,7 +9,6 @@ expectation therefore validates observables before contracting.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -156,15 +155,16 @@ class ScanResult:
     argmax: dict
 
     def to_csv(self, path) -> None:
-        dirs = product(self.thetas, self.phases)
+        """CRLF-terminated rows, every number in %.12g; each direction's
+        angle pair is formatted once and repeated."""
+        dirs = ["%.12g,%.12g" % d for d in product(self.thetas.tolist(),
+                                                   self.phases.tolist())]
+        rows = zip(product(dirs, repeat=2), self.true_values.tolist(),
+                   self.recovered_values.tolist(), self.abs_diff.tolist())
         with path_or_handle(path, "w") as fh:
-            w = csv.writer(fh)
-            w.writerow(["theta1", "phi", "theta2", "psi",
-                        "true", "recovered", "abs_diff"])
-            values = zip(self.true_values, self.recovered_values,
-                         self.abs_diff)
-            for (d1, d2), vals in zip(product(dirs, repeat=2), values):
-                w.writerow([f"{v:.12g}" for v in (*d1, *d2, *vals)])
+            fh.write("theta1,phi,theta2,psi,true,recovered,abs_diff\r\n")
+            fh.writelines("%s,%s,%.12g,%.12g,%.12g\r\n" % (d1, d2, t, r, a)
+                          for (d1, d2), t, r, a in rows)
 
 
 def deviation_scan(true_p, recovered_p, grid: int = 64,

@@ -130,12 +130,18 @@ def simulate_counts(gamma: np.ndarray, dims, shots: int,
     """Multinomial counts for every product setting, deterministic per seed.
 
     shots is the total budget, split evenly across settings (at least one
-    shot per setting).
+    shot per setting) and rounded to the nearest integer; the number of
+    settings is odd (a product of 3s and 9s), so the rounding has no tie.
     """
-    if shots < 1:
+    if not shots >= 1:  # NaN too
         raise ValueError(f"shots must be at least 1, got {shots}")
     settings = product_settings(dims)
-    shots_per = max(1, int(round(shots / len(settings))))
+    n = len(settings)
+    split = (2 * shots + n) // (2 * n)
+    if not split <= np.iinfo(np.int64).max:  # inf // n is NaN
+        raise ValueError(f"shots {shots} over {n} settings is {split} per "
+                         "setting, beyond the int64 range")
+    shots_per = max(1, split)
     P = born_probabilities(gamma, np.array([U for _, U in settings]))
     # one 2-D draw takes the rows from the stream in setting order
     counts = np.random.default_rng(seed).multinomial(shots_per, P)
@@ -247,6 +253,12 @@ def bootstrap(counts: CountsTable, dims, statistic, resamples: int = 500,
     """
     if resamples < 2:
         raise ValueError("need at least 2 resamples")
+    # a resample's redrawn counts, frequencies and state take 35-42 bytes
+    # a count entry on lambda and omega: 2**24 entries bound them at 0.7 GiB
+    entries = sum(map(len, counts.counts))
+    if resamples * entries > 2 ** 24:
+        raise ValueError(f"resamples {resamples} of {entries} count entries "
+                         "each redraw over 2**24 counts")
     d = math.prod(int(x) for x in dims)
     inv = _pseudo_inverse(counts.labels, dims)
     p = _frequencies(counts, d)

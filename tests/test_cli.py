@@ -292,6 +292,10 @@ def _no_grid(*args):
     raise AssertionError("a scan grid was built")
 
 
+def _no_draw(*args, **kwargs):
+    raise AssertionError("a random draw was seeded")
+
+
 PROCESS2_KEYS = ("['cmi', 'non_markovianity', 'qutrit_sharp_event_memory', "
                  "'recovered_fidelity_tabulated_form', 'scan_projector_max', "
                  "'werner_literal_max_trace_distance', "
@@ -412,6 +416,14 @@ PROCESS2_KEYS = ("['cmi', 'non_markovianity', 'qutrit_sharp_event_memory', "
     (["recover", "scan", "--process", "lambda", "--instrument", "theta",
       "--grid", "100000", "--out"], ("scan.csv", ""),
      "grid 100000 makes a scan of over 2**22 points"),
+    (["tomo", "simulate", "--state", "lambda", "--shots", str(10 ** 21),
+      "--out"], ("counts.csv", ""), f"shots {10 ** 21} over 27 settings is "
+     "37037037037037037037 per setting, beyond the int64 range"),
+    (["memory", "survey", "--process", "lambda", "--samples", str(10 ** 20),
+      "--out"], ("out.json", ""), f"samples {10 ** 20} is over 2**24"),
+    (["tomo", "bootstrap", "--resamples", str(10 ** 20), "--counts"],
+     _lambda_counts(lambda rows: rows),
+     f"resamples {10 ** 20} of 216 count entries each redraw over 2**24"),
 ], ids=["reconstruct-header-only", "bootstrap-header-only",
         "reconstruct-no-count-column", "bootstrap-no-count-column",
         "reconstruct-unknown-basis", "bootstrap-unknown-basis",
@@ -437,11 +449,15 @@ PROCESS2_KEYS = ("['cmi', 'non_markovianity', 'qutrit_sharp_event_memory', "
         "config-seedless-zero-seed", "config-unknown-preset",
         "config-custom-case-ignored-keys", "config-command-without-custom",
         "build-two-legs", "build-four-legs", "strength-two-legs",
-        "recover-four-legs", "scan-grid-over-cap"])
+        "recover-four-legs", "scan-grid-over-cap", "simulate-shots-over-int64",
+        "survey-samples-over-cap", "bootstrap-resamples-over-cap"])
 def test_malformed_input_exits_two(tmp_path, monkeypatch, capsys, argv,
                                    bad_input, expect):
-    # no malformed input may get as far as building a scan's grid
+    # no malformed input may get as far as building a scan's grid or
+    # seeding a draw (the shots, samples and resamples bounds come first)
     monkeypatch.setattr(recovery, "_bloch_vectors", _no_grid)
+    monkeypatch.setattr(np.random, "default_rng", _no_draw)
+    monkeypatch.setattr(np.random, "SeedSequence", _no_draw)
     name, text = bad_input
     path = tmp_path / name
     path.write_text(text)
@@ -622,6 +638,41 @@ def test_nonpositive_shots_exits_two(tmp_path, monkeypatch, capsys,
     assert code == 2
     assert out == ""
     assert err == f"error: shots must be at least 1, got {shots}\n"
+
+
+def test_shot_split_is_exact_in_integers(tmp_path, capsys):
+    # 1e20 shots over 27 settings: the float split printed 99999999999999995904
+    code, out, _ = run_cli(capsys, ["tomo", "simulate", "--state", "lambda",
+                                    "--shots", str(10 ** 20), "--out",
+                                    str(tmp_path / "counts.csv")])
+    assert code == 0
+    per_setting = (2 * 10 ** 20 + 27) // 54
+    assert json.loads(out)["total_shots"] == 27 * per_setting
+    assert 27 * per_setting == 100000000000000000008
+
+
+@pytest.mark.parametrize("argv, builds", [
+    (["memory", "strength", "--process", "lambda", "--instrument", "theta"],
+     ["theta"]),
+    (["preset", "process1"], ["theta", "z", "theta", "theta", "theta"]),
+    (["preset", "process2"], ["xi", "qutrit_sharp", "xi"]),
+], ids=["strength", "process1", "process2"])
+def test_one_event_table_per_process_instrument(monkeypatch, capsys, argv,
+                                                builds):
+    # memory_strength's report carries the Markov-order verdict, so a
+    # (process, instrument) pair is conditioned once for both; process1's
+    # recover runs on theta and on two noisy replays, process2's on xi
+    from proctensor import memory
+    events, seen = process._events, []
+
+    def counted(p, inst):
+        seen.append(inst.name)
+        return events(p, inst)
+    for module in (process, memory, recovery):
+        monkeypatch.setattr(module, "_events", counted)
+    code, _, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert seen == builds
 
 
 @pytest.mark.parametrize("command", [

@@ -9,6 +9,11 @@ disagrees with the data, a negative value, a duplicate row, a non-square
 matrix or a non-Hermitian one. Hypothesis draws the position (list index
 or dict key) and the wrong value; the table fixes the field the message
 must name.
+
+A second, looser check lets hypothesis draw the node as well: one change
+anywhere in a valid file, fed to a command that reads it, must end in exit
+0, 2 or 3 without a traceback. Every size change is one element, one key
+or a step of 1 or 2, so no mutated file asks for a large allocation.
 """
 import contextlib
 import copy
@@ -18,12 +23,13 @@ import math
 import os
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from proctensor.cli import main
 from proctensor.instruments import instrument_by_name, instrument_to_json
-from proctensor.linalg import mat_to_json
+from proctensor.linalg import mat_from_json, mat_to_json
 from proctensor.process import LEGS, build_common_cause
 from proctensor.states import state_by_name
 from proctensor.tomography import counts_to_csv, simulate_counts
@@ -303,3 +309,119 @@ def test_mutated_input_names_its_field(kind, path, mutation, needs, field,
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "Traceback" not in err
     assert field in err, (field, err)
+
+
+# Every command that reads a file of each kind, the file's path appended.
+# Budgets are small, so a valid file after a mutation runs in milliseconds.
+READERS = {
+    "state": [["process", "build", "--state"],
+              ["memory", "strength", "--instrument", "z", "--process"],
+              ["tomo", "reconstruct", "--shots", "2700", "--state"]],
+    "process": [["process", "check", "--process"],
+                ["recover", "build", "--instrument", "theta", "--process"],
+                ["memory", "survey", "--samples", "100", "--process"]],
+    "instrument": [["instrument", "dual", "--name"],
+                   ["memory", "strength", "--process", "lambda",
+                    "--instrument"]],
+    "circuit": [["walk", "verify", "--target", "theta", "--circuit"]],
+    "config": [["run", "--config"]],
+    "custom": [["run", "--config"]],
+    "counts": [["tomo", "reconstruct", "--counts"],
+               ["tomo", "bootstrap", "--resamples", "4", "--counts"]],
+}
+ANY_VALUE = st.one_of(*_VALUES.values())
+
+
+def _extra_leg(kind, doc):
+    """doc with one more qubit leg, or None where the kind has no legs: the
+    state and process matrices gain an I/2 factor, each element an I."""
+    if kind in ("state", "process"):
+        m = mat_from_json(doc["matrix"])
+        doc["matrix"] = mat_to_json(np.kron(m, np.eye(2) / 2))
+        if kind == "state":
+            doc["dims"].append(2)
+        else:
+            doc["layout"].append(["D_in", 2, "in"])
+    elif kind == "instrument":
+        doc["dim"] *= 2
+        doc["elements"] = [mat_to_json(np.kron(mat_from_json(e), np.eye(2)))
+                           for e in doc["elements"]]
+    elif kind == "counts":
+        for row in doc[1:]:
+            row[0] += "/Z"
+    else:
+        return None
+    return doc
+
+
+def _position(data, node):
+    return (data.draw(st.integers(0, len(node) - 1)) if isinstance(node, list)
+            else data.draw(st.sampled_from(sorted(node))))
+
+
+def _mutate_anywhere(data, kind, doc, mutation):
+    """doc with one node mutated, at a path that descends from the root
+    while hypothesis draws True; an extra leg where the kind has none is a
+    size change."""
+    if mutation == "extra_leg" and _extra_leg(kind, doc) is not None:
+        return doc
+    parent, last = doc, _position(data, doc)
+    while (isinstance(parent[last], (list, dict)) and parent[last]
+           and data.draw(st.booleans())):
+        parent, last = parent[last], _position(data, parent[last])
+    node = parent[last]
+    if mutation == "missing":
+        del parent[last]
+    elif mutation == "type":
+        parent[last] = data.draw(ANY_VALUE)
+    elif mutation == "negative":  # a number's sign, else a negative number
+        parent[last] = (
+            -abs(node) if type(node) in (int, float) and node
+            else "-" + node if isinstance(node, str) and node.isdigit()
+            else -data.draw(st.integers(1, 3)))
+    elif mutation == "nan":
+        parent[last] = data.draw(st.sampled_from([math.nan, math.inf,
+                                                  -math.inf]))
+    elif isinstance(node, list) and node:  # size: one element more or less
+        if data.draw(st.booleans()):
+            node.append(copy.deepcopy(node[-1]))
+        else:
+            del node[-1]
+    elif isinstance(node, dict):
+        node["extra"] = 1
+    elif type(node) in (int, float):
+        parent[last] = node + data.draw(st.integers(1, 2))
+    else:
+        parent[last] = str(node) + "1"
+    return doc
+
+
+@pytest.mark.parametrize("kind", sorted(READERS))
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_any_one_field_mutation_exits_cleanly(kind, data):
+    # one change anywhere in a valid file (type, sign, size, NaN, a missing
+    # key or an extra leg) ends in exit 0, 2 or 3, never a traceback
+    doc = copy.deepcopy(VALID[kind])
+    mutation = data.draw(st.sampled_from(
+        ["type", "negative", "size", "nan", "missing", "extra_leg"]))
+    doc = _mutate_anywhere(data, kind, doc, mutation)
+    text = ("\n".join(",".join(map(str, row)) if isinstance(row, list)
+                      else str(row) for row in doc) + "\n"
+            if kind == "counts" else json.dumps(doc))
+    argv = data.draw(st.sampled_from(READERS[kind]))
+    with tempfile.TemporaryDirectory() as tmp:
+        name = os.path.join(tmp, "input.csv" if kind == "counts"
+                            else "input.json")
+        with open(name, "w") as fh:
+            fh.write(text)
+        cwd = os.getcwd()
+        os.chdir(tmp)  # a config's output file lands here
+        try:
+            code, _, err = _run(argv + [name])
+        except SystemExit as exc:  # argparse, in a custom command
+            code, err = exc.code, ""
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 2, 3), (mutation, text[:300], code, err)
+    assert "Traceback" not in err

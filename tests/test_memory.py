@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from proctensor import memory
 from proctensor.instruments import instrument, instrument_by_name, z_basis
 from proctensor.linalg import kron, partial_trace, relative_entropy
 from proctensor.memory import (
@@ -178,6 +179,10 @@ def test_reports_share_one_event_table(dims):
                                         rec.events, strict=True):
         assert pr == e["probability"] == rpr
         assert mi == e["mutual_information"]
+    # the Markov-order test is a view of the memory report, at the default
+    # tolerance and at criterion 3's
+    assert (ok, detail) == rep.markov_order()
+    assert markov_order_test(p, z, 1e-10) == rep.markov_order(1e-10)
 
 
 def test_markov_order():
@@ -221,6 +226,23 @@ def test_survey_validation():
         projective_survey(p, 0.0125, 50, seed=0)
     with pytest.raises(ValueError, match=r"input dims are \(2, 3, 2\)"):
         projective_survey(ome_process(), 0.0125, 1000, seed=0)
+
+
+class SurveyRan(Exception):
+    pass
+
+
+def test_survey_sample_cap(monkeypatch):
+    # samples are capped at 2**24 before the survey draws or allocates
+    def run(*args):
+        raise SurveyRan
+    monkeypatch.setattr(memory, "_survey_mi", run)
+    p = lam_process()
+    for samples in (2 ** 24 + 1, 10 ** 20):
+        with pytest.raises(ValueError, match=f"samples {samples} is over"):
+            projective_survey(p, 0.0125, samples, seed=0)
+    with pytest.raises(SurveyRan):  # the largest allowed
+        projective_survey(p, 0.0125, 2 ** 24, seed=0)
 
 
 def _generic(rng, dims):

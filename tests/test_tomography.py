@@ -79,6 +79,53 @@ def test_simulate_counts_deterministic_split():
     assert tiny.shots == (1,) * 27
 
 
+@pytest.mark.parametrize("name", ["lambda", "omega"])
+def test_integer_shot_split_keeps_every_rounded_count(name):
+    # the shot values of the tests, presets and benchmark workloads, over
+    # 27 (lambda) and 81 (omega) settings: the split rounds as the float
+    # division did
+    g, dims = state_by_name(name)
+    n = len(product_settings(dims))
+    for shots in (5, 2700, 8100, 20000, 27000, 50000, 10 ** 5, 10 ** 6,
+                  4 * 10 ** 6):
+        assert simulate_counts(g, dims, shots, seed=0).shots == (
+            max(1, round(shots / n)),) * n
+
+
+class Drawn(Exception):
+    pass
+
+
+def _drawn(*args, **kwargs):
+    raise Drawn
+
+
+def test_shot_split_must_fit_int64(monkeypatch):
+    g, dims = state_by_name("lambda")
+    top = np.iinfo(np.int64).max
+    monkeypatch.setattr(np.random, "default_rng", _drawn)
+    for shots in (27 * top + 14, 10 ** 21):  # rounds to top + 1 or beyond
+        with pytest.raises(ValueError, match=f"shots {shots} over 27 "
+                           "settings is .* beyond the int64 range"):
+            simulate_counts(g, dims, shots, seed=0)
+    with pytest.raises(Drawn):  # the largest split allowed
+        simulate_counts(g, dims, 27 * top + 13, seed=0)
+
+
+def test_bootstrap_resample_cap(monkeypatch):
+    # resamples times the table's count entries is capped at 2**24 before
+    # any resample is drawn
+    g, dims = state_by_name("lambda")
+    counts = simulate_counts(g, dims, 2700, seed=0)  # 27 x 8 entries
+    monkeypatch.setattr(np.random, "SeedSequence", _drawn)
+    for resamples in (2 ** 24 // 216 + 1, 10 ** 20):
+        with pytest.raises(ValueError, match=f"resamples {resamples} of 216 "
+                           "count entries each redraw over 2\\*\\*24"):
+            bootstrap(counts, dims, np.trace, resamples=resamples, seed=0)
+    with pytest.raises(Drawn):  # the largest allowed
+        bootstrap(counts, dims, np.trace, resamples=2 ** 24 // 216, seed=0)
+
+
 def test_exact_frequency_inversion():
     # |01><01| has dyadic outcome probabilities in every product setting,
     # so exact frequencies reconstruct it to machine precision
@@ -340,9 +387,11 @@ def test_estimate_equals_per_row_matvecs(dims):
 
 def test_simulate_counts_rejects_nonpositive_shots():
     g, dims = state_by_name("lambda")
-    for shots in (0, -5):
+    for shots in (0, -5, float("nan")):
         with pytest.raises(ValueError, match="shots must be at least 1"):
             simulate_counts(g, dims, shots, seed=0)
+    with pytest.raises(ValueError, match="beyond the int64 range"):
+        simulate_counts(g, dims, float("inf"), seed=0)
 
 
 def test_reconstruct_and_bootstrap_reject_ragged_tables():
