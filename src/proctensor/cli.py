@@ -26,9 +26,9 @@ from .instruments import (INSTRUMENTS, Instrument, dual_frame,
 from .linalg import (builtin, fidelity, json_number, json_object,
                      mat_from_json, mat_to_json, partial_trace,
                      path_or_handle, write_json)
-from .presets import (PRESET_SEEDS, PRESETS, SURVEY_CUTOFF, SURVEY_SAMPLES,
-                      TOMO_RESAMPLES, TOMO_SHOTS, _verify_circuit,
-                      references)
+from .presets import (CIRCUIT_MATCH_TOL, PRESET_SEEDS, PRESETS,
+                      SURVEY_CUTOFF, SURVEY_SAMPLES, TOMO_RESAMPLES,
+                      TOMO_SHOTS, _verify_circuit, references)
 from .process import (LEGS, ProcessTensor, born_probability,
                       build_common_cause, check_causality)
 from .states import STATES, state_by_name
@@ -346,6 +346,9 @@ def _cmd_walk_verify(args) -> int:
                          "only a built-in circuit defaults to its own "
                          "instrument")
     target = _load_instrument(args.target or key)
+    if target.dim != 2:
+        raise ValueError(f"--target dimension {target.dim} differs from "
+                         "the circuit's POVM dimension 2")
     block = _verify_circuit(circuit, target, args.seed)
     block = {"circuit": str(args.circuit),
              "target": (target.name or str(args.target)), **block}
@@ -552,7 +555,7 @@ def build_parser(parser=argparse.ArgumentParser) -> argparse.ArgumentParser:
              "extract the circuit POVM and compare to a target", "--circuit",
              out=False)
     sp.add_argument("--target")
-    sp.add_argument("--tol", type=float, default=1e-8)
+    sp.add_argument("--tol", type=float, default=CIRCUIT_MATCH_TOL)
     sp.add_argument("--seed", type=_seed, default=PRESET_SEEDS["walk_verify"])
     sp.add_argument("--out")
 

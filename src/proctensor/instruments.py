@@ -53,8 +53,11 @@ class Instrument:
         if len(dims) != 1:
             raise ValueError("element dimensions disagree")
         total = sum(e.matrix for e in self.elements)
-        if np.abs(total - np.eye(self.dim)).max() > 1e-10:
-            raise ValueError("elements do not sum to the identity")
+        resid = float(np.abs(total - np.eye(self.dim)).max())
+        if resid > 1e-10:
+            raise ValueError(
+                f"instrument {self.name!r}: elements do not sum to the "
+                f"identity (max entrywise residual {resid:.3g})")
 
     @property
     def dim(self) -> int:

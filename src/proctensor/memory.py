@@ -122,8 +122,13 @@ def memory_strength(p: ProcessTensor, inst: Instrument) -> MemoryReport:
     """Per-event A:C mutual information and trace distance to product after
     the middle party's instrument fires, plus uniform and probability
     weighted aggregates. Impossible events are flagged, numbered from 1."""
+    return _report(_events(p, inst))
+
+
+def _report(events: list) -> MemoryReport:
+    """memory_strength's report from one _events pass."""
     rows = []
-    for ev in _events(p, inst):
+    for ev in events:
         if ev is None:
             rows.append((0.0, 0.0, 0.0))
             continue

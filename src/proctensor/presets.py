@@ -15,8 +15,7 @@ import numpy as np
 
 from .instruments import _REF_THETA_WEIGHTS, instrument_by_name
 from .linalg import fidelity, kron, mat_to_json, trace_distance
-from .process import (born_probability, build_common_cause,
-                      condition_instrument)
+from .process import born_probability, build_common_cause
 from .states import STATES, state_by_name, werner
 
 # memory, recovery, tomography and walk load in the functions that use them
@@ -54,9 +53,11 @@ def _zero(tolerance):
 # N(lambda): the tabulated value and the measured 0.285(4)
 _N_LAMBDA = (Reference(_TH, 0.329), Reference(_EX, 0.285, uncertainty=0.004))
 _TABULATED_RECOVERY = Reference(_TH, 1.0, 1e-10)
-# a walk circuit against its target instrument
-CIRCUIT_REFERENCES = {"literal_max_deviation": _zero(1e-8),
-                      "rotated_max_deviation": _zero(1e-8),
+# a walk circuit against its target instrument: it matches literally or
+# in a rotated frame within CIRCUIT_MATCH_TOL, the `walk verify --tol` default
+CIRCUIT_MATCH_TOL = 1e-8
+CIRCUIT_REFERENCES = {"literal_max_deviation": _zero(CIRCUIT_MATCH_TOL),
+                      "rotated_max_deviation": _zero(CIRCUIT_MATCH_TOL),
                       "born_consistency_max": _zero(1e-10)}
 
 REFERENCES = {
@@ -207,7 +208,8 @@ def preset_process1(refs=REFERENCES["process1"]) -> dict:
 
 def preset_process2(refs=REFERENCES["process2"]) -> dict:
     """Qubit-qutrit common-cause process: exact Markov-order-one middle."""
-    from .memory import memory_strength
+    from .memory import _report, memory_strength
+    from .process import _events
     from .recovery import recover, reference_recovered_omega
     g, dims, p, r = _process_report("omega", refs)
     xi = instrument_by_name("xi")
@@ -217,21 +219,22 @@ def preset_process2(refs=REFERENCES["process2"]) -> dict:
     r["xi_memory"] = repx.as_dict()
     r["xi_max_event_memory"] = _entry(repx.max_event, refs,
                                       "xi_max_event_memory")
-    reps = memory_strength(p, sharp)
+    # one event pass feeds both the memory report and the Werner residuals
+    events = _events(p, sharp)
+    reps = _report(events)
     r["qutrit_sharp_memory"] = reps.as_dict()
     r["qutrit_sharp_event_memory"] = [
         _entry(mi, refs, "qutrit_sharp_event_memory", i)
         for i, (_, mi) in enumerate(reps.per_event)]
-    conds = condition_instrument(p, "B", sharp)[:4]
     change = kron(np.eye(2), _WERNER_FRAME)
     lit = rot = 0.0
-    for i, cond in enumerate(conds):
+    for i, (_, state, _, _) in enumerate(events[:4]):
         lit = max(lit, min(
-            trace_distance(cond.state, werner(x, 1.0 / 3.0))
+            trace_distance(state, werner(x, 1.0 / 3.0))
             for x in (1, 2, 3, 4)))
         target = change.conj().T @ werner(
             _WERNER_EVENT_BELL[i], 1.0 / 3.0) @ change
-        rot = max(rot, float(np.max(np.abs(cond.state - target))))
+        rot = max(rot, float(np.max(np.abs(state - target))))
     r["werner_literal_max_trace_distance"] = _entry(
         lit, refs, "werner_literal_max_trace_distance")
     r["werner_rotated_residual"] = _entry(rot, refs,
@@ -277,9 +280,9 @@ def _verify_circuit(circuit, target, seed, refs=CIRCUIT_REFERENCES,
               for a, b in zip(target.elements, extracted.elements))
     rotation, rot = align_frames(target.matrices(), extracted.matrices())
     born = _walk_born_consistency(circuit, extracted, seed)
-    if lit <= 1e-8:
+    if lit <= CIRCUIT_MATCH_TOL:
         match = "exact"
-    elif rot <= 1e-8:
+    elif rot <= CIRCUIT_MATCH_TOL:
         match = "rotated_frame"
     else:
         match = "none"

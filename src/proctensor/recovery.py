@@ -237,7 +237,8 @@ def noisy_replay(gamma: np.ndarray, dims, strengths) -> np.ndarray:
         raise ValueError("need one strength per leg")
     for s in strengths:
         if not 0.0 <= s <= 1.0:
-            raise ValueError("depolarizing strength must be in [0, 1]")
+            raise ValueError(
+                f"depolarizing strength must be in [0, 1], got {s}")
     for k, s in enumerate(strengths):
         if s == 0.0:
             continue

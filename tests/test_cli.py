@@ -15,7 +15,7 @@ from proctensor.linalg import builtin, mat_from_json, mat_to_json
 from proctensor.presets import PRESETS
 from proctensor.states import lambda_state, state_by_name
 from proctensor.tomography import counts_to_csv, simulate_counts
-from proctensor.walk import circuit_by_name, save_circuit
+from proctensor.walk import circuit_by_name, circuit_to_json, save_circuit
 
 
 def run_cli(capsys, argv):
@@ -284,6 +284,12 @@ def _nonhermitian_state():
     return "state.json", json.dumps({"dims": list(dims), "matrix": matrix})
 
 
+# a valid three-element instrument on a qutrit, not a qubit
+QUTRIT_Z = ("qutrit_z.json", json.dumps(
+    {"dim": 3, "name": "qutrit_z",
+     "elements": [mat_to_json(np.diag(e)) for e in np.eye(3)]}))
+
+
 def _config(**cfg):
     return "cfg.json", json.dumps({"preset": "process2", **cfg})
 
@@ -424,6 +430,11 @@ PROCESS2_KEYS = ("['cmi', 'non_markovianity', 'qutrit_sharp_event_memory', "
     (["tomo", "bootstrap", "--resamples", str(10 ** 20), "--counts"],
      _lambda_counts(lambda rows: rows),
      f"resamples {10 ** 20} of 216 count entries each redraw over 2**24"),
+    (["walk", "verify", "--circuit", "theta", "--target"], QUTRIT_Z,
+     "--target dimension 3 differs from the circuit's POVM dimension 2"),
+    (["recover", "scan", "--process", "lambda", "--instrument", "theta",
+      "--noise", "2", "--out"], ("scan.csv", ""),
+     "depolarizing strength must be in [0, 1], got 2.0"),
 ], ids=["reconstruct-header-only", "bootstrap-header-only",
         "reconstruct-no-count-column", "bootstrap-no-count-column",
         "reconstruct-unknown-basis", "bootstrap-unknown-basis",
@@ -450,7 +461,8 @@ PROCESS2_KEYS = ("['cmi', 'non_markovianity', 'qutrit_sharp_event_memory', "
         "config-custom-case-ignored-keys", "config-command-without-custom",
         "build-two-legs", "build-four-legs", "strength-two-legs",
         "recover-four-legs", "scan-grid-over-cap", "simulate-shots-over-int64",
-        "survey-samples-over-cap", "bootstrap-resamples-over-cap"])
+        "survey-samples-over-cap", "bootstrap-resamples-over-cap",
+        "walk-target-qutrit", "scan-noise-over-one"])
 def test_malformed_input_exits_two(tmp_path, monkeypatch, capsys, argv,
                                    bad_input, expect):
     # no malformed input may get as far as building a scan's grid or
@@ -651,6 +663,36 @@ def test_shot_split_is_exact_in_integers(tmp_path, capsys):
     assert 27 * per_setting == 100000000000000000008
 
 
+def _rounded_circuit(tmp_path, name, digits):
+    """A built-in circuit saved with every coin entry rounded."""
+    obj = circuit_to_json(circuit_by_name(name))
+    for step in obj["steps"]:
+        for coin in step["coins"].values():
+            for part in ("re", "im"):
+                coin[part] = [round(v, digits) for v in coin[part]]
+    path = tmp_path / f"{name}_{digits}.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+@pytest.mark.parametrize("name, digits, code, err", [
+    ("theta", 10, 0, ""), ("tetra", 11, 0, ""),
+    ("tetra", 10, 2, "error: instrument 'tetra': elements do not sum to the "
+     "identity (max entrywise residual 1.26e-10)\n")],
+    ids=["theta-10", "tetra-11", "tetra-10"])
+def test_rounded_circuit(tmp_path, capsys, name, digits, code, err):
+    # the rounded coins pass the coin check and no walker step checks a
+    # norm again; completeness is checked once, on the extracted POVM,
+    # which tetra at 10 decimals misses by 1.26e-10 entrywise
+    path = _rounded_circuit(tmp_path, name, digits)
+    got = run_cli(capsys, ["walk", "verify", "--circuit", path,
+                           "--target", name])
+    assert (got[0], got[2]) == (code, err)
+    if code == 0:
+        assert json.loads(got[1])["match"] == ("exact" if name == "theta"
+                                               else "rotated_frame")
+
+
 @pytest.mark.parametrize("argv, builds", [
     (["memory", "strength", "--process", "lambda", "--instrument", "theta"],
      ["theta"]),
@@ -673,6 +715,20 @@ def test_one_event_table_per_process_instrument(monkeypatch, capsys, argv,
     code, _, _ = run_cli(capsys, argv)
     assert code == 0
     assert seen == builds
+
+
+def test_process2_conditions_each_event_once(monkeypatch, capsys):
+    # xi's 2 events for its report and for recover, qutrit_sharp's 5 once
+    # for both its report and the Werner residuals
+    condition, calls = process.condition, []
+
+    def counted(p, party, element):
+        calls.append(party)
+        return condition(p, party, element)
+    monkeypatch.setattr(process, "condition", counted)
+    code, _, _ = run_cli(capsys, ["preset", "process2"])
+    assert code == 0
+    assert calls == ["B"] * 9
 
 
 @pytest.mark.parametrize("command", [

@@ -33,7 +33,7 @@ from proctensor.linalg import mat_from_json, mat_to_json
 from proctensor.process import LEGS, build_common_cause
 from proctensor.states import state_by_name
 from proctensor.tomography import counts_to_csv, simulate_counts
-from proctensor.walk import circuit_by_name, circuit_to_json
+from proctensor.walk import UNITARY_TOL, circuit_by_name, circuit_to_json
 
 EXAMPLES = settings(max_examples=8, deadline=None, derandomize=True)
 
@@ -425,3 +425,32 @@ def test_any_one_field_mutation_exits_cleanly(kind, data):
             os.chdir(cwd)
     assert code in (0, 2, 3), (mutation, text[:300], code, err)
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["theta", "tetra"])
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_coin_check_is_the_only_unitarity_gate(name, data):
+    # every coin of a built-in circuit moved by E with ||E||_F <= 0.45 *
+    # UNITARY_TOL, so ||U'^dag U' - 1||_F stays under UNITARY_TOL and the
+    # coin check passes; the run then verifies the circuit or rejects it
+    # with a message naming it. Zero entries move only when leak is drawn,
+    # and a leak may reach ports the circuit does not declare
+    doc = circuit_to_json(circuit_by_name(name))
+    coins = [coin for step in doc["steps"] for coin in step["coins"].values()]
+    unit = 0.45 * UNITARY_TOL / math.sqrt(8)
+    leak = data.draw(st.booleans())
+    shifts = data.draw(st.lists(st.floats(-1, 1), min_size=8 * len(coins),
+                                max_size=8 * len(coins)))
+    for k, coin in enumerate(coins):
+        for part, e in (("re", shifts[8 * k:8 * k + 4]),
+                        ("im", shifts[8 * k + 4:8 * k + 8])):
+            coin[part] = [v + unit * d if v or leak else v
+                          for v, d in zip(coin[part], e)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "circuit.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        code, _, err = _run(["walk", "verify", "--circuit", path,
+                             "--target", name])
+    assert code in (0, 3) or (code == 2 and repr(name) in err), err

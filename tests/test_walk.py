@@ -7,7 +7,7 @@ import pytest
 from proctensor import walk
 from proctensor.instruments import instrument_by_name
 from proctensor.walk import (
-    BITFLIP, WalkCircuit, WalkState, _su2_from_rotation, align_frames,
+    BITFLIP, WalkCircuit, _su2_from_rotation, align_frames,
     apply_coins,
     bloch_vector, circuit_by_name, circuit_from_json, circuit_to_json,
     coin_state, extract_povm, load_circuit, port_probabilities,
@@ -36,8 +36,8 @@ def test_walk_state_and_translate():
     s = coin_state(np.array([1, 1]) / np.sqrt(2))
     t = translate(s)
     assert t.positions == (-1, 1)
-    with pytest.raises(ValueError):
-        WalkState({(0, 0): 1.0, (0, 1): 1.0})
+    with pytest.raises(ValueError, match="coin state norm 2.0"):
+        coin_state([1, 1])
 
 
 def test_apply_coins_checks_and_warns():
