@@ -23,6 +23,8 @@ PAULI = (
 )
 
 GRAM_COND_MAX = 1e12
+# max entrywise residual of sum(elements) - 1 an instrument may carry
+COMPLETENESS_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -54,7 +56,7 @@ class Instrument:
             raise ValueError("element dimensions disagree")
         total = sum(e.matrix for e in self.elements)
         resid = float(np.abs(total - np.eye(self.dim)).max())
-        if resid > 1e-10:
+        if resid > COMPLETENESS_TOL:
             raise ValueError(
                 f"instrument {self.name!r}: elements do not sum to the "
                 f"identity (max entrywise residual {resid:.3g})")

@@ -220,11 +220,11 @@ def mat_from_json(obj: dict, where: str = "matrix") -> np.ndarray:
 
 
 @contextlib.contextmanager
-def path_or_handle(target, mode: str = "r"):
+def path_or_handle(target, mode: str = "r", encoding=None):
     """Open a path for the block and close it after, or pass an open
     handle through untouched."""
     if isinstance(target, (str, bytes, os.PathLike)):
-        with open(target, mode, newline="") as fh:
+        with open(target, mode, newline="", encoding=encoding) as fh:
             yield fh
     else:
         yield target

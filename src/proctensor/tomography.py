@@ -19,6 +19,7 @@ import functools
 import math
 from dataclasses import dataclass
 from itertools import product as iproduct
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -30,6 +31,7 @@ _QUBIT = {
     "Z": np.eye(2, dtype=complex),
 }
 _QUBIT_ORDER = ("X", "Y", "Z")
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def qubit_bases() -> list[tuple[str, np.ndarray]]:
@@ -62,9 +64,23 @@ def _leg_bases(d: int) -> list[tuple[str, np.ndarray]]:
 
 def product_settings(dims) -> list[tuple[str, np.ndarray]]:
     """All products of per-leg bases; labels join leg labels with '/'."""
-    per_leg = [[lbl for lbl, _ in _leg_bases(int(d))] for d in dims]
-    labels = ["/".join(combo) for combo in iproduct(*per_leg)]
-    return list(zip(labels, _unitaries(labels, dims)))
+    labels, U = _settings(dims)
+    return list(zip(labels, U.copy()))
+
+
+def _settings(dims) -> tuple[tuple, np.ndarray]:
+    """Labels and read-only (n, d, d) unitary stack of every product
+    setting, shared by every call with the same dims (list or tuple)."""
+    return _cached_settings(tuple(int(d) for d in dims))
+
+
+@functools.lru_cache(maxsize=4)
+def _cached_settings(dims: tuple) -> tuple[tuple, np.ndarray]:
+    per_leg = [[lbl for lbl, _ in _leg_bases(d)] for d in dims]
+    labels = tuple("/".join(combo) for combo in iproduct(*per_leg))
+    U = _unitaries(labels, dims)
+    U.flags.writeable = False
+    return labels, U
 
 
 def _unitaries(labels, dims) -> np.ndarray:
@@ -111,10 +127,19 @@ class CountsTable:
         shots = tuple(int(s) for s in self.shots)
         if len(self.labels) != len(counts) or len(counts) != len(shots):
             raise ValueError("labels, counts, shots must align")
-        for c, s in zip(counts, shots):
-            if c.min() < 0:
+        # one pass over the whole table: a trailing 0 keeps every segment
+        # start in range, and an empty setting's reductions go unread
+        sizes = [c.size for c in counts]
+        flat = np.concatenate([*(c.ravel() for c in counts), [0]])
+        starts = np.cumsum([0, *sizes[:-1]])
+        low = np.minimum.reduceat(flat, starts).tolist()
+        total = np.add.reduceat(flat, starts).tolist()
+        for lbl, size, lo, t, s in zip(self.labels, sizes, low, total, shots):
+            if not size:
+                raise ValueError(f"setting {lbl!r} has no outcomes")
+            if lo < 0:
                 raise ValueError("negative count")
-            if int(c.sum()) != s:
+            if t != s:
                 raise ValueError("per-setting counts must sum to shots")
         object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "counts", counts)
@@ -135,18 +160,17 @@ def simulate_counts(gamma: np.ndarray, dims, shots: int,
     """
     if not shots >= 1:  # NaN too
         raise ValueError(f"shots must be at least 1, got {shots}")
-    settings = product_settings(dims)
-    n = len(settings)
+    labels, U = _settings(dims)
+    n = len(labels)
     split = (2 * shots + n) // (2 * n)
-    if not split <= np.iinfo(np.int64).max:  # inf // n is NaN
+    if not split <= _INT64_MAX:  # inf // n is NaN
         raise ValueError(f"shots {shots} over {n} settings is {split} per "
                          "setting, beyond the int64 range")
     shots_per = max(1, split)
-    P = born_probabilities(gamma, np.array([U for _, U in settings]))
+    P = born_probabilities(gamma, U)
     # one 2-D draw takes the rows from the stream in setting order
     counts = np.random.default_rng(seed).multinomial(shots_per, P)
-    return CountsTable(tuple(l for l, _ in settings), tuple(counts),
-                       (shots_per,) * len(settings))
+    return CountsTable(labels, tuple(counts), (shots_per,) * n)
 
 
 def inversion_matrix(mats, d: int) -> np.ndarray:
@@ -275,35 +299,58 @@ _CSV_COLUMNS = ("setting", "outcome", "count")
 
 
 def counts_to_csv(counts: CountsTable, path) -> None:
+    """Write the table as `setting,outcome,count` rows, CRLF-terminated,
+    each label quoted as csv.writer quotes a field."""
+    quoted = []  # each label in a row (label, ''), which ends ',\r\n'
+    csv.writer(SimpleNamespace(write=quoted.append)).writerows(
+        (lbl, "") for lbl in counts.labels)
+    lines = [",".join(_CSV_COLUMNS) + "\r\n"]
+    for q, c in zip(quoted, counts.counts):
+        q = q[:-2]
+        lines += [f"{q}{k},{n}\r\n" for k, n in enumerate(c.tolist())]
     with path_or_handle(path, "w") as fh:
-        w = csv.writer(fh)
-        w.writerow(_CSV_COLUMNS)
-        for lbl, c in zip(counts.labels, counts.counts):
-            for k, n in enumerate(c):
-                w.writerow([lbl, k, int(n)])
+        fh.write("".join(lines))
 
 
-def _csv_int(row: dict, column: str) -> int:
-    try:
-        return int(row[column])
-    except (TypeError, ValueError):
-        raise ValueError(f"setting {row['setting']!r}: column {column!r} "
-                         f"holds {row[column]!r}, not an integer") from None
+def _not_integer(lbl, column: str, cell) -> ValueError:
+    return ValueError(f"setting {lbl!r}: column {column!r} holds {cell!r}, "
+                      "not an integer")
 
 
 def counts_from_csv(path) -> CountsTable:
-    with path_or_handle(path) as fh:
-        reader = csv.DictReader(fh)
-        rows = list(reader)
-    missing = [c for c in _CSV_COLUMNS if c not in (reader.fieldnames or ())]
+    """Read a counts CSV: a header naming setting, outcome and count once
+    each (in any order, after an optional UTF-8 byte-order mark), then one
+    row per (setting, outcome). Rows are checked in file order, so an error
+    names the first offending row; a short row's missing cells read None.
+    """
+    with path_or_handle(path, encoding="utf-8-sig") as fh:
+        rows = list(csv.reader(fh))
+    header = rows[0] if rows else []
+    missing = [c for c in _CSV_COLUMNS if c not in header]
     if missing:
         raise ValueError(f"counts table lacks column(s) {missing}")
-    if not rows:
+    repeated = [c for c in _CSV_COLUMNS if header.count(c) > 1]
+    if repeated:
+        raise ValueError(f"counts table names column(s) {repeated} more "
+                         "than once")
+    body = [row for row in rows[1:] if row]  # a blank line reads as []
+    if not body:
         raise ValueError("counts table has no rows")
+    at_s, at_k, at_n = map(header.index, _CSV_COLUMNS)
+    width = max(at_s, at_k, at_n) + 1
     per = {}  # setting -> {outcome: count}, in file order
-    for row in rows:
-        lbl = row["setting"]
-        k, n = _csv_int(row, "outcome"), _csv_int(row, "count")
+    for row in body:
+        if len(row) < width:
+            row += [None] * (width - len(row))
+        lbl, k, n = row[at_s], row[at_k], row[at_n]
+        try:
+            k = int(k)
+        except (TypeError, ValueError):
+            raise _not_integer(lbl, "outcome", k) from None
+        try:
+            n = int(n)
+        except (TypeError, ValueError):
+            raise _not_integer(lbl, "count", n) from None
         outcomes = per.setdefault(lbl, {})
         if k < 0:
             raise ValueError(f"setting {lbl!r} has negative outcome {k}")
@@ -313,16 +360,22 @@ def counts_from_csv(path) -> CountsTable:
             raise ValueError(f"setting {lbl!r} has negative count {n} for "
                              f"outcome {k}")
         outcomes[k] = n
-    counts = []
+    values, sizes, shots = [], [], []
     for lbl, outcomes in per.items():
-        for k in range(len(outcomes)):
-            if k not in outcomes:
-                raise ValueError(f"setting {lbl!r} has no row for outcome "
-                                 f"{k}")
-        if sum(outcomes.values()) > np.iinfo(np.int64).max:
+        # distinct outcomes >= 0 cover 0..m-1 exactly when the largest is m-1
+        m = len(outcomes)
+        if max(outcomes) != m - 1:
+            gap = next(k for k in range(m) if k not in outcomes)
+            raise ValueError(f"setting {lbl!r} has no row for outcome {gap}")
+        ordered = [outcomes[k] for k in range(m)]
+        total = sum(ordered)
+        if total > _INT64_MAX:
             raise ValueError(f"setting {lbl!r}: column 'count' sums beyond "
                              "the int64 range")
-        counts.append(np.array([outcomes[k] for k in range(len(outcomes))],
-                               dtype=np.int64))
-    return CountsTable(tuple(per), tuple(counts),
-                       tuple(int(c.sum()) for c in counts))
+        values += ordered
+        sizes.append(m)
+        shots.append(total)
+    flat = np.array(values, dtype=np.int64)
+    ends = np.cumsum(sizes).tolist()
+    counts = [flat[a:b] for a, b in zip([0, *ends], ends)]
+    return CountsTable(tuple(per), tuple(counts), tuple(shots))

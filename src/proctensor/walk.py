@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instruments import PAULI, Instrument, instrument
+from .instruments import COMPLETENESS_TOL, PAULI, Instrument, instrument
 from .linalg import (builtin, json_number, json_object, mat_from_json,
                      mat_to_json, write_json)
 
@@ -138,8 +138,11 @@ def extract_povm(circuit: WalkCircuit) -> Instrument:
         warnings.simplefilter("ignore", UserWarning)
         runs = [run_protocol(basis, circuit) for basis in ((1, 0), (0, 1))]
     name = circuit.name or "walk"
-    undeclared = sorted({x for run in runs for x, pair in run.items()
-                         if max(map(abs, pair)) > PORT_AMP_TOL}
+    # a port is reached when a run ends there with more probability than
+    # completeness lets go missing; the leak of a coin within UNITARY_TOL
+    # (amplitude ~1e-11) stays below it
+    undeclared = sorted({x for run in runs for x, (a, b) in run.items()
+                         if abs(a) ** 2 + abs(b) ** 2 > COMPLETENESS_TOL}
                         - set(circuit.ports))
     if undeclared:
         raise ValueError(f"circuit {name!r}: walker reached undeclared "

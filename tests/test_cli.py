@@ -227,6 +227,22 @@ def _mixed_state(dims):
                                      "matrix": mat_to_json(np.eye(d) / d)})
 
 
+def test_reconstruct_reads_a_byte_order_mark(tmp_path, capsys):
+    # a UTF-8 byte-order mark before the header changes nothing read
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    code, _, _ = run_cli(capsys, ["tomo", "simulate", "--state", "lambda",
+                                  "--shots", "2700", "--out", str(plain)])
+    assert code == 0
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    outs = []
+    for path in (plain, marked):
+        code, out, err = run_cli(capsys, ["tomo", "reconstruct", "--counts",
+                                          str(path), "--state", "lambda"])
+        assert code == 0, err
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
 def _lambda_counts(edit):
     """A lambda counts CSV with its rows (header first) passed through
     edit; the first setting, X/X/X, holds rows 1..8."""
@@ -263,6 +279,8 @@ TEXT_COUNT = _lambda_counts(lambda rows: [rows[0], "X/X/X,0,5.5"]
                             + rows[2:])
 NEGATIVE_COUNT = _lambda_counts(lambda rows: [rows[0], "X/X/X,0,-5"]
                                 + rows[2:])
+REPEATED_COLUMN = _lambda_counts(lambda rows: [rows[0] + ",count"] + [
+    row + ",1" for row in rows[1:]])
 CUSTOM_IGNORED_KEYS = ("cfg.json", json.dumps({
     "preset": "custom", "command": ["instrument", "validate", "--name", "xi"],
     "tolerances": {"bogus": 1}, "seed": 5, "output": "x.json",
@@ -288,6 +306,13 @@ def _nonhermitian_state():
 QUTRIT_Z = ("qutrit_z.json", json.dumps(
     {"dim": 3, "name": "qutrit_z",
      "elements": [mat_to_json(np.diag(e)) for e in np.eye(3)]}))
+
+
+def _dropped_port():
+    # theta with its element-3 port (position 2) left out of the map
+    obj = circuit_to_json(circuit_by_name("theta"))
+    obj["ports"] = [port for port in obj["ports"] if port[0] != 2]
+    return "circuit.json", json.dumps(obj)
 
 
 def _config(**cfg):
@@ -435,6 +460,12 @@ PROCESS2_KEYS = ("['cmi', 'non_markovianity', 'qutrit_sharp_event_memory', "
     (["recover", "scan", "--process", "lambda", "--instrument", "theta",
       "--noise", "2", "--out"], ("scan.csv", ""),
      "depolarizing strength must be in [0, 1], got 2.0"),
+    (["tomo", "reconstruct", "--counts"], REPEATED_COLUMN,
+     "counts table names column(s) ['count'] more than once"),
+    (["tomo", "bootstrap", "--counts"], REPEATED_COLUMN,
+     "counts table names column(s) ['count'] more than once"),
+    (["walk", "verify", "--target", "theta", "--circuit"], _dropped_port(),
+     "circuit 'theta': walker reached undeclared ports [2]"),
 ], ids=["reconstruct-header-only", "bootstrap-header-only",
         "reconstruct-no-count-column", "bootstrap-no-count-column",
         "reconstruct-unknown-basis", "bootstrap-unknown-basis",
@@ -462,7 +493,9 @@ PROCESS2_KEYS = ("['cmi', 'non_markovianity', 'qutrit_sharp_event_memory', "
         "build-two-legs", "build-four-legs", "strength-two-legs",
         "recover-four-legs", "scan-grid-over-cap", "simulate-shots-over-int64",
         "survey-samples-over-cap", "bootstrap-resamples-over-cap",
-        "walk-target-qutrit", "scan-noise-over-one"])
+        "walk-target-qutrit", "scan-noise-over-one",
+        "reconstruct-repeated-column", "bootstrap-repeated-column",
+        "walk-dropped-port"])
 def test_malformed_input_exits_two(tmp_path, monkeypatch, capsys, argv,
                                    bad_input, expect):
     # no malformed input may get as far as building a scan's grid or

@@ -1,4 +1,5 @@
 """Tomography: settings, simulated counts, inversion, bootstrap, CSV."""
+import hashlib
 import io
 from functools import reduce
 
@@ -61,6 +62,76 @@ def test_counts_table_validation():
         CountsTable(("Z",), (np.array([-1, 11]),), (10,))
     with pytest.raises(ValueError):
         CountsTable(("Z", "X"), (np.array([5, 5]),), (10,))
+    with pytest.raises(ValueError, match="^setting 'X' has no outcomes$"):
+        CountsTable(("Z", "X"), (np.array([5, 5]), np.array([], int)), (10, 0))
+
+
+def _table_error_reference(labels, counts, shots):
+    """The per-setting loop the one-pass table check replaced."""
+    for lbl, c, s in zip(labels, counts, shots):
+        c = np.asarray(c, dtype=np.int64)
+        if not c.size:
+            return f"setting {lbl!r} has no outcomes"
+        if c.min() < 0:
+            return "negative count"
+        if int(c.sum()) != s:
+            return "per-setting counts must sum to shots"
+    return None
+
+
+def test_table_check_equals_per_setting_loop():
+    # ragged tables with at most a few defects: the first failing setting
+    # raises its first failing check, as the loop did
+    rng = np.random.default_rng(31)
+    for _ in range(400):
+        n = int(rng.integers(0, 6))
+        counts = [rng.integers(0, 9, size=rng.integers(0, 5))
+                  for _ in range(n)]
+        shots = [int(c.sum()) for c in counts]
+        for i in range(n):
+            if counts[i].size and rng.random() < 0.15:
+                counts[i][rng.integers(counts[i].size)] = -rng.integers(1, 4)
+            if rng.random() < 0.15:
+                shots[i] += int(rng.integers(-2, 3))
+        labels = [f"s{i}" for i in range(n)]
+        expect = _table_error_reference(labels, counts, shots)
+        if expect is None:
+            table = CountsTable(labels, counts, shots)
+            assert table.shots == tuple(shots)
+        else:
+            with pytest.raises(ValueError) as exc:
+                CountsTable(labels, counts, shots)
+            assert str(exc.value) == expect
+
+
+def test_settings_built_once_per_dims(monkeypatch):
+    # simulate_counts reads one cached, read-only stack per dims;
+    # product_settings hands out a writable copy
+    calls = []
+    build = tomography._unitaries
+
+    def counted(labels, dims):
+        calls.append(dims)
+        return build(labels, dims)
+
+    tomography._cached_settings.cache_clear()
+    monkeypatch.setattr(tomography, "_unitaries", counted)
+    try:
+        g, dims = state_by_name("lambda")
+        first = simulate_counts(g, list(dims), 2700, seed=0)
+        again = simulate_counts(g, np.array(dims), 2700, seed=0)
+        settings = product_settings(dims)
+        assert calls == [(2, 2, 2)]
+        labels, stack = tomography._settings(dims)
+        assert not stack.flags.writeable
+        settings[0][1][0, 0] = 5.0
+        assert stack[0, 0, 0] != 5.0
+        assert first.labels == again.labels == labels == tuple(
+            lbl for lbl, _ in settings)
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(first.counts, again.counts))
+    finally:
+        tomography._cached_settings.cache_clear()
 
 
 def test_simulate_counts_deterministic_split():
@@ -239,6 +310,114 @@ def test_counts_csv_roundtrip(tmp_path):
     buf.seek(0)
     again = counts_from_csv(buf)
     assert again.labels == counts.labels
+
+
+def _quoting_table():
+    # labels csv must quote (a comma, a '"', a line break), one it must not
+    # (a leading space) and an empty one
+    labels = ("a,b", 'say "hi"', " lead", "", "x\ny")
+    counts = ([1, 2], [3], [0, 4, 5], [6], [7, 0])
+    return CountsTable(labels, tuple(map(np.array, counts)),
+                       tuple(map(sum, counts)))
+
+
+def _random_232_table():
+    rho = random_density(np.random.default_rng(232), 12)
+    return simulate_counts(rho, (2, 3, 2), 8100, seed=5)
+
+
+# sha256 of the file counts_to_csv writes, as the csv.writer loop wrote it
+CSV_PINS = [
+    (lambda: simulate_counts(*state_by_name("lambda"), 2700, seed=0),
+     "de4ab76a9df2a02830d5ea815d5c6e3d9a075e61312e24ace58a4929c7e0d968"),
+    (lambda: simulate_counts(*state_by_name("omega"), 2700, seed=0),
+     "4745be8d066e6ba96ac9777dce505221f7980d3d9e5ba9ac52d225c67b33acc8"),
+    (_random_232_table,
+     "87fed0904aced449060735bf916a3769901924ca7798623be3cbbb709a0d1249"),
+    (_quoting_table,
+     "657a3d3d51fdffd1853795f7f536460415abe741f3f8adf7b977e8201755e560"),
+]
+
+
+@pytest.mark.parametrize("make, digest", CSV_PINS,
+                         ids=["lambda", "omega", "random-232", "quoting"])
+def test_counts_csv_bytes_pinned(tmp_path, make, digest):
+    path = tmp_path / "counts.csv"
+    counts_to_csv(make(), str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    table, back = make(), counts_from_csv(str(path))
+    assert back.labels == table.labels and back.shots == table.shots
+    assert [c.tolist() for c in back.counts] == [
+        c.tolist() for c in table.counts]
+
+
+H = "setting,outcome,count\r\n"
+# (file text, (labels, counts) read or the exact error message)
+READ_CASES = {
+    "lf": ("setting,outcome,count\nZ,0,3\nZ,1,7\nX,0,5\nX,1,5\n",
+           (("Z", "X"), [[3, 7], [5, 5]])),
+    "crlf": (H + "Z,0,3\r\nZ,1,7\r\nX,0,5\r\nX,1,5\r\n",
+             (("Z", "X"), [[3, 7], [5, 5]])),
+    "blank-line": (H + "Z,0,3\r\n\r\nZ,1,7\r\n\r\n", (("Z",), [[3, 7]])),
+    "blank-header": ("\r\n" + H + "Z,0,3\r\n", "counts table lacks column(s) "
+                     "['setting', 'outcome', 'count']"),
+    "missing-column-first": ("setting,outcome\r\n",
+                             "counts table lacks column(s) ['count']"),
+    "short-row": (H + "Z,0\r\nZ,1,7\r\n",
+                  "setting 'Z': column 'count' holds None, not an integer"),
+    "extra-column": (H + "Z,0,3,9\r\nZ,1,7\r\n", (("Z",), [[3, 7]])),
+    "reordered-columns": ("count,setting,outcome\r\n3,Z,0\r\n7,Z,1\r\n",
+                          (("Z",), [[3, 7]])),
+    "interleaved": (H + "Z,0,3\r\nX,0,5\r\nZ,1,7\r\nX,1,5\r\n",
+                    (("Z", "X"), [[3, 7], [5, 5]])),
+    "reversed-outcomes": (H + "Z,1,3\r\nZ,0,7\r\n", (("Z",), [[7, 3]])),
+    "whitespace": (H + "Z, 0 ,3 \r\nZ,1,\t7\r\n", (("Z",), [[3, 7]])),
+    "underscore": (H + "Z,0,1_000\r\nZ,1,7\r\n", (("Z",), [[1000, 7]])),
+    "quoted-labels": (H + '"a,b",0,3\r\n" x",0,1\r\n',
+                      (("a,b", " x"), [[3], [1]])),
+    "empty-cell": (H + "Z,,3\r\n",
+                   "setting 'Z': column 'outcome' holds '', not an integer"),
+    "negative-first": (H + "Z,-1,3\r\nZ,a,1\r\n",
+                       "setting 'Z' has negative outcome -1"),
+    "text-first": (H + "Z,a,3\r\nZ,-1,1\r\n",
+                   "setting 'Z': column 'outcome' holds 'a', not an integer"),
+    "negative-outcome-and-count": (H + "Z,-1,-1\r\n",
+                                   "setting 'Z' has negative outcome -1"),
+    "repeat-with-negative-count": (H + "Z,0,3\r\nZ,0,-1\r\n",
+                                   "setting 'Z' lists outcome 0 twice"),
+    "row-before-gap": (H + "Z,0,3\r\nZ,2,3\r\nX,0,1\r\nX,0,1\r\n",
+                       "setting 'X' lists outcome 0 twice"),
+    "first-gap": (H + "Z,0,3\r\nZ,2,3\r\nX,0,1\r\nX,2,1\r\n",
+                  "setting 'Z' has no row for outcome 1"),
+    "int64-sum": (H + "Z,0,9223372036854775807\r\nZ,1,1\r\n",
+                  "setting 'Z': column 'count' sums beyond the int64 range"),
+}
+
+
+@pytest.mark.parametrize("text, expect", READ_CASES.values(),
+                         ids=READ_CASES.keys())
+def test_counts_reader_cases(tmp_path, text, expect):
+    path = tmp_path / "counts.csv"
+    path.write_bytes(text.encode())
+    if isinstance(expect, str):
+        with pytest.raises(ValueError) as exc:
+            counts_from_csv(str(path))
+        assert str(exc.value) == expect
+    else:
+        labels, counts = expect
+        table = counts_from_csv(str(path))
+        assert table.labels == labels
+        assert [c.tolist() for c in table.counts] == counts
+        assert table.shots == tuple(map(sum, counts))
+
+
+def test_empty_counts_file_lacks_every_column(tmp_path):
+    path = tmp_path / "counts.csv"
+    path.write_bytes(b"")
+    with pytest.raises(ValueError) as exc:
+        counts_from_csv(str(path))
+    assert str(exc.value) == ("counts table lacks column(s) "
+                              "['setting', 'outcome', 'count']")
 
 
 # The batched bootstrap, the one-SVD inverse and the broadcast kron must
