@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -191,41 +192,132 @@ def _bloch_blocks(p: ProcessTensor) -> tuple:
             tuple((kind, k, b.shape[1]) for kind, k, b in blocks), commuting)
 
 
-def _worst_event_mi(blocks: tuple, kets: np.ndarray, dA: int,
-                    dC: int) -> np.ndarray:
-    """Per-ket A:C mutual information in bits, maximised over the two
-    events of the instrument {P, 1 - P}, P = |v><v| / <v|v>; kets is (n, 2)
-    of any nonzero norm. Both events are the columns of one (m, 2n) array,
-    projectors first; their A, C and AC spectra are stacked, and eigenvalues
-    at or below CLIP_EPS are dropped as von_neumann_entropy does. Equals
-    memory_strength(...).max_event ket by ket."""
+def _survey_views(blocks: tuple, sizes, dA: int, dC: int) -> dict:
+    """One working area for chunks of up to max(sizes) kets and, per size
+    n, every view of it that a chunk uses: 2n columns, projectors first.
+    The coefficient rows (row 0 all ones) are a BLAS operand, read as
+    their first 2n columns. Every other buffer is read as its head, in
+    contiguous rows, so that no ufunc call pays numpy's strided-iteration
+    setup and none reads the stale cells past that head: the (2, n, 2)
+    draws, the table product (whose leading rows later hold the entropy
+    terms), the spectrum rows, their drop mask, four scratch rows and the
+    column-major copy a block takes to eigvalsh."""
     table, layout, _ = blocks
-    n = len(kets)
-    (re0, re1), (im0, im1) = kets.real.T, kets.imag.T
-    p0, p1 = re0 ** 2 + im0 ** 2, re1 ** 2 + im1 ** 2
-    c = np.ones((4, 2 * n))  # (1, n) for the projectors, (1, -n) after
-    c[1:, :n] = np.array([2 * (re0 * re1 + im0 * im1),
-                          2 * (re0 * im1 - im0 * re1), p0 - p1]) / (p0 + p1)
-    c[1:, n:] = -c[1:, :n]
-    x = table.T @ c
-    x = x[1:] / x[0]  # each event's rows over its trace
-    w, i = [], 0
-    for kind, k, width in layout:
-        rows, i = x[i:i + width], i + width
+    cols = 2 * max(sizes)
+    c = np.empty((4, cols))
+    c[0] = 1.0
+    nw = sum(2 if kind == "qubit" else k for kind, k, _ in layout)
+    full = max([width for kind, _, width in layout if kind == "full"],
+               default=0)
+    draws, x, w, t, flat = (np.empty((rows, cols)) for rows in
+                            (2, table.shape[1], nw, 4, full))
+    drop = np.empty((nw, cols), bool)
+
+    def head(a, *shape):  # a's first cells as a contiguous array
+        return a.reshape(-1)[:math.prod(shape)].reshape(shape)
+
+    views = {}
+    for n in sizes:
+        x_n, w_n, drop_n, t_n = (head(a, len(a), 2 * n)
+                                 for a in (x, w, drop, t))
+        groups, i, j = [], 1, 0
+        for kind, k, width in layout:
+            rows, i = x_n[i:i + width], i + width
+            if kind == "diagonal":
+                groups.append((kind, (rows, w_n[j:j + k])))
+            elif kind == "qubit":  # rows a, d, Re b, Im b
+                ev = w_n[j:j + 2]
+                groups.append((kind, (*rows[:2], rows[2:], ev, *ev,
+                                      *t_n[:2])))
+                k = 2
+            else:
+                copy = head(flat, 2 * n, width)
+                groups.append((kind, (rows.T, copy, copy.view(
+                    complex).reshape(-1, k, k), w_n[j:j + k])))
+            j += k
+        h, cells, c_n = x_n[:nw], t_n.reshape(-1), c[:, :2 * n]
+        views[n] = SimpleNamespace(
+            kets=head(draws, 2, n, 2), tT=table.T, c=c_n, x=x_n,
+            w=w_n, drop=drop_n, h=h, groups=groups,
+            sq=cells[:2 * n].reshape(n, 2), p0=cells[:2 * n:2],
+            p1=cells[1:2 * n:2], sq_im=cells[2 * n:4 * n].reshape(n, 2),
+            tmp=cells[4 * n:5 * n], c1=c_n[1, :n], c2=c_n[2, :n],
+            c3=c_n[3, :n], proj=c_n[1:, :n], comp=c_n[1:, n:],
+            x0=x_n[0], x1=x_n[1:],
+            sums=((t_n[0], list(h[dA + dC:])), (t_n[1], list(h[:dA + dC]))),
+            mi=t_n[0], marg=t_n[1], proj_mi=t_n[0, :n], comp_mi=t_n[0, n:])
+    return views
+
+
+def _worst_event_mi(blocks: tuple, re: np.ndarray, im: np.ndarray, dA: int,
+                    dC: int, views: SimpleNamespace | None = None,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """Per-ket A:C mutual information in bits, maximised over the two
+    events of the instrument {P, 1 - P}, P = |v><v| / <v|v>; re and im are
+    the (n, 2) real and imaginary parts of kets of any nonzero norm. Both
+    events are columns of the working area (the _survey_views entry for
+    n; a fresh one if None), projectors first; their A, C and AC spectra
+    are stacked, and eigenvalues at or below CLIP_EPS are dropped as
+    von_neumann_entropy does. Every ufunc writes in place, its output
+    passed positionally, which numpy parses faster than out= (only
+    np.maximum must name it). Writes into out (fresh if None) and returns
+    it. Equals memory_strength(...).max_event ket by ket."""
+    n = len(re)
+    v = _survey_views(blocks, [n], dA, dC)[n] if views is None else views
+    out = np.empty(n) if out is None else out
+    # c = (1, s) for the projectors, (1, -s) after, s the Bloch vector
+    # (2 Re(v0* v1), 2 Im(v0* v1), |v0|^2 - |v1|^2) / <v|v>
+    re0, re1, im0, im1 = re[:, 0], re[:, 1], im[:, 0], im[:, 1]
+    np.multiply(re, re, v.sq)
+    np.multiply(im, im, v.sq_im)
+    np.add(v.sq, v.sq_im, v.sq)  # |v0|^2, |v1|^2
+    np.multiply(re0, re1, v.c1)
+    np.multiply(im0, im1, v.tmp)
+    np.add(v.c1, v.tmp, v.c1)
+    np.multiply(v.c1, 2.0, v.c1)
+    np.multiply(re0, im1, v.c2)
+    np.multiply(im0, re1, v.tmp)
+    np.subtract(v.c2, v.tmp, v.c2)
+    np.multiply(v.c2, 2.0, v.c2)
+    np.subtract(v.p0, v.p1, v.c3)
+    np.add(v.p0, v.p1, v.tmp)
+    np.divide(v.proj, v.tmp, v.proj)
+    np.negative(v.proj, v.comp)
+    np.matmul(v.tT, v.c, v.x)
+    np.divide(v.x1, v.x0, v.x1)  # each event's rows over its trace
+    for kind, args in v.groups:
         if kind == "diagonal":
-            w.extend(rows)
+            np.copyto(args[1], args[0])
         elif kind == "qubit":  # (t +- r)/2, r = sqrt((a - d)^2 + 4|b|^2)
-            a, d, re, im = rows
-            r = np.sqrt((a - d) ** 2 + 4 * (re ** 2 + im ** 2))
-            w += [(a + d + r) / 2, (a + d - r) / 2]
+            a, d, b, ev, plus, minus, r, u = args
+            np.multiply(b, b, ev)  # the event rows hold (Re b)^2, (Im b)^2
+            np.add(plus, minus, u)
+            np.multiply(u, 4.0, u)
+            np.subtract(a, d, r)
+            np.multiply(r, r, r)
+            np.add(r, u, r)
+            np.sqrt(r, r)
+            np.add(a, d, u)
+            np.add(u, r, plus)
+            np.subtract(u, r, minus)
+            np.multiply(ev, 0.5, ev)
         else:
-            rho = np.ascontiguousarray(rows.T).view(complex)
-            w.extend(np.linalg.eigvalsh(rho.reshape(-1, k, k)).T)
-    w = np.array(w)
-    w = np.where(w > CLIP_EPS, w, 1.0)  # 1 log 1 = 0 drops the entry
-    h = w * np.log2(w)
-    mi = h[dA + dC:].sum(axis=0) - h[:dA + dC].sum(axis=0)
-    return np.maximum(mi[:n], mi[n:])
+            rows, copy, rho, dst = args
+            np.copyto(copy, rows)
+            np.copyto(dst, np.linalg.eigvalsh(rho).T)
+    np.logical_not(np.greater(v.w, CLIP_EPS, v.drop), v.drop)
+    np.copyto(v.w, 1.0, where=v.drop)  # 1 log 1 = 0 drops the entry
+    np.log2(v.w, v.h)
+    np.multiply(v.w, v.h, v.h)
+    for total, rows in v.sums:  # row by row, as ndarray.sum(axis=0) adds
+        if len(rows) == 1:
+            np.copyto(total, rows[0])
+        else:
+            np.add(rows[0], rows[1], total)
+        for row in rows[2:]:
+            np.add(total, row, total)
+    np.subtract(v.mi, v.marg, v.mi)
+    return np.maximum(v.proj_mi, v.comp_mi, out=out)
 
 
 N_SURVEY_CHUNKS = 64
@@ -234,8 +326,10 @@ N_SURVEY_CHUNKS = 64
 def _survey_mi(p: ProcessTensor, samples: int, seed) -> np.ndarray:
     """Worst-event A:C mutual information of each Haar-random projective
     instrument at B, in bits. The kets are complex Gaussian pairs, left
-    unnormalised, drawn in 64 fixed chunks with one child seed each, so the
-    values depend only on (samples, seed)."""
+    unnormalised, drawn in 64 fixed chunks with one child seed each (real
+    parts, then imaginary parts), so the values depend only on (samples,
+    seed). One working area, sized by the largest chunk, serves every
+    chunk."""
     dA, dB, dC = p.input_dims
     if dB != 2:
         raise ValueError("survey requires a qubit middle leg (Haar "
@@ -243,15 +337,17 @@ def _survey_mi(p: ProcessTensor, samples: int, seed) -> np.ndarray:
                          f"{tuple(p.input_dims)}")
     blocks = _bloch_blocks(p)
     children = np.random.SeedSequence(seed).spawn(N_SURVEY_CHUNKS)
-    sizes = [samples // N_SURVEY_CHUNKS
-             + (1 if i < samples % N_SURVEY_CHUNKS else 0)
-             for i in range(N_SURVEY_CHUNKS)]
-    mis = []
-    for child, n in zip(children, sizes):
-        rng = np.random.default_rng(child)
-        V = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
-        mis.append(_worst_event_mi(blocks, V, dA, dC))
-    return np.concatenate(mis)
+    q, extra = divmod(samples, N_SURVEY_CHUNKS)
+    views = _survey_views(blocks, {q, q + (extra > 0)}, dA, dC)
+    mi = np.empty(samples)
+    start = 0
+    for i, child in enumerate(children):
+        n = q + (i < extra)
+        v = views[n]
+        np.random.default_rng(child).standard_normal(out=v.kets)
+        _worst_event_mi(blocks, *v.kets, dA, dC, v, mi[start:start + n])
+        start += n
+    return mi
 
 
 def projective_survey(p: ProcessTensor, cutoff: float, samples: int,
@@ -266,9 +362,10 @@ def projective_survey(p: ProcessTensor, cutoff: float, samples: int,
         raise ValueError(f"cutoff must be positive and finite, got {cutoff}")
     if samples < 100:
         raise ValueError("need at least 100 samples")
-    # a sample keeps one float64 MI, twice while the chunks are joined, and
-    # a chunk (samples / 64) takes 0.6 KiB a sample on lambda, 6.4 KiB on a
-    # (3,2,3) state: 2**24 samples bound the working set at 0.4 to 1.9 GiB
+    # a sample keeps one float64 MI, and the working area, allocated once
+    # per call for the largest chunk (samples / 64), takes 0.5 KiB a chunk
+    # sample on lambda, 6.2 KiB on a (3,2,3) state (eigvalsh's output
+    # included): 2**24 samples bound the working set at 0.25 to 1.7 GiB
     if samples > 2 ** 24:
         raise ValueError(f"samples {samples} is over 2**24")
     below = np.count_nonzero(_survey_mi(p, samples, seed) < cutoff)

@@ -321,11 +321,17 @@ def counts_from_csv(path) -> CountsTable:
     """Read a counts CSV: a header naming setting, outcome and count once
     each (in any order, after an optional UTF-8 byte-order mark), then one
     row per (setting, outcome). Rows are checked in file order, so an error
-    names the first offending row; a short row's missing cells read None.
+    names the first offending row; a short row's missing cells read None,
+    and a row without its setting cell is named by the line it ends on.
     """
     with path_or_handle(path, encoding="utf-8-sig") as fh:
-        rows = list(csv.reader(fh))
-    header = rows[0] if rows else []
+        reader = csv.reader(fh)
+        try:  # e.g. a cell longer than csv.field_size_limit()
+            rows = [(reader.line_num, row) for row in reader]
+        except csv.Error as exc:
+            raise ValueError(f"counts table line {reader.line_num}: {exc}"
+                             ) from None
+    header = rows[0][1] if rows else []
     missing = [c for c in _CSV_COLUMNS if c not in header]
     if missing:
         raise ValueError(f"counts table lacks column(s) {missing}")
@@ -333,16 +339,19 @@ def counts_from_csv(path) -> CountsTable:
     if repeated:
         raise ValueError(f"counts table names column(s) {repeated} more "
                          "than once")
-    body = [row for row in rows[1:] if row]  # a blank line reads as []
+    body = [(line, row) for line, row in rows[1:] if row]  # blank: []
     if not body:
         raise ValueError("counts table has no rows")
     at_s, at_k, at_n = map(header.index, _CSV_COLUMNS)
     width = max(at_s, at_k, at_n) + 1
     per = {}  # setting -> {outcome: count}, in file order
-    for row in body:
+    for line, row in body:
         if len(row) < width:
             row += [None] * (width - len(row))
         lbl, k, n = row[at_s], row[at_k], row[at_n]
+        if lbl is None:
+            raise ValueError(f"counts table line {line} has no cell for "
+                             "column 'setting'")
         try:
             k = int(k)
         except (TypeError, ValueError):

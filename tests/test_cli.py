@@ -260,6 +260,11 @@ ZERO_SHOTS = _lambda_counts(lambda rows: [rows[0]] + [
     f"X/X/X,{k},0" for k in range(8)] + rows[9:])
 NO_COUNT_COLUMN = ("counts.csv", "setting,outcome\nX/X/X,0\n")
 UNKNOWN_BASIS = ("counts.csv", "setting,outcome,count\nQ/X/X,0,5\n")
+# a label longer than csv's default field limit (131072 characters)
+HUGE_CELL = ("counts.csv",
+             "setting,outcome,count\n" + "X" * 200000 + ",0,5\n")
+# setting is the last column, so a two-cell row lacks it
+NO_SETTING_CELL = ("counts.csv", "outcome,count,setting\n0,3\n")
 SHORT_STATE = _short_state()
 WRONG_DIMS = ("state.json", json.dumps({"dims": [2, 3, 2], "matrix":
                                         mat_to_json(np.eye(8) / 8)}))
@@ -340,6 +345,12 @@ PROCESS2_KEYS = ("['cmi', 'non_markovianity', 'qutrit_sharp_event_memory', "
     (["tomo", "bootstrap", "--counts"], NO_COUNT_COLUMN, "['count']"),
     (["tomo", "reconstruct", "--counts"], UNKNOWN_BASIS, BASES),
     (["tomo", "bootstrap", "--counts"], UNKNOWN_BASIS, BASES),
+    (["tomo", "reconstruct", "--counts"], HUGE_CELL,
+     "counts table line 2: field larger than field limit (131072)"),
+    (["tomo", "reconstruct", "--counts"], NO_SETTING_CELL,
+     "counts table line 2 has no cell for column 'setting'"),
+    (["tomo", "reconstruct", "--state", "lambda", "--counts"],
+     NO_SETTING_CELL, "counts table line 2 has no cell for column 'setting'"),
     (["process", "build", "--state"], SHORT_STATE, "matrix field 're'"),
     (["tomo", "reconstruct", "--state"], SHORT_STATE, "matrix field 're'"),
     (["tomo", "bootstrap", "--state"], SHORT_STATE, "matrix field 're'"),
@@ -469,8 +480,10 @@ PROCESS2_KEYS = ("['cmi', 'non_markovianity', 'qutrit_sharp_event_memory', "
 ], ids=["reconstruct-header-only", "bootstrap-header-only",
         "reconstruct-no-count-column", "bootstrap-no-count-column",
         "reconstruct-unknown-basis", "bootstrap-unknown-basis",
-        "build-short-matrix", "reconstruct-short-matrix",
-        "bootstrap-short-matrix", "strength-wrong-dims",
+        "reconstruct-huge-cell", "reconstruct-no-setting-cell",
+        "reconstruct-state-no-setting-cell", "build-short-matrix",
+        "reconstruct-short-matrix", "bootstrap-short-matrix",
+        "strength-wrong-dims",
         "strength-instrument-dim", "survey-qutrit-middle",
         "reconstruct-missing-row",
         "bootstrap-missing-row", "reconstruct-outcome-beyond-d",
@@ -850,6 +863,9 @@ PINNED = {
     # a generic state: the survey kernel's eigvalsh path
     "memory survey --samples 2000 --process rand.json":
         "059ba31bcddefdde28aef9516c33f4a81ebd4dc73f2f6eaeca301855a63cb298",
+    # qutrit outer legs: every block of the table in its full real view
+    "memory survey --samples 2000 --cutoff 0.02 --process rand323.json":
+        "02b99d3a7cdd9c1de0bdc849c78e42920b066e5f5e6add01371d8fbd1397cf94",
     # process files: the full Choi matrix and its leg table
     "process build --state lambda":
         "a6dab6692cd02e4e0eca0e50d6c671873bd1c26f5fb86ed0b56ec66c75ccfd7e",
@@ -879,15 +895,18 @@ ZERO_INSTRUMENT = {"dim": 2, "name": "zero",
                                 mat_to_json(np.eye(2))]}
 
 
-def _random_state_text():
-    """A random full-rank (2,2,2) state, a quarter of the way from the
-    maximally mixed state to a random one; its survey fraction at 2000
-    samples is 0.4215, no sample within 4e-6 of the cutoff."""
-    rng = np.random.default_rng(222)
-    z = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+def _random_state_text(dims):
+    """A random full-rank state, a quarter of the way from the maximally
+    mixed state to a random one, seeded by its dims read as digits. At 2000
+    samples the survey fraction is 0.4215 for both the (2,2,2) state
+    (cutoff 0.0125) and the (3,2,3) state (cutoff 0.02), no sample within
+    1e-6 of the cutoff."""
+    d = int(np.prod(dims))
+    rng = np.random.default_rng(int("".join(map(str, dims))))
+    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     r = z @ z.conj().T
-    g = 0.75 * np.eye(8) / 8 + 0.25 * r / np.trace(r).real
-    return json.dumps({"dims": [2, 2, 2], "matrix": mat_to_json(g)})
+    g = 0.75 * np.eye(d) / d + 0.25 * r / np.trace(r).real
+    return json.dumps({"dims": list(dims), "matrix": mat_to_json(g)})
 
 
 @pytest.mark.parametrize("cmd, digest", PINNED.items(), ids=list(PINNED))
@@ -896,7 +915,8 @@ def test_pinned_commands_byte_identical(tmp_path, monkeypatch, capsys, cmd,
     monkeypatch.chdir(tmp_path)
     (tmp_path / "cfg.json").write_text(json.dumps(
         {"preset": "process2", "tolerances": {"non_markovianity": 1.0}}))
-    (tmp_path / "rand.json").write_text(_random_state_text())
+    (tmp_path / "rand.json").write_text(_random_state_text((2, 2, 2)))
+    (tmp_path / "rand323.json").write_text(_random_state_text((3, 2, 3)))
     (tmp_path / "zero.json").write_text(json.dumps(ZERO_INSTRUMENT))
     code, out, _ = run_cli(capsys, cmd.split())
     assert code == 0

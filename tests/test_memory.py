@@ -1,4 +1,7 @@
 """Memory metrics: non-Markovianity, memory strength, CMI, Haar survey."""
+import hashlib
+import warnings
+
 import numpy as np
 import pytest
 
@@ -283,7 +286,8 @@ def test_survey_kernel_matches_memory_strength(dims, draw, commuting):
         v /= np.linalg.norm(v)
         P = np.outer(v, v.conj())
         exact = memory_strength(p, instrument([P, np.eye(2) - P])).max_event
-        mi = _worst_event_mi(blocks, v[None, :], dims[0], dims[2])
+        mi = _worst_event_mi(blocks, v[None, :].real, v[None, :].imag,
+                             dims[0], dims[2])
         assert abs(mi[0] - exact) < 1e-12
 
 
@@ -306,7 +310,8 @@ def test_survey_kernel_batch_of_unnormalised_kets(dims, draw):
     p = build_common_cause(draw(rng, dims), dims, dims[:2])
     kets = rng.normal(size=(32, 2)) + 1j * rng.normal(size=(32, 2))
     kets *= 10.0 ** rng.uniform(-3, 3, size=(32, 1))
-    mi = _worst_event_mi(_bloch_blocks(p), kets, dims[0], dims[2])
+    mi = _worst_event_mi(_bloch_blocks(p), kets.real, kets.imag, dims[0],
+                         dims[2])
     assert mi.shape == (32,)
     for v, m in zip(kets, mi):
         P = np.outer(v, v.conj()) / np.vdot(v, v).real
@@ -319,6 +324,73 @@ def test_survey_kernel_batch_of_unnormalised_kets(dims, draw):
 def test_lambda_survey_fraction_per_seed(seed, fraction):
     # beside seed 7 (criterion 9): the fractions ROADMAP item 1 quotes
     assert projective_survey(lam_process(), 0.0125, 100000, seed) == fraction
+
+
+SURVEY_STATES = {"lambda": (_lambda, (2, 2, 2)),
+                 "generic-2-2-2": (_generic, (2, 2, 2)),
+                 "generic-3-2-3": (_generic, (3, 2, 3)),
+                 "generic-1-2-2": (_generic, (1, 2, 2)),
+                 "diagonal-3-2-3": (_product_diagonal, (3, 2, 3))}
+
+# sha256 of _survey_mi(p, samples, 7).tobytes(), recorded with the kernel
+# that allocated every array afresh per chunk. The states cover every
+# row layout: lambda (qubit marginals, diagonal AC), generic (2,2,2)
+# (qubit marginals, full AC), generic (3,2,3) (all full), generic (1,2,2)
+# (a 1 x 1 marginal, qubit C and AC) and a (3,2,3) state diagonal in a
+# product basis (full marginals, diagonal AC). No sample count is a
+# multiple of 64, so the chunks are uneven.
+SURVEY_PINS = {
+    ("lambda", 100000):
+        "5fec7cbb1338868fad141ce3301acf4d4dfeb95ae3e0d29189632d172ddd4694",
+    ("lambda", 100):
+        "96f3d560206e52ad5ab933c0694c72a822d30aea959c9587a00ce67091b3f2a9",
+    ("lambda", 1003):
+        "9e9bcb868009f33ec6a3c4873d5b3771471a1b4ee4668f3c93ed802fa98f0421",
+    ("lambda", 6401):
+        "94ba67022b8b6581689d1b23607b36ea226a087e7abd7d0c2654868487ba1b74",
+    ("generic-2-2-2", 100):
+        "0edfe23eb758555ffa12bb46921ac72a2d6686cf378481389b8f0cb2f50150c2",
+    ("generic-2-2-2", 1003):
+        "f58e2c6381c5d8d037ad347d6f4d080e46445f494d94a5b8bf0414e61e6de607",
+    ("generic-2-2-2", 6401):
+        "63676939f378fec448c6e6c74c3d7102ac62f88fadc422b20c4a9e55ffa88d99",
+    ("generic-3-2-3", 100):
+        "b2f1f90a4563ab6385ce3b3801479c8911676094072abee368a34f3350d7ddaf",
+    ("generic-3-2-3", 1003):
+        "665d6122ff6ddb551ff1283c9026612aab01929c0b54088fede2bc49bb282f0d",
+    ("generic-3-2-3", 6401):
+        "e71991320649e6147e8b4af5f7dafaab0aecbbdea2ef0fd3c4120583868772c8",
+    ("generic-1-2-2", 100):
+        "67042dfda5683aead81b6055d19c4dba238341f9dd82f49c0e7cc0c19c5f10d1",
+    ("generic-1-2-2", 1003):
+        "9071cfcee7de03f37be85825822952ffdf759f659a71d090dc0682e51fe4c2bf",
+    ("generic-1-2-2", 6401):
+        "906de7057d8f52f92a10fd19b1a2738b6591542889cb9082aa000b9d59325d30",
+    ("diagonal-3-2-3", 100):
+        "080245c1e6ad5aed67da2d6cfc36ff4946c169c01f85b7b6b688e4509e27d390",
+    ("diagonal-3-2-3", 1003):
+        "65b85729b479f34afa6488f93fcd8440ba4890c49bd49e7f73560569916d5f94",
+    ("diagonal-3-2-3", 6401):
+        "cfb4b58fcbaadddb6a9cdec491183112839635fe8891e22f85e7bff0c35e65b6",
+}
+
+
+@pytest.mark.parametrize("name, samples", SURVEY_PINS,
+                         ids=[f"{n}-{s}" for n, s in SURVEY_PINS])
+def test_survey_mi_bytes_pinned(name, samples):
+    # every per-sample MI byte holds. The survey reuses one working area
+    # per call, so a chunk shorter than the first leaves stale columns at
+    # its tail; a kernel that read them would move a byte or, on garbage,
+    # warn (a division by zero, log2 or sqrt of a negative)
+    draw, dims = SURVEY_STATES[name]
+    rng = np.random.default_rng(sum(dims))
+    p = build_common_cause(draw(rng, dims), dims, dims[:2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mi = _survey_mi(p, samples, 7)
+    assert mi.shape == (samples,)
+    assert hashlib.sha256(mi.tobytes()).hexdigest() == SURVEY_PINS[
+        name, samples]
 
 
 def test_criterion_09_cutoff_table():
