@@ -9,11 +9,13 @@ used everywhere downstream (recovery, span projections).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .linalg import (builtin, hermitize, is_hermitian, json_number,
-                     json_object, kron, mat_from_json, mat_to_json)
+                     json_object, kron, mat_from_json, mat_to_json,
+                     read_only)
 
 PAULI = (
     np.eye(2, dtype=complex),
@@ -29,11 +31,12 @@ COMPLETENESS_TOL = 1e-10
 
 @dataclass(frozen=True)
 class PovmElement:
+    """One element, its matrix kept as a private read-only copy."""
     matrix: np.ndarray
     label: str = ""
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = read_only(np.array(self.matrix, dtype=complex))
         object.__setattr__(self, "matrix", m)
         if not is_hermitian(m):
             raise ValueError(f"element {self.label!r} is not Hermitian")
@@ -43,8 +46,10 @@ class PovmElement:
                 f"element {self.label!r} eigenvalues outside [0, 1]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Instrument:
+    """Elements summing to the identity. Compared and hashed by identity,
+    so a process can key the event tables it keeps on it."""
     elements: tuple[PovmElement, ...]
     name: str = ""
 
@@ -70,6 +75,23 @@ class Instrument:
 
     def matrices(self) -> list[np.ndarray]:
         return [e.matrix for e in self.elements]
+
+    @cached_property
+    def _dual_frame(self) -> DualFrame:
+        """dual_frame's result: kept once built, since the elements cannot
+        change; a failure is not kept, so it raises on every call."""
+        mats = self.matrices()
+        G = gram_matrix(mats)
+        cond = np.linalg.cond(G)
+        if not np.isfinite(cond) or cond > GRAM_COND_MAX:
+            raise ValueError(
+                f"instrument elements are not linearly independent "
+                f"(Gram condition number {cond:.2e})")
+        Ginv = np.linalg.inv(G)
+        duals = tuple(read_only(hermitize(sum(Ginv[y, x] * m
+                                              for y, m in enumerate(mats))))
+                      for x in range(len(mats)))
+        return DualFrame(duals, read_only(G))
 
 
 @dataclass(frozen=True)
@@ -190,21 +212,10 @@ def dual_frame(inst: Instrument) -> DualFrame:
     Built by inverting the Gram matrix G_xy = tr[O_x O_y], the same
     pairing the Born rule uses, so expansions in the dual frame report
     the raw event probabilities. Requires the elements to be linearly
-    independent (condition number below 1e12).
+    independent (condition number below 1e12). Built once per instrument
+    and kept on it, with read-only duals and Gram matrix.
     """
-    mats = inst.matrices()
-    G = gram_matrix(mats)
-    cond = np.linalg.cond(G)
-    if not np.isfinite(cond) or cond > GRAM_COND_MAX:
-        raise ValueError(
-            f"instrument elements are not linearly independent "
-            f"(Gram condition number {cond:.2e})")
-    Ginv = np.linalg.inv(G)
-    duals = []
-    for x in range(len(mats)):
-        d = sum(Ginv[y, x] * mats[y] for y in range(len(mats)))
-        duals.append(hermitize(d))
-    return DualFrame(tuple(duals), G)
+    return inst._dual_frame
 
 
 def span_project(m: np.ndarray, mats) -> np.ndarray:

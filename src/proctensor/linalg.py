@@ -21,7 +21,13 @@ CLIP_EPS = 1e-12
 
 
 def is_hermitian(m: np.ndarray) -> bool:
-    return bool(np.abs(m - m.conj().T).max() <= HERM_TOL)
+    return bool(np.abs(m - m.conj().swapaxes(-1, -2)).max() <= HERM_TOL)
+
+
+def read_only(m: np.ndarray) -> np.ndarray:
+    """m, set to raise on any in-place write: for arrays that are kept."""
+    m.flags.writeable = False
+    return m
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
@@ -29,14 +35,15 @@ def hermitize(m: np.ndarray) -> np.ndarray:
 
 
 def kron(*mats: np.ndarray) -> np.ndarray:
-    """Kronecker product of 2-D matrices, left to right, as complex: the
-    broadcast product np.kron forms, without its generic dispatch."""
+    """Kronecker product of matrices, left to right, as complex: the
+    broadcast product np.kron forms, without its generic dispatch. Stacks
+    (..., r, c) of equal length multiply matrix by matrix."""
     out = np.array([[1.0]], dtype=complex)
     for m in mats:
         m = np.asarray(m, dtype=complex)
-        (a, b), (c, e) = out.shape, m.shape
-        out = (out[:, None, :, None] * m[None, :, None, :]).reshape(a * c,
-                                                                    b * e)
+        (a, b), (c, e) = out.shape[-2:], m.shape[-2:]
+        out = out[..., :, None, :, None] * m[..., None, :, None, :]
+        out = out.reshape(*out.shape[:-4], a * c, b * e)
     return out
 
 
@@ -66,28 +73,37 @@ def partial_trace(m: np.ndarray, dims: tuple[int, ...],
 
 
 def check_density(rho: np.ndarray, vectors: bool = False):
-    """Raise unless rho is Hermitian, positive semidefinite and of unit
-    trace. Returns the spectrum of hermitize(rho) the check computed:
-    eigvalsh's eigenvalues, or eigh's (w, v) when vectors is set, so a
-    caller reuses it instead of decomposing rho again."""
+    """Raise unless rho, or every state of a stack (..., d, d), is
+    Hermitian, positive semidefinite and of unit trace; a stack's error
+    quotes its first failing state. Returns the spectrum of hermitize(rho)
+    the check computed: eigvalsh's eigenvalues, or eigh's (w, v) when
+    vectors is set, so a caller reuses it instead of decomposing rho
+    again."""
     if not is_hermitian(rho):
         raise ValueError("density matrix is not Hermitian")
     h = hermitize(rho)
     spectrum = np.linalg.eigh(h) if vectors else np.linalg.eigvalsh(h)
     w = spectrum[0] if vectors else spectrum
-    if w[0] < -PSD_TOL:  # eigenvalues come in ascending order
-        raise ValueError(f"negative eigenvalue {w[0]:.3e}")
-    tr = float(rho.trace().real)
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise ValueError(f"trace {tr} deviates from 1")
+    # eigenvalues come in ascending order: w[..., 0] is each state's least
+    bad = [x for x in w[..., 0].reshape(-1).tolist() if x < -PSD_TOL]
+    if bad:
+        raise ValueError(f"negative eigenvalue {bad[0]:.3e}")
+    bad = [tr for tr in rho.trace(axis1=-2, axis2=-1).real.reshape(-1).tolist()
+           if abs(tr - 1.0) > TRACE_TOL]
+    if bad:
+        raise ValueError(f"trace {bad[0]} deviates from 1")
     return spectrum
 
 
-def von_neumann_entropy(rho: np.ndarray) -> float:
-    """S(rho) = -sum e log2 e with 0 log 0 := 0."""
+def von_neumann_entropy(rho: np.ndarray):
+    """S(rho) = -sum e log2 e with 0 log 0 := 0; a float, or an array of
+    one entropy per state for a stack (..., d, d). The eigenvalues above
+    CLIP_EPS are the top of each ascending spectrum, one contiguous run,
+    and a masked sum adds each run as np.sum adds it alone."""
     w = check_density(rho)
-    w = w[w > CLIP_EPS]
-    return float(-np.sum(w * np.log2(w)))
+    keep = w > CLIP_EPS
+    s = -(w * np.log2(np.where(keep, w, 1.0))).sum(-1, where=keep)
+    return float(s) if s.ndim == 0 else s
 
 
 def _same_shape(x: np.ndarray, y: np.ndarray) -> None:
@@ -133,9 +149,12 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     return float(np.sum(np.sqrt(w)) ** 2)
 
 
-def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
+def trace_distance(a: np.ndarray, b: np.ndarray):
+    """Half the trace norm of a - b; a float, or an array of one distance
+    per pair for stacks (..., d, d)."""
     w = np.linalg.eigvalsh(hermitize(np.asarray(a) - np.asarray(b)))
-    return float(np.sum(np.abs(w)) / 2)
+    s = np.sum(np.abs(w), axis=-1) / 2
+    return float(s) if s.ndim == 0 else s
 
 
 def trace_norm(m: np.ndarray) -> float:

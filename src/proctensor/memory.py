@@ -122,22 +122,27 @@ class MemoryReport:
 def memory_strength(p: ProcessTensor, inst: Instrument) -> MemoryReport:
     """Per-event A:C mutual information and trace distance to product after
     the middle party's instrument fires, plus uniform and probability
-    weighted aggregates. Impossible events are flagged, numbered from 1."""
-    return _report(_events(p, inst))
+    weighted aggregates. Impossible events are flagged, numbered from 1.
+    Built once per (process, instrument), beside its events in p._memo."""
+    events = _events(p, inst)
+    memo = p._memo[inst]
+    if "report" not in memo:
+        memo["report"] = _report(events)
+    return memo["report"]
 
 
-def _report(events: list) -> MemoryReport:
-    """memory_strength's report from one _events pass."""
-    rows = []
-    for ev in events:
-        if ev is None:
-            rows.append((0.0, 0.0, 0.0))
-            continue
-        prob, state, rA, rC = ev
-        mi = (von_neumann_entropy(rA) + von_neumann_entropy(rC)
-              - von_neumann_entropy(state))
-        rows.append((prob, max(mi, 0.0), trace_distance(state, kron(rA, rC))))
-    ps, mis, tds = zip(*rows)
+def _report(events: tuple) -> MemoryReport:
+    """memory_strength's report from one _events pass. The surviving
+    events' states, marginals and distances to product each go through
+    one stacked entropy or trace distance: one density check and one
+    eigvalsh per stack."""
+    probs, states, rA, rC = map(np.array, zip(*filter(None, events)))
+    mi = np.maximum(von_neumann_entropy(rA) + von_neumann_entropy(rC)
+                    - von_neumann_entropy(states), 0.0)
+    live = iter(zip(probs.tolist(), mi.tolist(),
+                    trace_distance(states, kron(rA, rC)).tolist()))
+    ps, mis, tds = zip(*[(0.0, 0.0, 0.0) if ev is None else next(live)
+                         for ev in events])
     w = np.array(mis)
     flags = tuple(f"event {i}: zero probability"
                   for i, pr in enumerate(ps, 1) if pr == 0.0)

@@ -208,8 +208,7 @@ def preset_process1(refs=REFERENCES["process1"]) -> dict:
 
 def preset_process2(refs=REFERENCES["process2"]) -> dict:
     """Qubit-qutrit common-cause process: exact Markov-order-one middle."""
-    from .memory import _report, memory_strength
-    from .process import _events
+    from .memory import memory_strength
     from .recovery import recover, reference_recovered_omega
     g, dims, p, r = _process_report("omega", refs)
     xi = instrument_by_name("xi")
@@ -219,9 +218,9 @@ def preset_process2(refs=REFERENCES["process2"]) -> dict:
     r["xi_memory"] = repx.as_dict()
     r["xi_max_event_memory"] = _entry(repx.max_event, refs,
                                       "xi_max_event_memory")
-    # one event pass feeds both the memory report and the Werner residuals
-    events = _events(p, sharp)
-    reps = _report(events)
+    # the Werner residuals read the conditional states of the report's pass
+    reps = memory_strength(p, sharp)
+    events = p._memo[sharp]["events"]
     r["qutrit_sharp_memory"] = reps.as_dict()
     r["qutrit_sharp_event_memory"] = [
         _entry(mi, refs, "qutrit_sharp_event_memory", i)

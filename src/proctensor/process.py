@@ -12,13 +12,14 @@ tr[(E_A x E_B x E_C) gamma], which the fast paths below use directly.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .instruments import Instrument
-from .linalg import check_density, kron, partial_trace
+from .linalg import check_density, kron, partial_trace, read_only
 
 PARTIES = ("A", "B", "C")
 # the Choi matrix's (label, direction) legs in chronological order
@@ -44,11 +45,19 @@ def _choi(gamma: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
 @dataclass(frozen=True)
 class ProcessTensor:
     """Common-cause process: its input-leg state gamma on (A_in, B_in,
-    C_in). The Choi matrix on LEGS, gamma with an identity on each output
-    leg, and its choi_dims are built on first access."""
+    C_in), kept as a private read-only copy, since everything derived
+    from it is kept too. The Choi matrix on LEGS, gamma with an identity
+    on each output leg, and its choi_dims are built on first access."""
     gamma: np.ndarray = field(repr=False)
     input_dims: tuple[int, int, int]
     output_dims: tuple[int, int]
+
+    def __post_init__(self):
+        object.__setattr__(self, "gamma", read_only(np.array(self.gamma)))
+
+    def __getstate__(self):
+        # the memo holds its instruments weakly, so it cannot be pickled
+        return {k: v for k, v in vars(self).items() if k != "_memo"}
 
     @cached_property
     def choi_dims(self) -> tuple[int, int, int, int, int]:
@@ -65,6 +74,12 @@ class ProcessTensor:
         """eigh (w, v) of hermitize(gamma), from the density check that
         raises unless gamma is a state."""
         return check_density(self.gamma, vectors=True)
+
+    @cached_property
+    def _memo(self) -> weakref.WeakKeyDictionary:
+        """Per middle instrument, held weakly: a dict of its "events"
+        (_events) and, once asked for, memory_strength's "report"."""
+        return weakref.WeakKeyDictionary()
 
 
 def build_common_cause(gamma: np.ndarray,
@@ -209,15 +224,21 @@ def condition_instrument(p: ProcessTensor, party: str,
     return [condition(p, party, e.matrix) for e in inst.elements]
 
 
-def _events(p: ProcessTensor, inst: Instrument) -> list:
+def _events(p: ProcessTensor, inst: Instrument) -> tuple:
     """Per middle-instrument event: (probability, normalized A:C state, A
-    marginal, C marginal), or None for one at or below PROB_TOL."""
-    dA, _, dC = p.input_dims
-    return [None if cp.probability <= PROB_TOL else
-            (cp.probability, cp.state,
-             partial_trace(cp.state, (dA, dC), (0,)),
-             partial_trace(cp.state, (dA, dC), (1,)))
-            for cp in condition_instrument(p, "B", inst)]
+    marginal, C marginal), or None for one at or below PROB_TOL. Built
+    once per (process, instrument) and kept in p._memo; the arrays are
+    read-only, since every later caller shares them."""
+    memo = p._memo.setdefault(inst, {})
+    if "events" not in memo:
+        dA, _, dC = p.input_dims
+        memo["events"] = tuple(
+            None if cp.probability <= PROB_TOL else
+            (cp.probability, *map(read_only, (
+                cp.state, partial_trace(cp.state, (dA, dC), (0,)),
+                partial_trace(cp.state, (dA, dC), (1,)))))
+            for cp in condition_instrument(p, "B", inst))
+    return memo["events"]
 
 
 def marginals(p: ProcessTensor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

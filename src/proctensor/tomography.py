@@ -23,7 +23,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .linalg import hermitize, path_or_handle
+from .linalg import hermitize, path_or_handle, read_only
 
 _QUBIT = {
     "X": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
@@ -78,9 +78,7 @@ def _settings(dims) -> tuple[tuple, np.ndarray]:
 def _cached_settings(dims: tuple) -> tuple[tuple, np.ndarray]:
     per_leg = [[lbl for lbl, _ in _leg_bases(d)] for d in dims]
     labels = tuple("/".join(combo) for combo in iproduct(*per_leg))
-    U = _unitaries(labels, dims)
-    U.flags.writeable = False
-    return labels, U
+    return labels, read_only(_unitaries(labels, dims))
 
 
 def _unitaries(labels, dims) -> np.ndarray:
@@ -206,9 +204,7 @@ def _cached_pseudo_inverse(labels: tuple, dims: tuple) -> np.ndarray:
     # independent rows), so A has 6 rows or more, the rank tolerance
     # max(A.shape) * eps exceeds pinv's 1e-15 cutoff and pinv keeps every
     # singular value
-    inv = vt.T @ ((1 / s)[:, None] * u.T)
-    inv.flags.writeable = False
-    return inv
+    return read_only(vt.T @ ((1 / s)[:, None] * u.T))
 
 
 def _frequencies(counts: CountsTable, d: int) -> np.ndarray:

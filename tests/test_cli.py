@@ -764,8 +764,8 @@ def test_one_event_table_per_process_instrument(monkeypatch, capsys, argv,
 
 
 def test_process2_conditions_each_event_once(monkeypatch, capsys):
-    # xi's 2 events for its report and for recover, qutrit_sharp's 5 once
-    # for both its report and the Werner residuals
+    # xi's 2 events once for both its report and recover, qutrit_sharp's 5
+    # once for both its report and the Werner residuals
     condition, calls = process.condition, []
 
     def counted(p, party, element):
@@ -774,7 +774,24 @@ def test_process2_conditions_each_event_once(monkeypatch, capsys):
     monkeypatch.setattr(process, "condition", counted)
     code, _, _ = run_cli(capsys, ["preset", "process2"])
     assert code == 0
-    assert calls == ["B"] * 9
+    assert calls == ["B"] * 7
+
+
+def test_bad_event_state_exits_two_with_the_density_message(monkeypatch,
+                                                           capsys):
+    # an event whose A:C state, 0.6 (|00><11| + h.c.) over maximally mixed
+    # marginals, has eigenvalue -0.1: the stacked report raises
+    # check_density's message for it
+    bad = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
+    bad[0, 3] = bad[3, 0] = 0.6
+    cps = [process.ConditionalProcess(m / 2, 0.5, (2, 2))
+           for m in (np.eye(4, dtype=complex) / 4, bad)]
+    monkeypatch.setattr(process, "condition_instrument",
+                        lambda p, party, inst: cps)
+    code, out, err = run_cli(capsys, ["memory", "strength", "--process",
+                                      "lambda", "--instrument", "z"])
+    assert (code, out) == (2, "")
+    assert err == "error: negative eigenvalue -1.000e-01\n"
 
 
 @pytest.mark.parametrize("command", [
@@ -887,6 +904,9 @@ PINNED = {
     # an instrument with an impossible event: the zero-probability path
     "memory strength --process lambda --instrument zero.json":
         "e57fc9c35e172a4cfd15bba7e0c7c99ebb88fa28347b62f6705350279ee0fecd",
+    # the dual frame, built once and kept on the instrument
+    "instrument dual --name theta":
+        "c48bfc2d09d23e33308659044a903b375f56b13fe9da8695d9a667d1f22d08a8",
 }
 
 # an instrument whose first element is zero

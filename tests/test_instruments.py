@@ -107,6 +107,30 @@ def test_dual_frame_rejects_dependent_elements():
         dual_frame(dep)
 
 
+def test_element_matrix_is_a_read_only_copy():
+    m = np.eye(2, dtype=complex) / 2
+    e = PovmElement(m)
+    with pytest.raises(ValueError, match="read-only"):
+        e.matrix[0, 0] = 1.0
+    m[0, 0] = 0.25
+    assert e.matrix[0, 0] == 0.5
+
+
+def test_dual_frame_kept_on_its_instrument_unless_it_fails():
+    theta = instrument_by_name("theta")
+    frame = dual_frame(theta)
+    assert dual_frame(theta) is frame
+    assert dual_frame(instrument_by_name("theta")) is not frame
+    for m in (*frame.duals, frame.gram):
+        with pytest.raises(ValueError, match="read-only"):
+            m[0, 0] = 0.0
+    dep = instrument([np.eye(2) / 2, np.eye(2) / 2])
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"^instrument elements are not "
+                           r"linearly independent \(Gram condition number "):
+            dual_frame(dep)
+
+
 def test_span_project():
     xi = xi_noisy()
     mats = xi.matrices()

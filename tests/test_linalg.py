@@ -182,6 +182,50 @@ def test_entropies_equal_separate_decompositions():
             assert relative_entropy(x, y) == ref
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 6, 9])
+def test_stacks_bit_equal_to_their_matrices(d):
+    # full-rank and low-rank states, so some spectra are clipped, past the
+    # eight terms at which np.sum stops adding in order
+    rng = np.random.default_rng(20 + d)
+    stack = []
+    for rank in (d, 1, max(1, d - 1), d, 2):
+        v = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+        rho = v @ v.conj().T
+        stack.append(rho / np.trace(rho).real)
+    stack = np.array(stack)
+    other = stack[::-1]
+    entropies, distances = [], []
+    for a, b in zip(stack, other):
+        w = np.linalg.eigvalsh(hermitize(a))
+        w = w[w > 1e-12]
+        entropies.append(float(-np.sum(w * np.log2(w))))
+        w = np.linalg.eigvalsh(hermitize(a - b))
+        distances.append(float(np.sum(np.abs(w)) / 2))
+    assert check_density(stack).tobytes() == np.linalg.eigvalsh(
+        hermitize(stack)).tobytes()
+    for got in (von_neumann_entropy(stack).tolist(),
+                [von_neumann_entropy(a) for a in stack]):
+        assert got == entropies
+    for got in (trace_distance(stack, other).tolist(),
+                [trace_distance(a, b) for a, b in zip(stack, other)]):
+        assert got == distances
+    small = stack[:, :2, :2]
+    assert kron(small, other).tobytes() == np.array(
+        [kron(a, b) for a, b in zip(small, other)]).tobytes()
+
+
+@pytest.mark.parametrize("bad, message", [
+    (NOT_HERMITIAN, "density matrix is not Hermitian"),
+    (NEGATIVE, "negative eigenvalue -5.000e-01"),
+    (WRONG_TRACE, "trace 2.0 deviates from 1"),
+], ids=["not-hermitian", "negative-eigenvalue", "wrong-trace"])
+def test_stacked_density_check_quotes_its_first_failing_state(bad, message):
+    # the later state fails the same check by more
+    stack = np.array([GOOD, bad, 2 * bad - GOOD])
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        von_neumann_entropy(stack)
+
+
 def test_entropy_values_and_unitary_invariance():
     assert von_neumann_entropy(np.diag([1.0, 0.0])) == 0.0
     assert np.isclose(von_neumann_entropy(np.eye(4) / 4), 2.0)

@@ -1,13 +1,18 @@
 """Memory metrics: non-Markovianity, memory strength, CMI, Haar survey."""
+import gc
 import hashlib
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from proctensor import memory
-from proctensor.instruments import instrument, instrument_by_name, z_basis
-from proctensor.linalg import kron, partial_trace, relative_entropy
+from proctensor import memory, process
+from proctensor.instruments import (INSTRUMENTS, instrument,
+                                    instrument_by_name, z_basis)
+from proctensor.linalg import (check_density, kron, partial_trace,
+                               relative_entropy, trace_distance,
+                               von_neumann_entropy)
 from proctensor.memory import (
     _bloch_blocks, _survey_mi, _worst_event_mi, confusion_probability,
     markov_order_test, memory_strength, mutual_information, non_markovianity,
@@ -198,6 +203,125 @@ def test_markov_order():
     tds = [e["trace_distance"] for e in detail["events"]]
     assert np.allclose(tds, [0.0019912661148723063, 0.003345265226582128,
                              0.04600274141280382], atol=1e-10)
+
+
+def _per_event_report(events):
+    """memory_strength's report as it was computed one event at a time,
+    each entropy and trace distance from its own density check."""
+    rows = []
+    for ev in events:
+        if ev is None:
+            rows.append((0.0, 0.0, 0.0))
+            continue
+        prob, state, rA, rC = ev
+        mi = (von_neumann_entropy(rA) + von_neumann_entropy(rC)
+              - von_neumann_entropy(state))
+        rows.append((prob, max(mi, 0.0), trace_distance(state, kron(rA, rC))))
+    ps, mis, tds = zip(*rows)
+    w = np.array(mis)
+    return (tuple(zip(ps, mis)), float(w.mean()), float(np.array(ps) @ w),
+            float(w.max()), tds)
+
+
+def _zero_event_state(dims):
+    """A correlated A:C state with B in |0>: every z event but the first
+    has probability exactly 0."""
+    dA, dB, dC = dims
+    rho = random_density(np.random.default_rng(sum(dims)), dA * dC)
+    ket0 = np.diag(np.arange(dB) == 0).astype(complex)
+    g = np.einsum("acAC,bB->abcABC", rho.reshape(dA, dC, dA, dC), ket0)
+    return g.reshape(np.prod(dims), -1)
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2), (3, 2, 2),
+                                  (2, 2, 3)])
+def test_stacked_report_bit_equal_to_per_event_formula(dims):
+    # full-rank and rank-one states (whose spectra the entropies clip)
+    # under every built-in instrument of B's dimension, and a state with
+    # impossible z events
+    rng = np.random.default_rng(40 + sum(dims))
+    d = int(np.prod(dims))
+    states = [random_density(rng, d)]
+    v = rng.normal(size=d) + 1j * rng.normal(size=d)
+    states.append(np.outer(v, v.conj()) / (v.conj() @ v).real)
+    insts = [i for i in map(instrument_by_name, INSTRUMENTS)
+             if i.dim == dims[1]] + [z_basis(dims[1])]
+    cases = [(g, inst) for g in states for inst in insts]
+    cases.append((_zero_event_state(dims), z_basis(dims[1])))
+    for g, inst in cases:
+        p = build_common_cause(g, dims, dims[:2])
+        rep = memory_strength(p, inst)
+        got = (rep.per_event, rep.aggregate_uniform, rep.aggregate_weighted,
+               rep.max_event, rep.trace_distances)
+        assert got == _per_event_report(process._events(p, inst))
+    assert rep.flags == tuple(f"event {i}: zero probability"
+                              for i in range(2, dims[1] + 1))
+
+
+GOOD4 = np.eye(4, dtype=complex) / 4
+HALF = np.eye(2, dtype=complex) / 2
+BELL4 = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
+BELL4[0, 3] = BELL4[3, 0] = 0.5
+NEGATIVE4 = BELL4.copy()
+NEGATIVE4[0, 3] = NEGATIVE4[3, 0] = 0.6  # eigenvalue -0.1
+# per kind: a bad A:C state and a bad marginal
+BAD = {"not-hermitian": (GOOD4 + np.diag([0.1] * 3, 1),
+                         np.array([[0.5, 0.5], [-0.5, 0.5]])),
+       "negative": (NEGATIVE4, np.diag([1.5, -0.5])),
+       "wrong-trace": (2 * GOOD4, np.eye(2))}
+
+
+@pytest.mark.parametrize("slot", [1, 2, 3], ids=["state", "rA", "rC"])
+@pytest.mark.parametrize("kind", sorted(BAD))
+def test_stacked_report_raises_the_density_message(slot, kind):
+    # one bad matrix among good events: the stacked checks raise exactly
+    # what check_density says of that matrix alone
+    event = [0.5, BELL4, HALF, HALF]
+    event[slot] = BAD[kind][slot > 1]
+    with pytest.raises(ValueError) as alone:
+        check_density(event[slot])
+    events = ((0.5, GOOD4, HALF, HALF), None, tuple(event))
+    with pytest.raises(ValueError,
+                       match=f"^{re.escape(str(alone.value))}$"):
+        memory._report(events)
+
+
+def test_one_event_pass_per_process_and_instrument(monkeypatch):
+    # the report, the Markov-order view and recover share one conditioning
+    # of each event; another process or instrument object conditions again
+    condition, calls = process.condition, []
+
+    def counted(p, party, element):
+        calls.append(party)
+        return condition(p, party, element)
+    monkeypatch.setattr(process, "condition", counted)
+    p, theta = lam_process(), instrument_by_name("theta")
+    rep = memory_strength(p, theta)
+    assert markov_order_test(p, theta) == rep.markov_order()
+    recover(p, theta)
+    assert memory_strength(p, theta) is rep
+    assert calls == ["B"] * 3
+    memory_strength(lam_process(), theta)
+    memory_strength(p, instrument_by_name("theta"))
+    assert calls == ["B"] * 9
+
+
+def test_event_tables_hold_their_instrument_weakly():
+    p, inst = lam_process(), instrument_by_name("tetra")
+    memory_strength(p, inst)
+    recover(p, inst)
+    assert len(p._memo) == 1
+    del inst
+    gc.collect()
+    assert len(p._memo) == 0
+
+
+def test_shared_event_arrays_are_read_only():
+    p, theta = lam_process(), instrument_by_name("theta")
+    for ev in process._events(p, theta):
+        for a in ev[1:]:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = 0.0
 
 
 def test_qutrit_sharp_memory_frozen():

@@ -1,4 +1,5 @@
 """Process-tensor construction, causality, the Born rule, conditioning."""
+import pickle
 import re
 from dataclasses import dataclass, field
 
@@ -11,6 +12,7 @@ from proctensor.process import (
     LEGS, ProcessTensor, born_probability, born_rule, build_common_cause,
     check_causality, condition, condition_instrument, cp_divisibility_check,
     final_choi, marginals, markov_product, measure_discard_choi)
+from proctensor.recovery import recover
 from proctensor.states import state_by_name
 
 
@@ -206,3 +208,27 @@ def test_cp_divisibility():
         rep = cp_divisibility_check(p)
         assert rep["ok"]
         assert max(rep["residuals"].values()) < 1e-12
+
+
+def test_gamma_is_a_read_only_copy():
+    # the process keeps what it derives from gamma (its spectrum and event
+    # tables), so its gamma cannot change; the caller's array still can
+    g, dims = state_by_name("lambda")
+    g = g.copy()
+    p = build_common_cause(g, dims, (2, 2))
+    rec = recover(p, instrument_by_name("theta"))
+    for gamma in (p.gamma, rec.gamma):
+        with pytest.raises(ValueError, match="read-only"):
+            gamma[0, 0] = 0.0
+    g[0, 0] += 1.0
+    assert p.gamma[0, 0] != g[0, 0]
+    assert p.gamma.tobytes() == state_by_name("lambda")[0].tobytes()
+
+
+def test_process_pickles_without_its_event_tables():
+    p = lam_process()
+    theta = instrument_by_name("theta")
+    recover(p, theta)
+    q = pickle.loads(pickle.dumps(p))
+    assert q.gamma.tobytes() == p.gamma.tobytes() and "_memo" not in vars(q)
+    assert len(p._memo) == 1
