@@ -78,10 +78,12 @@ def check_density(rho: np.ndarray, vectors: bool = False):
     quotes its first failing state. Returns the spectrum of hermitize(rho)
     the check computed: eigvalsh's eigenvalues, or eigh's (w, v) when
     vectors is set, so a caller reuses it instead of decomposing rho
-    again."""
-    if not is_hermitian(rho):
+    again. The conjugate transpose is formed once, for is_hermitian's
+    test and hermitize's mean alike."""
+    adj = rho.conj().swapaxes(-1, -2)
+    if not np.abs(rho - adj).max() <= HERM_TOL:
         raise ValueError("density matrix is not Hermitian")
-    h = hermitize(rho)
+    h = (rho + adj) / 2
     spectrum = np.linalg.eigh(h) if vectors else np.linalg.eigvalsh(h)
     w = spectrum[0] if vectors else spectrum
     # eigenvalues come in ascending order: w[..., 0] is each state's least
@@ -100,7 +102,13 @@ def von_neumann_entropy(rho: np.ndarray):
     one entropy per state for a stack (..., d, d). The eigenvalues above
     CLIP_EPS are the top of each ascending spectrum, one contiguous run,
     and a masked sum adds each run as np.sum adds it alone."""
-    w = check_density(rho)
+    return _spectrum_entropy(check_density(rho))
+
+
+def _spectrum_entropy(w: np.ndarray):
+    """-sum w log2 w over the eigenvalues above CLIP_EPS of an ascending
+    spectrum, or of each spectrum of a stack (..., d): von_neumann_entropy
+    of a state whose check gave w."""
     keep = w > CLIP_EPS
     s = -(w * np.log2(np.where(keep, w, 1.0))).sum(-1, where=keep)
     return float(s) if s.ndim == 0 else s

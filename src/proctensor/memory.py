@@ -15,8 +15,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from .instruments import PAULI, Instrument
-from .linalg import (CLIP_EPS, _relative_entropy, kron, partial_trace,
-                     relative_entropy, trace_distance, von_neumann_entropy)
+from .linalg import (CLIP_EPS, _relative_entropy, _spectrum_entropy, kron,
+                     partial_trace, trace_distance, von_neumann_entropy)
 from .process import (ProcessTensor, _events, build_common_cause, marginals,
                       markov_product)
 
@@ -45,10 +45,12 @@ def non_markovianity_choi(p: ProcessTensor) -> float:
     """Same quantity evaluated on full normalized Choi operators.
 
     Kept as the cross-check path; agrees with non_markovianity to
-    numerical precision.
+    numerical precision. The normalized Choi matrix's spectrum is the
+    process's cached one; the Markov product's eigh gives log y.
     """
     norm = math.prod(p.output_dims)  # the Choi trace
-    return relative_entropy(p.matrix / norm, markov_product(p).matrix / norm)
+    y = markov_product(p).matrix / norm
+    return _relative_entropy(p.matrix / norm, p.choi_spectrum, y)
 
 
 def mutual_information(rho: np.ndarray, split: tuple[int, int]) -> float:
@@ -63,11 +65,16 @@ def mutual_information(rho: np.ndarray, split: tuple[int, int]) -> float:
 def quantum_cmi(gamma: np.ndarray, dims: tuple[int, int, int]) -> float:
     """I(A:C|B) = S_AB + S_BC - S_ABC - S_B (nonnegative by strong
     subadditivity)."""
+    s_ab, s_bc, s_b = _marginal_entropies(gamma, dims)
+    return s_ab + s_bc - von_neumann_entropy(gamma) - s_b
+
+
+def _marginal_entropies(gamma: np.ndarray, dims) -> tuple:
+    """(S_AB, S_BC, S_B) of a tripartite state."""
     rAB = partial_trace(gamma, dims, (0, 1))
     rBC = partial_trace(gamma, dims, (1, 2))
     rB = partial_trace(gamma, dims, (1,))
-    return (von_neumann_entropy(rAB) + von_neumann_entropy(rBC)
-            - von_neumann_entropy(gamma) - von_neumann_entropy(rB))
+    return tuple(map(von_neumann_entropy, (rAB, rBC, rB)))
 
 
 def quantum_cmi_choi(p: ProcessTensor) -> float:
@@ -76,8 +83,10 @@ def quantum_cmi_choi(p: ProcessTensor) -> float:
     common-cause processes (identity legs contribute zero)."""
     dA, dAo, dB, dBo, dC = p.choi_dims
     m = p.matrix / math.prod(p.output_dims)
-    # legs are contiguous per party, so regrouping is just coarser dims
-    return quantum_cmi(m, (dA * dAo, dB * dBo, dC))
+    # legs are contiguous per party, so regrouping is just coarser dims;
+    # S_ABC comes from the process's one decomposition of m
+    s_ab, s_bc, s_b = _marginal_entropies(m, (dA * dAo, dB * dBo, dC))
+    return s_ab + s_bc - _spectrum_entropy(p.choi_spectrum) - s_b
 
 
 def confusion_probability(n: int, nm_bits: float) -> float:

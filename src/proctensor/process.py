@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -56,8 +56,13 @@ class ProcessTensor:
         object.__setattr__(self, "gamma", read_only(np.array(self.gamma)))
 
     def __getstate__(self):
-        # the memo holds its instruments weakly, so it cannot be pickled
-        return {k: v for k, v in vars(self).items() if k != "_memo"}
+        # the fields alone: what is derived from gamma is rebuilt on use,
+        # and the memo holds its instruments weakly, so cannot be pickled
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def __setstate__(self, state):
+        vars(self).update(state)
+        self.__post_init__()  # an unpickled array is writable again
 
     @cached_property
     def choi_dims(self) -> tuple[int, int, int, int, int]:
@@ -74,6 +79,14 @@ class ProcessTensor:
         """eigh (w, v) of hermitize(gamma), from the density check that
         raises unless gamma is a state."""
         return check_density(self.gamma, vectors=True)
+
+    @cached_property
+    def choi_spectrum(self) -> np.ndarray:
+        """eigvalsh of the hermitized trace-normalized Choi matrix, from
+        its density check, read-only: the cross-checks' one decomposition
+        of it."""
+        return read_only(check_density(
+            self.matrix / math.prod(self.output_dims)))
 
     @cached_property
     def _memo(self) -> weakref.WeakKeyDictionary:

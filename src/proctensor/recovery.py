@@ -10,13 +10,14 @@ expectation therefore validates observables before contracting.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
 
 from .instruments import (_REF_THETA_WEIGHTS, _RT2, Instrument, PAULI,
                           dual_frame, span_project)
-from .linalg import kron, partial_trace, path_or_handle
+from .linalg import kron, partial_trace, path_or_handle, read_only
 from .process import ProcessTensor, _events
 
 SPAN_TOL = 1e-10
@@ -141,6 +142,28 @@ def _ac_bloch_data(p):
     return a, c, M
 
 
+def _ac_bloch(p) -> tuple:
+    """_ac_bloch_data(p) as read-only arrays, computed once per process
+    and kept beside its cached properties; a failure is not kept."""
+    data = vars(p).get("_ac_bloch")
+    if data is None:
+        data = vars(p)["_ac_bloch"] = tuple(map(read_only,
+                                                _ac_bloch_data(p)))
+    return data
+
+
+@lru_cache(maxsize=8)
+def _scan_grid(grid: int, full: bool) -> tuple:
+    """(thetas, phases, N1) of a scan, read-only, built once per (grid,
+    full) by _bloch_vectors; a failure is not cached."""
+    # grid counts steps: thetas inclusive of both ends, phases periodic
+    thetas = np.linspace(0.0, np.pi / 2, grid + 1)
+    phases = np.linspace(0.0, 2 * np.pi, grid, endpoint=False) if full \
+        else np.array([0.0])
+    return tuple(map(read_only,
+                     (thetas, phases, _bloch_vectors(thetas, phases))))
+
+
 @dataclass(frozen=True)
 class ScanResult:
     """True/reconstructed values and differences over pairs of directions
@@ -179,7 +202,9 @@ def deviation_scan(true_p, recovered_p, grid: int = 64,
     "projector" contracts rank-1 projectors on both sides (values in
     [0, 1]); "correlator" contracts the +/-1 observable of each projector
     pair. Everything reduces to Bloch algebra, so the grid is evaluated
-    in one vectorized pass, ordered by grid index.
+    in one vectorized pass, ordered by grid index. Each process's AC
+    Bloch data and each (grid, full) direction grid are built once and
+    shared by every later scan.
     """
     if convention not in ("projector", "correlator"):
         raise ValueError(f"unknown convention {convention!r}")
@@ -187,13 +212,9 @@ def deviation_scan(true_p, recovered_p, grid: int = 64,
         raise ValueError("grid needs at least 2 steps per angle")
     if ((grid + 1) * (grid if full else 1)) ** 2 > 2 ** 22:
         raise ValueError(f"grid {grid} makes a scan of over 2**22 points")
-    # grid counts steps: thetas inclusive of both ends, phases periodic
-    thetas = np.linspace(0.0, np.pi / 2, grid + 1)
-    phases = np.linspace(0.0, 2 * np.pi, grid, endpoint=False) if full \
-        else np.array([0.0])
-    a_t, c_t, M_t = _ac_bloch_data(true_p)
-    a_r, c_r, M_r = _ac_bloch_data(recovered_p)
-    N1 = _bloch_vectors(thetas, phases)
+    a_t, c_t, M_t = _ac_bloch(true_p)
+    a_r, c_r, M_r = _ac_bloch(recovered_p)
+    thetas, phases, N1 = _scan_grid(grid, bool(full))
     N2 = N1
     if convention == "projector":
         def values(a, c, M):

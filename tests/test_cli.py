@@ -514,6 +514,7 @@ def test_malformed_input_exits_two(tmp_path, monkeypatch, capsys, argv,
     # no malformed input may get as far as building a scan's grid or
     # seeding a draw (the shots, samples and resamples bounds come first)
     monkeypatch.setattr(recovery, "_bloch_vectors", _no_grid)
+    recovery._scan_grid.cache_clear()  # a cached grid would skip the guard
     monkeypatch.setattr(np.random, "default_rng", _no_draw)
     monkeypatch.setattr(np.random, "SeedSequence", _no_draw)
     name, text = bad_input
@@ -775,6 +776,20 @@ def test_process2_conditions_each_event_once(monkeypatch, capsys):
     code, _, _ = run_cli(capsys, ["preset", "process2"])
     assert code == 0
     assert calls == ["B"] * 7
+
+
+def test_process1_reduces_each_process_to_ac_data_once(monkeypatch, capsys):
+    # six scans of lambda against three recoveries (theta's and two noisy
+    # replays'): the true process's AC Bloch data once, each recovery's once
+    ac, seen = recovery._ac_bloch_data, []
+
+    def counted(p):
+        seen.append(type(p).__name__)
+        return ac(p)
+    monkeypatch.setattr(recovery, "_ac_bloch_data", counted)
+    code, _, _ = run_cli(capsys, ["preset", "process1"])
+    assert code == 0
+    assert seen == ["ProcessTensor"] + ["RecoveredProcess"] * 3
 
 
 def test_bad_event_state_exits_two_with_the_density_message(monkeypatch,

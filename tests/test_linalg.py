@@ -140,6 +140,34 @@ def test_check_density_returns_its_spectrum():
     assert w.tobytes() == ref_w.tobytes() and v.tobytes() == ref_v.tobytes()
 
 
+@pytest.mark.parametrize("scale", [0.0, 0.4e-10, 1e-10, 1.6e-10, 1e-6])
+def test_check_density_hermiticity_tolerance(scale):
+    # an anti-Hermitian part of entrywise size up to HERM_TOL passes, and
+    # the spectrum is still that of hermitize(rho), bit for bit
+    rng = np.random.default_rng(int(scale * 1e12) + 3)
+    rho = np.array([random_density(rng, 4), random_density(rng, 4)])
+    skew = np.zeros((4, 4), dtype=complex)
+    skew[0, 1], skew[1, 0] = scale, -scale
+    rho = rho + skew
+    if not is_hermitian(rho):
+        with pytest.raises(ValueError,
+                           match="^density matrix is not Hermitian$"):
+            check_density(rho)
+        return
+    assert check_density(rho).tobytes() == np.linalg.eigvalsh(
+        hermitize(rho)).tobytes()
+    w, v = check_density(rho[0], vectors=True)
+    ref_w, ref_v = np.linalg.eigh(hermitize(rho[0]))
+    assert w.tobytes() == ref_w.tobytes() and v.tobytes() == ref_v.tobytes()
+
+
+def test_check_density_rejects_nan_as_not_hermitian():
+    rho = np.eye(2, dtype=complex) / 2
+    rho[0, 1] = np.nan
+    with pytest.raises(ValueError, match="^density matrix is not Hermitian$"):
+        check_density(rho)
+
+
 NOT_HERMITIAN = np.array([[0.5, 0.5], [-0.5, 0.5]])
 NEGATIVE = np.diag([1.5, -0.5])
 WRONG_TRACE = np.eye(2)

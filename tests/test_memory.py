@@ -1,6 +1,7 @@
 """Memory metrics: non-Markovianity, memory strength, CMI, Haar survey."""
 import gc
 import hashlib
+import math
 import re
 import warnings
 
@@ -10,9 +11,9 @@ import pytest
 from proctensor import memory, process
 from proctensor.instruments import (INSTRUMENTS, instrument,
                                     instrument_by_name, z_basis)
-from proctensor.linalg import (check_density, kron, partial_trace,
-                               relative_entropy, trace_distance,
-                               von_neumann_entropy)
+from proctensor.linalg import (check_density, hermitize, kron,
+                               partial_trace, relative_entropy,
+                               trace_distance, von_neumann_entropy)
 from proctensor.memory import (
     _bloch_blocks, _survey_mi, _worst_event_mi, confusion_probability,
     markov_order_test, memory_strength, mutual_information, non_markovianity,
@@ -88,6 +89,86 @@ def test_choi_path_agrees_with_state_path():
         p = build_common_cause(g, (2, 2, 2), (2, 2))
         assert np.isclose(non_markovianity(p), non_markovianity_choi(p),
                           atol=1e-9)
+
+
+CHOI_DIMS = [(2, 2, 2), (2, 3, 2), (3, 2, 3), (2, 2, 3), (3, 2, 2)]
+
+
+def rank_state(rng, d, rank):
+    v = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+    rho = v @ v.conj().T
+    return rho / np.trace(rho).real
+
+
+def normalized_choi(p):
+    return p.matrix / math.prod(p.output_dims)
+
+
+@pytest.mark.parametrize("dims", CHOI_DIMS)
+def test_quantum_cmi_choi_bit_equal_to_its_state_formula(dims):
+    """S_ABC from the process's cached Choi spectrum changes no bit."""
+    rng = np.random.default_rng(41)
+    d = math.prod(dims)
+    for rank in range(1, d + 1):
+        p = build_common_cause(rank_state(rng, d, rank), dims, dims[:2])
+        dA, dAo, dB, dBo, dC = p.choi_dims
+        ref = quantum_cmi(normalized_choi(p), (dA * dAo, dB * dBo, dC))
+        assert (np.float64(quantum_cmi_choi(p)).tobytes()
+                == np.float64(ref).tobytes())
+
+
+@pytest.mark.parametrize("dims", CHOI_DIMS)
+def test_non_markovianity_choi_agrees_in_either_call_order(dims):
+    rng = np.random.default_rng(42)
+    d = math.prod(dims)
+    for rank in (1, d // 2, d):
+        g = rank_state(rng, d, rank)
+        got = []
+        for cmi_first in (True, False):
+            p = build_common_cause(g, dims, dims[:2])
+            if cmi_first:
+                quantum_cmi_choi(p)
+            got.append(non_markovianity_choi(p))
+            assert abs(got[-1] - non_markovianity(p)) <= 1e-9
+        assert got[0] == got[1]
+
+
+def _count_decompositions(monkeypatch, target):
+    """List that gains an entry per eigvalsh or eigh call on target."""
+    seen = []
+    for name in ("eigvalsh", "eigh"):
+        def counted(a, *args, _f=getattr(np.linalg, name), **kw):
+            if np.shape(a) == target.shape and np.array_equal(a, target):
+                seen.append(_f.__name__)
+            return _f(a, *args, **kw)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return seen
+
+
+@pytest.mark.parametrize("cmi_first", [True, False], ids=["cmi", "nm"])
+@pytest.mark.parametrize("state", ["omega", "random-323"])
+def test_cross_checks_decompose_the_choi_matrix_once(monkeypatch, state,
+                                                      cmi_first):
+    if state == "omega":
+        p = ome_process()
+    else:
+        g = rank_state(np.random.default_rng(43), 18, 18)
+        p = build_common_cause(g, (3, 2, 3), (3, 2))
+    seen = _count_decompositions(monkeypatch, hermitize(normalized_choi(p)))
+    checks = [quantum_cmi_choi, non_markovianity_choi]
+    for check in checks if cmi_first else checks[::-1]:
+        check(p)
+    assert seen == ["eigvalsh"]
+
+
+def test_choi_spectrum_is_cached_and_read_only():
+    p = ome_process()
+    w = p.choi_spectrum
+    assert p.choi_spectrum is w
+    assert w.tobytes() == np.linalg.eigvalsh(
+        hermitize(normalized_choi(p))).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        w[0] = 1.0
 
 
 def test_mutual_information():

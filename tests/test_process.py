@@ -12,7 +12,8 @@ from proctensor.process import (
     LEGS, ProcessTensor, born_probability, born_rule, build_common_cause,
     check_causality, condition, condition_instrument, cp_divisibility_check,
     final_choi, marginals, markov_product, measure_discard_choi)
-from proctensor.recovery import recover
+from proctensor.memory import quantum_cmi_choi
+from proctensor.recovery import _ac_bloch, deviation_scan, recover
 from proctensor.states import state_by_name
 
 
@@ -228,7 +229,21 @@ def test_gamma_is_a_read_only_copy():
 def test_process_pickles_without_its_event_tables():
     p = lam_process()
     theta = instrument_by_name("theta")
-    recover(p, theta)
+    rec = recover(p, theta)
+    deviation_scan(p, rec, grid=4)
+    quantum_cmi_choi(p)
     q = pickle.loads(pickle.dumps(p))
     assert q.gamma.tobytes() == p.gamma.tobytes() and "_memo" not in vars(q)
     assert len(p._memo) == 1
+    # the cached Choi spectrum and AC data are rebuilt, to the same bytes
+    # and read-only again, as is the unpickled gamma
+    assert "choi_spectrum" not in vars(q) and "_ac_bloch" not in vars(q)
+    assert q.choi_spectrum.tobytes() == p.choi_spectrum.tobytes()
+    for got, want in zip(_ac_bloch(q), _ac_bloch(p)):
+        assert got.tobytes() == want.tobytes()
+    for arr in (q.gamma, q.choi_spectrum, *_ac_bloch(q)):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+    r = pickle.loads(pickle.dumps(rec))
+    assert type(r) is type(rec) and r.gamma.tobytes() == rec.gamma.tobytes()
+    assert r.source_instrument.name == "theta"

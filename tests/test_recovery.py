@@ -209,6 +209,7 @@ def test_scan_point_cap(monkeypatch):
     def build(*args):
         raise GridBuilt
     monkeypatch.setattr(recovery, "_bloch_vectors", build)
+    recovery._scan_grid.cache_clear()
     p = lam_process()
     for grid, full in ((2048, False), (100000, False), (45, True)):
         with pytest.raises(ValueError, match=f"grid {grid} makes a scan"):
@@ -216,6 +217,65 @@ def test_scan_point_cap(monkeypatch):
     for grid, full in ((2047, False), (44, True)):  # the largest allowed
         with pytest.raises(GridBuilt):
             deviation_scan(p, p, grid=grid, full=full)
+
+
+@pytest.mark.parametrize("full", [False, True], ids=["phases-0", "full"])
+def test_scan_results_do_not_depend_on_scan_order(full):
+    # the AC data and the grid are shared, so whichever scan builds them
+    # first, each convention's arrays keep their bytes
+    results = []
+    for order in (("projector", "correlator"), ("correlator", "projector")):
+        recovery._scan_grid.cache_clear()
+        p = lam_process()
+        rec = recover(p, instrument_by_name("theta"))
+        results.append({c: deviation_scan(p, rec, grid=6, convention=c,
+                                          full=full) for c in order})
+    for conv in ("projector", "correlator"):
+        a, b = (r[conv] for r in results)
+        for name in ("thetas", "phases", "true_values", "recovered_values",
+                     "abs_diff"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        assert (a.max_abs_diff, a.argmax) == (b.max_abs_diff, b.argmax)
+
+
+def test_scan_shares_its_ac_data_and_grid(monkeypatch):
+    # one AC reduction per process and one grid per (grid, full), kept
+    # read-only; the patched builders see every miss
+    ac, bloch, calls = recovery._ac_bloch_data, recovery._bloch_vectors, []
+
+    def counted_ac(p):
+        calls.append(type(p).__name__)
+        return ac(p)
+
+    def counted_grid(thetas, phases):
+        calls.append(("grid", len(thetas), len(phases)))
+        return bloch(thetas, phases)
+    monkeypatch.setattr(recovery, "_ac_bloch_data", counted_ac)
+    monkeypatch.setattr(recovery, "_bloch_vectors", counted_grid)
+    recovery._scan_grid.cache_clear()
+    p = lam_process()
+    recs = [recover(p, instrument_by_name(n)) for n in ("theta", "tetra")]
+    for rec in recs:
+        for conv in ("projector", "correlator"):
+            deviation_scan(p, rec, grid=5, convention=conv)
+    scan = deviation_scan(p, recs[0], grid=5, full=True)
+    assert calls == ["ProcessTensor", "RecoveredProcess", ("grid", 6, 1),
+                     "RecoveredProcess", ("grid", 6, 5)]
+    thetas, phases, n1 = recovery._scan_grid(5, True)
+    assert scan.thetas is thetas and scan.phases is phases
+    for arr in (*recovery._ac_bloch(p), *recovery._ac_bloch(recs[1]),
+                thetas, phases, n1):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+
+
+def test_failed_ac_reduction_is_not_kept():
+    wide = kron(np.eye(3) / 3, np.eye(2) / 2, np.eye(2) / 2)
+    pw = build_common_cause(wide, (3, 2, 2), (3, 2))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="qubit outer parties"):
+            deviation_scan(pw, pw, grid=4)
+    assert "_ac_bloch" not in vars(pw)
 
 
 def test_scan_csv():
