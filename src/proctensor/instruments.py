@@ -13,9 +13,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import (builtin, hermitize, is_hermitian, json_number,
-                     json_object, kron, mat_from_json, mat_to_json,
-                     read_only)
+from .linalg import (FieldsPickle, builtin, hermitize, is_hermitian,
+                     json_number, json_object, kron, mat_from_json,
+                     mat_to_json, read_only)
 
 PAULI = (
     np.eye(2, dtype=complex),
@@ -30,7 +30,7 @@ COMPLETENESS_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class PovmElement:
+class PovmElement(FieldsPickle):
     """One element, its matrix kept as a private read-only copy."""
     matrix: np.ndarray
     label: str = ""
@@ -47,9 +47,10 @@ class PovmElement:
 
 
 @dataclass(frozen=True, eq=False)
-class Instrument:
+class Instrument(FieldsPickle):
     """Elements summing to the identity. Compared and hashed by identity,
-    so a process can key the event tables it keeps on it."""
+    so a process can key the event tables it keeps on it. A pickle holds
+    the elements and name; the dual frame is built again on first use."""
     elements: tuple[PovmElement, ...]
     name: str = ""
 

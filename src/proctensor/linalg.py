@@ -1,4 +1,5 @@
-"""Dense complex linear algebra on small tensor legs, and JSON file helpers.
+"""Dense complex linear algebra on small tensor legs, read-only kept
+arrays, and JSON file helpers.
 
 Everything here operates on plain numpy arrays. Entropic quantities are in
 bits (log base 2) throughout the package; eigenvalues below CLIP_EPS are
@@ -7,6 +8,7 @@ treated as exact zeros when taking logarithms.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import json
 import math
 import os
@@ -28,6 +30,21 @@ def read_only(m: np.ndarray) -> np.ndarray:
     """m, set to raise on any in-place write: for arrays that are kept."""
     m.flags.writeable = False
     return m
+
+
+class FieldsPickle:
+    """Pickles a frozen dataclass as its fields alone and reruns
+    __post_init__ on load, so what it derives and caches is rebuilt on use
+    and its kept arrays, which numpy unpickles writable, are read-only
+    again."""
+
+    def __getstate__(self):
+        return {f.name: getattr(self, f.name)
+                for f in dataclasses.fields(self)}
+
+    def __setstate__(self, state):
+        vars(self).update(state)
+        self.__post_init__()
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
@@ -135,8 +152,7 @@ def _relative_entropy(x: np.ndarray, wx: np.ndarray, y: np.ndarray) -> float:
     ker = vy[:, wy <= CLIP_EPS]
     if ker.shape[1] and np.linalg.norm(ker.conj().T @ x @ ker) > 1e-10:
         raise ValueError("support violation: divergence is infinite")
-    wx_c = wx[wx > CLIP_EPS]
-    t1 = float(np.sum(wx_c * np.log2(wx_c)))
+    t1 = -_spectrum_entropy(wx)
     log_y = (vy * np.log2(np.clip(wy, CLIP_EPS, None))) @ vy.conj().T
     t2 = float((x @ log_y).trace().real)
     return t1 - t2

@@ -206,91 +206,67 @@ def _bloch_blocks(p: ProcessTensor) -> tuple:
             tuple((kind, k, b.shape[1]) for kind, k, b in blocks), commuting)
 
 
-def _survey_views(blocks: tuple, sizes, dA: int, dC: int) -> dict:
-    """One working area for chunks of up to max(sizes) kets and, per size
-    n, every view of it that a chunk uses: 2n columns, projectors first.
-    The coefficient rows (row 0 all ones) are a BLAS operand, read as
-    their first 2n columns. Every other buffer is read as its head, in
-    contiguous rows, so that no ufunc call pays numpy's strided-iteration
-    setup and none reads the stale cells past that head: the (2, n, 2)
-    draws, the table product (whose leading rows later hold the entropy
-    terms), the spectrum rows, their drop mask, four scratch rows and the
-    column-major copy a block takes to eigvalsh."""
+def _survey_views(blocks: tuple, n: int, dA: int, dC: int) -> SimpleNamespace:
+    """The working area for chunks of up to n kets, 2n columns with the
+    projectors first, and every view of it that the kernel uses. Its
+    buffers are C-order (rows, 2n) arrays read row by row; the kets start
+    as ones, so every column holds a valid ket. A full block's
+    column-major copy for eigvalsh is the head of one flat buffer."""
     table, layout, _ = blocks
-    cols = 2 * max(sizes)
+    cols = 2 * n
     c = np.empty((4, cols))
-    c[0] = 1.0
+    c[0] = 1.0  # the coefficient rows, a BLAS operand
     nw = sum(2 if kind == "qubit" else k for kind, k, _ in layout)
     full = max([width for kind, _, width in layout if kind == "full"],
                default=0)
-    draws, x, w, t, flat = (np.empty((rows, cols)) for rows in
-                            (2, table.shape[1], nw, 4, full))
-    drop = np.empty((nw, cols), bool)
-
-    def head(a, *shape):  # a's first cells as a contiguous array
-        return a.reshape(-1)[:math.prod(shape)].reshape(shape)
-
-    views = {}
-    for n in sizes:
-        x_n, w_n, drop_n, t_n = (head(a, len(a), 2 * n)
-                                 for a in (x, w, drop, t))
-        groups, i, j = [], 1, 0
-        for kind, k, width in layout:
-            rows, i = x_n[i:i + width], i + width
-            if kind == "diagonal":
-                groups.append((kind, (rows, w_n[j:j + k])))
-            elif kind == "qubit":  # rows a, d, Re b, Im b
-                ev = w_n[j:j + 2]
-                groups.append((kind, (*rows[:2], rows[2:], ev, *ev,
-                                      *t_n[:2])))
-                k = 2
-            else:
-                copy = head(flat, 2 * n, width)
-                groups.append((kind, (rows.T, copy, copy.view(
-                    complex).reshape(-1, k, k), w_n[j:j + k])))
-            j += k
-        h, cells, c_n = x_n[:nw], t_n.reshape(-1), c[:, :2 * n]
-        views[n] = SimpleNamespace(
-            kets=head(draws, 2, n, 2), tT=table.T, c=c_n, x=x_n,
-            w=w_n, drop=drop_n, h=h, groups=groups,
-            sq=cells[:2 * n].reshape(n, 2), p0=cells[:2 * n:2],
-            p1=cells[1:2 * n:2], sq_im=cells[2 * n:4 * n].reshape(n, 2),
-            tmp=cells[4 * n:5 * n], c1=c_n[1, :n], c2=c_n[2, :n],
-            c3=c_n[3, :n], proj=c_n[1:, :n], comp=c_n[1:, n:],
-            x0=x_n[0], x1=x_n[1:],
-            sums=((t_n[0], list(h[dA + dC:])), (t_n[1], list(h[:dA + dC]))),
-            mi=t_n[0], marg=t_n[1], proj_mi=t_n[0, :n], comp_mi=t_n[0, n:])
-    return views
+    x, w, t = (np.empty((rows, cols)) for rows in (table.shape[1], nw, 4))
+    flat = np.empty(full * cols)
+    groups, i, j = [], 1, 0
+    for kind, k, width in layout:
+        rows, i = x[i:i + width], i + width
+        if kind == "diagonal":
+            groups.append((kind, (rows, w[j:j + k])))
+        elif kind == "qubit":  # rows a, d, Re b, Im b
+            ev = w[j:j + 2]
+            groups.append((kind, (*rows[:2], rows[2:], ev, *ev, *t[:2])))
+            k = 2
+        else:
+            copy = flat[:cols * width].reshape(cols, width)
+            groups.append((kind, (rows.T, copy, copy.view(
+                complex).reshape(-1, k, k), w[j:j + k])))
+        j += k
+    kets, h, sq = np.ones((2, n, 2)), x[:nw], t[:2].reshape(2, n, 2)
+    (re0, re1), (im0, im1) = kets.transpose(0, 2, 1)
+    return SimpleNamespace(
+        kets=kets, re0=re0, re1=re1, im0=im0, im1=im1, sq=sq, norms=sq[0],
+        sq_im=sq[1], p0=sq[0, :, 0], p1=sq[0, :, 1], tmp=t[2, :n],
+        tT=table.T, c=c, c1=c[1, :n], c2=c[2, :n], c3=c[3, :n],
+        proj=c[1:, :n], comp=c[1:, n:], x=x, x0=x[0], x1=x[1:], w=w,
+        drop=np.empty((nw, cols), bool), h=h, groups=groups,
+        sums=((t[0], list(h[dA + dC:])), (t[1], list(h[:dA + dC]))),
+        mi=t[0], marg=t[1], proj_mi=t[0, :n], comp_mi=t[0, n:])
 
 
-def _worst_event_mi(blocks: tuple, re: np.ndarray, im: np.ndarray, dA: int,
-                    dC: int, views: SimpleNamespace | None = None,
-                    out: np.ndarray | None = None) -> np.ndarray:
+def _worst_event_mi(v: SimpleNamespace, out: np.ndarray) -> np.ndarray:
     """Per-ket A:C mutual information in bits, maximised over the two
-    events of the instrument {P, 1 - P}, P = |v><v| / <v|v>; re and im are
-    the (n, 2) real and imaginary parts of kets of any nonzero norm. Both
-    events are columns of the working area (the _survey_views entry for
-    n; a fresh one if None), projectors first; their A, C and AC spectra
-    are stacked, and eigenvalues at or below CLIP_EPS are dropped as
-    von_neumann_entropy does. Every ufunc writes in place, its output
-    passed positionally, which numpy parses faster than out= (only
-    np.maximum must name it). Writes into out (fresh if None) and returns
-    it. Equals memory_strength(...).max_event ket by ket."""
-    n = len(re)
-    v = _survey_views(blocks, [n], dA, dC)[n] if views is None else views
-    out = np.empty(n) if out is None else out
+    events of the instrument {P, 1 - P}, P = |v><v| / <v|v>, for the kets
+    (of any nonzero norm) of the working area v. Every column is computed;
+    the first len(out) results go to out, which is returned. Both events'
+    A, C and AC spectra are stacked, and eigenvalues at or below CLIP_EPS
+    are dropped as von_neumann_entropy does. Every ufunc writes in place,
+    its output passed positionally, which numpy parses faster than out=
+    (only np.maximum must name it). Equals memory_strength(...).max_event
+    ket by ket."""
     # c = (1, s) for the projectors, (1, -s) after, s the Bloch vector
     # (2 Re(v0* v1), 2 Im(v0* v1), |v0|^2 - |v1|^2) / <v|v>
-    re0, re1, im0, im1 = re[:, 0], re[:, 1], im[:, 0], im[:, 1]
-    np.multiply(re, re, v.sq)
-    np.multiply(im, im, v.sq_im)
-    np.add(v.sq, v.sq_im, v.sq)  # |v0|^2, |v1|^2
-    np.multiply(re0, re1, v.c1)
-    np.multiply(im0, im1, v.tmp)
+    np.multiply(v.kets, v.kets, v.sq)  # real parts squared, then imaginary
+    np.add(v.norms, v.sq_im, v.norms)  # |v0|^2, |v1|^2
+    np.multiply(v.re0, v.re1, v.c1)
+    np.multiply(v.im0, v.im1, v.tmp)
     np.add(v.c1, v.tmp, v.c1)
     np.multiply(v.c1, 2.0, v.c1)
-    np.multiply(re0, im1, v.c2)
-    np.multiply(im0, re1, v.tmp)
+    np.multiply(v.re0, v.im1, v.c2)
+    np.multiply(v.im0, v.re1, v.tmp)
     np.subtract(v.c2, v.tmp, v.c2)
     np.multiply(v.c2, 2.0, v.c2)
     np.subtract(v.p0, v.p1, v.c3)
@@ -331,7 +307,8 @@ def _worst_event_mi(blocks: tuple, re: np.ndarray, im: np.ndarray, dA: int,
         for row in rows[2:]:
             np.add(total, row, total)
     np.subtract(v.mi, v.marg, v.mi)
-    return np.maximum(v.proj_mi, v.comp_mi, out=out)
+    m = len(out)
+    return np.maximum(v.proj_mi[:m], v.comp_mi[:m], out=out)
 
 
 N_SURVEY_CHUNKS = 64
@@ -342,8 +319,8 @@ def _survey_mi(p: ProcessTensor, samples: int, seed) -> np.ndarray:
     instrument at B, in bits. The kets are complex Gaussian pairs, left
     unnormalised, drawn in 64 fixed chunks with one child seed each (real
     parts, then imaginary parts), so the values depend only on (samples,
-    seed). One working area, sized by the largest chunk, serves every
-    chunk."""
+    seed). One working area, built once at the largest chunk's width,
+    serves every chunk: a shorter chunk fills the head rows of its kets."""
     dA, dB, dC = p.input_dims
     if dB != 2:
         raise ValueError("survey requires a qubit middle leg (Haar "
@@ -352,14 +329,15 @@ def _survey_mi(p: ProcessTensor, samples: int, seed) -> np.ndarray:
     blocks = _bloch_blocks(p)
     children = np.random.SeedSequence(seed).spawn(N_SURVEY_CHUNKS)
     q, extra = divmod(samples, N_SURVEY_CHUNKS)
-    views = _survey_views(blocks, {q, q + (extra > 0)}, dA, dC)
+    v = _survey_views(blocks, q + (extra > 0), dA, dC)
     mi = np.empty(samples)
     start = 0
     for i, child in enumerate(children):
         n = q + (i < extra)
-        v = views[n]
-        np.random.default_rng(child).standard_normal(out=v.kets)
-        _worst_event_mi(blocks, *v.kets, dA, dC, v, mi[start:start + n])
+        rng = np.random.default_rng(child)
+        rng.standard_normal(out=v.kets[0, :n])
+        rng.standard_normal(out=v.kets[1, :n])
+        _worst_event_mi(v, mi[start:start + n])
         start += n
     return mi
 

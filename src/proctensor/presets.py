@@ -15,7 +15,7 @@ import numpy as np
 
 from .instruments import _REF_THETA_WEIGHTS, instrument_by_name
 from .linalg import fidelity, kron, mat_to_json, trace_distance
-from .process import born_probability, build_common_cause
+from .process import _events, born_probability, build_common_cause
 from .states import STATES, state_by_name, werner
 
 # memory, recovery, tomography and walk load in the functions that use them
@@ -220,7 +220,7 @@ def preset_process2(refs=REFERENCES["process2"]) -> dict:
                                       "xi_max_event_memory")
     # the Werner residuals read the conditional states of the report's pass
     reps = memory_strength(p, sharp)
-    events = p._memo[sharp]["events"]
+    events = _events(p, sharp)
     r["qutrit_sharp_memory"] = reps.as_dict()
     r["qutrit_sharp_event_memory"] = [
         _entry(mi, refs, "qutrit_sharp_event_memory", i)

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .instruments import Instrument
-from .linalg import check_density, kron, partial_trace, read_only
+from .linalg import (FieldsPickle, check_density, kron, partial_trace,
+                     read_only)
 
 PARTIES = ("A", "B", "C")
 # the Choi matrix's (label, direction) legs in chronological order
@@ -43,26 +44,19 @@ def _choi(gamma: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ProcessTensor:
+class ProcessTensor(FieldsPickle):
     """Common-cause process: its input-leg state gamma on (A_in, B_in,
     C_in), kept as a private read-only copy, since everything derived
     from it is kept too. The Choi matrix on LEGS, gamma with an identity
-    on each output leg, and its choi_dims are built on first access."""
+    on each output leg, and its choi_dims are built on first access. A
+    pickle holds the fields alone: the memo holds its instruments weakly,
+    so cannot be pickled."""
     gamma: np.ndarray = field(repr=False)
     input_dims: tuple[int, int, int]
     output_dims: tuple[int, int]
 
     def __post_init__(self):
         object.__setattr__(self, "gamma", read_only(np.array(self.gamma)))
-
-    def __getstate__(self):
-        # the fields alone: what is derived from gamma is rebuilt on use,
-        # and the memo holds its instruments weakly, so cannot be pickled
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def __setstate__(self, state):
-        vars(self).update(state)
-        self.__post_init__()  # an unpickled array is writable again
 
     @cached_property
     def choi_dims(self) -> tuple[int, int, int, int, int]:

@@ -32,11 +32,18 @@ class RecoveredProcess(ProcessTensor):
 
     A ProcessTensor, so conditioning and the Born fast path apply
     unchanged. Positivity holds on the instrument span only, not
-    globally, so recover() does not validate it.
+    globally, so recover() does not validate it. Its event marginals are
+    private read-only copies.
     """
     source_instrument: Instrument
     # per-event (probability, A marginal, C marginal) of the true process
     events: tuple = field(repr=False, default=())
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "events", tuple(
+            (prob, *(read_only(np.array(m)) for m in marg))
+            for prob, *marg in self.events))
 
 
 def recover(p: ProcessTensor, inst: Instrument) -> RecoveredProcess:

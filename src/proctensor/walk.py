@@ -67,17 +67,18 @@ def _check_unitary(U: np.ndarray, pos) -> np.ndarray:
 
 
 def apply_coins(s: WalkState, coins: dict) -> WalkState:
-    """Apply position-controlled coin unitaries, identity elsewhere."""
-    return _apply(s, {int(x): _check_unitary(U, x) for x, U in coins.items()})
-
-
-def _apply(s: WalkState, ops: dict) -> WalkState:
-    present = {x for (x, _), a in s.amplitudes.items()
-               if abs(a) > PORT_AMP_TOL}
-    idle = sorted(set(ops) - present)
+    """Apply position-controlled coin unitaries, identity elsewhere. Warns,
+    at the caller's line, of coins where the walker has no amplitude."""
+    ops = {int(x): _check_unitary(U, x) for x, U in coins.items()}
+    idle = sorted(set(ops) - {x for (x, _), a in s.amplitudes.items()
+                              if abs(a) > PORT_AMP_TOL})
     if idle:
         warnings.warn(f"coins at unreachable positions {idle} act on "
                       "nothing", stacklevel=2)
+    return _apply(s, ops)
+
+
+def _apply(s: WalkState, ops: dict) -> WalkState:
     out = {}
     for (x, c), a in s.amplitudes.items():
         U = ops.get(x)
@@ -134,9 +135,7 @@ def extract_povm(circuit: WalkCircuit) -> Instrument:
     """
     # a single basis run cannot reach every branch of a deterministic
     # first coin; coverage is checked across both runs via the port map
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        runs = [run_protocol(basis, circuit) for basis in ((1, 0), (0, 1))]
+    runs = [run_protocol(basis, circuit) for basis in ((1, 0), (0, 1))]
     name = circuit.name or "walk"
     # a port is reached when a run ends there with more probability than
     # completeness lets go missing; the leak of a coin within UNITARY_TOL

@@ -15,9 +15,10 @@ from proctensor.linalg import (check_density, hermitize, kron,
                                partial_trace, relative_entropy,
                                trace_distance, von_neumann_entropy)
 from proctensor.memory import (
-    _bloch_blocks, _survey_mi, _worst_event_mi, confusion_probability,
-    markov_order_test, memory_strength, mutual_information, non_markovianity,
-    non_markovianity_choi, projective_survey, quantum_cmi, quantum_cmi_choi)
+    _bloch_blocks, _survey_mi, _survey_views, _worst_event_mi,
+    confusion_probability, markov_order_test, memory_strength,
+    mutual_information, non_markovianity, non_markovianity_choi,
+    projective_survey, quantum_cmi, quantum_cmi_choi)
 from proctensor.process import ProcessTensor, build_common_cause, marginals
 from proctensor.recovery import recover
 from proctensor.states import bell, state_by_name
@@ -469,6 +470,13 @@ def _lambda(rng, dims):
     return state_by_name("lambda")[0]
 
 
+def _kernel(blocks, kets, dA, dC):
+    """_worst_event_mi of complex (n, 2) kets on an area of width n."""
+    v = _survey_views(blocks, len(kets), dA, dC)
+    v.kets[0], v.kets[1] = kets.real, kets.imag
+    return _worst_event_mi(v, np.empty(len(kets)))
+
+
 @pytest.mark.parametrize("dims, draw, commuting", [
     ((2, 2, 2), _generic, False), ((3, 2, 2), _generic, False),
     ((2, 2, 3), _generic, False), ((3, 2, 3), _generic, False),
@@ -491,8 +499,7 @@ def test_survey_kernel_matches_memory_strength(dims, draw, commuting):
         v /= np.linalg.norm(v)
         P = np.outer(v, v.conj())
         exact = memory_strength(p, instrument([P, np.eye(2) - P])).max_event
-        mi = _worst_event_mi(blocks, v[None, :].real, v[None, :].imag,
-                             dims[0], dims[2])
+        mi = _kernel(blocks, v[None, :], dims[0], dims[2])
         assert abs(mi[0] - exact) < 1e-12
 
 
@@ -515,8 +522,7 @@ def test_survey_kernel_batch_of_unnormalised_kets(dims, draw):
     p = build_common_cause(draw(rng, dims), dims, dims[:2])
     kets = rng.normal(size=(32, 2)) + 1j * rng.normal(size=(32, 2))
     kets *= 10.0 ** rng.uniform(-3, 3, size=(32, 1))
-    mi = _worst_event_mi(_bloch_blocks(p), kets.real, kets.imag, dims[0],
-                         dims[2])
+    mi = _kernel(_bloch_blocks(p), kets, dims[0], dims[2])
     assert mi.shape == (32,)
     for v, m in zip(kets, mi):
         P = np.outer(v, v.conj()) / np.vdot(v, v).real
@@ -584,9 +590,11 @@ SURVEY_PINS = {
                          ids=[f"{n}-{s}" for n, s in SURVEY_PINS])
 def test_survey_mi_bytes_pinned(name, samples):
     # every per-sample MI byte holds. The survey reuses one working area
-    # per call, so a chunk shorter than the first leaves stale columns at
-    # its tail; a kernel that read them would move a byte or, on garbage,
-    # warn (a division by zero, log2 or sqrt of a negative)
+    # per call, as wide as its widest chunk, so a shorter chunk leaves an
+    # earlier chunk's ket in its tail column. The kernel computes that
+    # valid ket too; one that wrote a tail column into a result would move
+    # a byte, and garbage in the area would warn (a division by zero,
+    # log2 or sqrt of a negative)
     draw, dims = SURVEY_STATES[name]
     rng = np.random.default_rng(sum(dims))
     p = build_common_cause(draw(rng, dims), dims, dims[:2])
@@ -596,6 +604,38 @@ def test_survey_mi_bytes_pinned(name, samples):
     assert mi.shape == (samples,)
     assert hashlib.sha256(mi.tobytes()).hexdigest() == SURVEY_PINS[
         name, samples]
+
+
+@pytest.mark.parametrize("name", SURVEY_STATES)
+def test_short_chunk_on_a_fresh_area(name):
+    # a chunk one ket short of its area gives the bytes of an area of
+    # exactly its width, with no warning: the tail column keeps the ones
+    # a fresh area starts with, a valid ket, and no result reads it
+    draw, dims = SURVEY_STATES[name]
+    rng = np.random.default_rng(sum(dims))
+    p = build_common_cause(draw(rng, dims), dims, dims[:2])
+    blocks = _bloch_blocks(p)
+    kets = rng.normal(size=(31, 2)) + 1j * rng.normal(size=(31, 2))
+    v = _survey_views(blocks, 32, dims[0], dims[2])
+    v.kets[0, :31], v.kets[1, :31] = kets.real, kets.imag
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mi = _worst_event_mi(v, np.empty(31))
+    assert mi.tobytes() == _kernel(blocks, kets, dims[0], dims[2]).tobytes()
+
+
+def test_survey_builds_one_area_per_call(monkeypatch):
+    # one working area per survey, at the widest chunk's width:
+    # 1003 = 64 * 15 + 43 samples take chunks of 16 and 15 kets
+    widths = []
+    build = memory._survey_views
+    monkeypatch.setattr(memory, "_survey_views",
+                        lambda blocks, n, dA, dC: widths.append(n)
+                        or build(blocks, n, dA, dC))
+    mi = _survey_mi(lam_process(), 1003, 7)
+    assert widths == [16] and mi.shape == (1003,)
+    projective_survey(lam_process(), 0.0125, 6400, seed=7)
+    assert widths == [16, 100]
 
 
 def test_criterion_09_cutoff_table():

@@ -6,7 +6,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
-from proctensor.instruments import instrument_by_name, random_projective
+from proctensor.instruments import (dual_frame, instrument_by_name,
+                                    random_projective)
 from proctensor.linalg import kron, partial_trace
 from proctensor.process import (
     LEGS, ProcessTensor, born_probability, born_rule, build_common_cause,
@@ -247,3 +248,41 @@ def test_process_pickles_without_its_event_tables():
     r = pickle.loads(pickle.dumps(rec))
     assert type(r) is type(rec) and r.gamma.tobytes() == rec.gamma.tobytes()
     assert r.source_instrument.name == "theta"
+
+
+def _assert_read_only(arrays):
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 0
+
+
+def _event_bytes(rec):
+    return [(prob, *(m.tobytes() for m in marg))
+            for prob, *marg in rec.events]
+
+
+def test_unpickled_kept_arrays_are_read_only():
+    # numpy unpickles arrays writable; a recovered process and an
+    # instrument, its dual frame built or not, freeze every kept array
+    # again on load, to the same bytes. With B in |0>, z's second event is
+    # impossible and keeps maximally mixed marginals in its place
+    g = kron(np.eye(2) / 2, np.diag([1.0, 0.0]), np.eye(2) / 2)
+    for p, name in ((lam_process(), "theta"),
+                    (build_common_cause(g, (2, 2, 2), (2, 2)), "z")):
+        rec = recover(p, instrument_by_name(name))
+        r = pickle.loads(pickle.dumps(rec))
+        assert _event_bytes(r) == _event_bytes(rec)
+        for obj in (rec, r):
+            _assert_read_only([m for _, *marg in obj.events for m in marg])
+    theta = instrument_by_name("theta")
+    bare = pickle.loads(pickle.dumps(theta))
+    frame = dual_frame(theta)
+    built = pickle.loads(pickle.dumps(theta))
+    assert "_dual_frame" not in vars(built)
+    for inst in (theta, bare, built):
+        assert [m.tobytes() for m in inst.matrices()] == [
+            m.tobytes() for m in theta.matrices()]
+        f = dual_frame(inst)
+        assert [m.tobytes() for m in (*f.duals, f.gram)] == [
+            m.tobytes() for m in (*frame.duals, frame.gram)]
+        _assert_read_only([*inst.matrices(), *f.duals, f.gram])

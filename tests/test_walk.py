@@ -1,4 +1,5 @@
 """Quantum-walk execution, POVM extraction, frame alignment, circuit IO."""
+import sys
 import warnings
 
 import numpy as np
@@ -135,16 +136,23 @@ def test_extract_povm_rejects_bad_port_maps():
 
 
 def test_unreachable_coin_warning_from_direct_run():
-    circ = theta_circuit()
+    # a coin where the walker has no amplitude warns only from the public
+    # single-step call, at the caller's line
     with warnings.catch_warnings(record=True) as w:
         warnings.simplefilter("always")
-        run_protocol([1, 0], circ)
-    assert any("unreachable" in str(x.message) for x in w)
-    # extraction suppresses that warning internally
-    with warnings.catch_warnings(record=True) as w:
-        warnings.simplefilter("always")
-        extract_povm(circ)
-    assert not any("unreachable" in str(x.message) for x in w)
+        line = sys._getframe().f_lineno + 1
+        apply_coins(coin_state([1, 0]), {1: BITFLIP})
+    assert [(x.filename, x.lineno) for x in w] == [(__file__, line)]
+    assert "unreachable positions [1]" in str(w[0].message)
+    # runs of the built-in circuits, whose first coins leave one basis
+    # input's branch empty, do not warn
+    for circ in (theta_circuit(), tetra_circuit()):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for coin in ([1, 0], [0, 1]):
+                run_protocol(coin, circ)
+                port_probabilities(coin, circ)
+            extract_povm(circ)
 
 
 def test_bloch_vector():
