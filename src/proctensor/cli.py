@@ -52,7 +52,7 @@ def _flatten_rows(node, prefix, rows):
         rows.append((prefix, node))
 
 
-def _emit(obj, out_path=None, fmt="json"):
+def _emit(obj, out_path, fmt):
     if fmt == "json":
         write_json(obj, out_path or sys.stdout)
         return
@@ -161,17 +161,10 @@ def _load_instrument(arg) -> Instrument:
     return obj if key else instrument_from_json(obj)
 
 
-def _run_preset(name, seed=None, out=None, fmt="json", tols=None) -> int:
-    key, preset = builtin(PRESETS, name, "preset")
-    if seed is not None and key not in PRESET_SEEDS:
-        raise ValueError(f"preset {key!r} takes no seed, got {seed}")
-    seeded = {"seed": seed} if key in PRESET_SEEDS else {}
-    bundle = preset(refs=references(key, tols), **seeded)
-    _emit({"preset": key, **bundle}, out, fmt)
-    return 0
-
-
-def _load_config(path) -> dict:
+def _config_args(path) -> argparse.Namespace:
+    """The arguments of the command a config file names: preset's, with
+    the config's seed, output, format and tolerances, or those its custom
+    'command' parses to."""
     with open(path) as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
@@ -182,65 +175,72 @@ def _load_config(path) -> dict:
     if cfg.get("preset") is None:
         raise ValueError("config needs a 'preset' key")
     # 'custom' follows the name rule of the built-in presets
-    cfg["preset"], _ = builtin({**PRESETS, "custom": None}, cfg["preset"],
-                               "preset")
-    if "command" in cfg and cfg["preset"] != "custom":
+    preset, _ = builtin({**PRESETS, "custom": None}, cfg["preset"], "preset")
+    if "command" in cfg and preset != "custom":
         raise ValueError("'command' is only valid with preset 'custom'")
     ignored = sorted(set(cfg) - {"preset", "command"})
-    if cfg["preset"] == "custom" and ignored:
+    if preset == "custom" and ignored:
         raise ValueError(f"preset 'custom' takes only 'command'; {ignored} "
                          "would be ignored (pass options inside 'command')")
+    if preset == "custom":
+        command = cfg.get("command")
+        if (not isinstance(command, list)
+                or not all(isinstance(t, str) for t in command)):
+            raise ValueError("custom preset needs 'command': [args...]")
+        if command and command[0] == "run":
+            raise ValueError("custom command cannot nest 'run'")
+        return build_parser(_CommandParser).parse_args(command)
     tols = cfg.get("tolerances")
     if tols is not None:
         if not isinstance(tols, dict):
             raise ValueError("tolerances must map field names to numbers")
-        cfg["tolerances"] = {k: json_number(v, f"tolerances: {k!r}")
-                             for k, v in tols.items()}
-    if cfg.get("seed") is not None:
-        cfg["seed"] = json_number(cfg["seed"], "seed", integer=True)
-    if not isinstance(cfg.get("output"), (str, type(None))):
-        raise ValueError(f"output must be a file path, got {cfg['output']!r}")
-    if cfg.get("format", "json") not in ("json", "csv"):
+        tols = {k: json_number(v, f"tolerances: {k!r}")
+                for k, v in tols.items()}
+    seed = cfg.get("seed")
+    if seed is not None:
+        seed = json_number(seed, "seed", integer=True)
+    out = cfg.get("output")
+    if out == "" or not isinstance(out, (str, type(None))):
+        raise ValueError(f"output must be a file path, got {out!r}")
+    fmt = cfg.get("format", "json")
+    if fmt not in ("json", "csv"):
         raise ValueError("format must be json or csv")
-    return cfg
+    return argparse.Namespace(func=_cmd_preset, name=preset, seed=seed,
+                              out=out, format=fmt, tolerances=tols)
 
 
 # ---------------------------------------------------------------- handlers
+# each returns (record, exit code); main writes it to --out, else stdout
 
-def _cmd_states_emit(args) -> int:
+def _cmd_states_emit(args):
     name, (factory, dims) = builtin(STATES, args.name, "state")
-    _emit({"name": name, **_state_to_json(factory(), dims)}, args.out)
-    return 0
+    return {"name": name, **_state_to_json(factory(), dims)}, 0
 
 
-def _cmd_process_build(args) -> int:
+def _cmd_process_build(args):
     g, dims, _ = _load_state(args.state)
     p = build_common_cause(g, dims, dims[:2])
-    _emit(_process_to_json(p), args.out, "json")
-    return 0
+    return _process_to_json(p), 0
 
 
-def _cmd_process_check(args) -> int:
+def _cmd_process_check(args):
     p = _load_process(args.process)
     report = check_causality(p)
-    _emit(report, args.out, "json")
-    return 0 if report["ok"] else 3
+    return report, 0 if report["ok"] else 3
 
 
-def _cmd_instrument_show(args) -> int:
+def _cmd_instrument_show(args):
     inst = _load_instrument(args.name)
-    _emit(instrument_to_json(inst), args.out, "json")
-    return 0
+    return instrument_to_json(inst), 0
 
 
-def _cmd_instrument_validate(args) -> int:
+def _cmd_instrument_validate(args):
     inst = _load_instrument(args.name)
     report = validate_instrument(inst)
-    _emit({"name": inst.name, "dim": inst.dim, **report}, args.out, "json")
-    return 0
+    return {"name": inst.name, "dim": inst.dim, **report}, 0
 
 
-def _cmd_instrument_dual(args) -> int:
+def _cmd_instrument_dual(args):
     inst = _load_instrument(args.name)
     frame = dual_frame(inst)
     worst = 0.0
@@ -248,47 +248,44 @@ def _cmd_instrument_dual(args) -> int:
         for y, e in enumerate(inst.matrices()):
             got = float(np.trace(d @ e).real)
             worst = max(worst, abs(got - (1.0 if x == y else 0.0)))
-    _emit({
+    return {
         "name": inst.name,
         "duals": [mat_to_json(d) for d in frame.duals],
         "gram": mat_to_json(frame.gram),
         "duality_residual": worst,
-    }, args.out, "json")
-    return 0
+    }, 0
 
 
-def _cmd_memory_strength(args) -> int:
+def _cmd_memory_strength(args):
     from .memory import memory_strength
     p = _load_process(args.process)
     inst = _load_instrument(args.instrument)
     rep = memory_strength(p, inst)
     ok, detail = rep.markov_order()
-    _emit({
+    return {
         "process": str(args.process),
         "instrument": inst.name or str(args.instrument),
         "report": rep.as_dict(),
         "markov_order_one": bool(ok),
         "events": detail["events"],
         "tol": detail["tol"],
-    }, args.out, "json")
-    return 0
+    }, 0
 
 
-def _cmd_memory_survey(args) -> int:
+def _cmd_memory_survey(args):
     from .memory import projective_survey
     p = _load_process(args.process)
     frac = projective_survey(p, args.cutoff, args.samples, args.seed)
-    _emit({
+    return {
         "process": str(args.process),
         "cutoff": args.cutoff,
         "samples": args.samples,
         "seed": args.seed,
         "fraction_below_cutoff": {"value": frac},
-    }, args.out, "json")
-    return 0
+    }, 0
 
 
-def _cmd_recover_build(args) -> int:
+def _cmd_recover_build(args):
     from .recovery import recover
     p = _load_process(args.process)
     inst = _load_instrument(args.instrument)
@@ -297,7 +294,7 @@ def _cmd_recover_build(args) -> int:
         abs(born_probability(p, b_element=e.matrix)
             - born_probability(rec, b_element=e.matrix))
         for e in inst.elements)
-    _emit({
+    return {
         "process": str(args.process),
         "instrument": inst.name or str(args.instrument),
         **_process_to_json(rec),
@@ -305,11 +302,10 @@ def _cmd_recover_build(args) -> int:
         "events": [{"probability": pr} for pr, _, _ in rec.events],
         "fidelity_to_true": fidelity(rec.gamma, p.gamma),
         "born_preservation_max": born_dev,
-    }, args.out, "json")
-    return 0
+    }, 0
 
 
-def _cmd_recover_scan(args) -> int:
+def _cmd_recover_scan(args):
     from .recovery import deviation_scan, noisy_replay, recover
     p = _load_process(args.process)
     inst = _load_instrument(args.instrument)
@@ -319,8 +315,8 @@ def _cmd_recover_scan(args) -> int:
     rec = recover(p, inst)
     scan = deviation_scan(p, rec, grid=args.grid,
                           convention=args.convention, full=args.full)
-    scan.to_csv(args.out)
-    _emit({
+    scan.to_csv(args.csv)
+    return {
         "process": str(args.process),
         "instrument": inst.name or str(args.instrument),
         "convention": scan.convention,
@@ -330,12 +326,11 @@ def _cmd_recover_scan(args) -> int:
         "points": int(scan.abs_diff.size),
         "max_abs_diff": scan.max_abs_diff,
         "argmax": scan.argmax,
-        "csv": str(args.out),
-    }, None, "json")
-    return 0
+        "csv": str(args.csv),
+    }, 0
 
 
-def _cmd_walk_verify(args) -> int:
+def _cmd_walk_verify(args):
     from .walk import CIRCUITS, circuit_by_name, circuit_from_json
     if not 0 <= args.tol < math.inf:
         raise ValueError(f"--tol must be finite and >= 0, got {args.tol}")
@@ -350,52 +345,56 @@ def _cmd_walk_verify(args) -> int:
         raise ValueError(f"--target dimension {target.dim} differs from "
                          "the circuit's POVM dimension 2")
     block = _verify_circuit(circuit, target, args.seed)
-    block = {"circuit": str(args.circuit),
-             "target": (target.name or str(args.target)), **block}
-    _emit(block, args.out, "json")
     lit = block["literal_max_deviation"]["value"]
     rot = block["rotated_max_deviation"]["value"]
-    return 0 if min(lit, rot) <= args.tol else 3
+    return {"circuit": str(args.circuit),
+            "target": (target.name or str(args.target)),
+            **block}, 0 if min(lit, rot) <= args.tol else 3
 
 
-def _counts_for(args):
-    """(counts, dims, the built-in state or None) for tomo commands.
-    Counts come from --counts, else are simulated from --state; dims from
-    --state, else from the first label (one-letter bases are qubits)."""
-    from .tomography import counts_from_csv, simulate_counts
+def _counts_for(args, unused):
+    """(counts, dims, the built-in state or None) for tomo commands. Counts
+    come from --counts (passing an option in unused is then an error), else
+    from --state at --shots and --seed, defaulted here; dims from --state,
+    which must agree with the counts' labels, else from those labels."""
+    from .tomography import counts_from_csv, label_dims, simulate_counts
+    passed = [f"--{o}" for o in unused if getattr(args, o) is not None]
+    if args.counts and passed:
+        raise ValueError(f"{', '.join(passed)} would be ignored with --counts")
+    args.shots = TOMO_SHOTS if args.shots is None else args.shots
+    args.seed = PRESET_SEEDS["tomo"] if args.seed is None else args.seed
     counts = counts_from_csv(args.counts) if args.counts else None
-    if args.state:
-        g, dims, key = _load_state(args.state)
-    elif counts is None:
+    if counts is None and not args.state:
         raise ValueError("need --counts or --state")
-    else:
-        key = None
-        dims = tuple(2 if len(lbl) == 1 else 3
-                     for lbl in counts.labels[0].split("/"))
+    implied = None if counts is None else label_dims(counts.labels[0])
+    g, dims, key = (_load_state(args.state) if args.state
+                    else (None, implied, None))
     if counts is None:
         counts = simulate_counts(g, dims, args.shots, args.seed)
+    elif implied != dims:
+        raise ValueError(f"--state {args.state!r} has dims {dims}, but the "
+                         f"counts' labels imply dims {implied}")
     return counts, dims, g if key else None
 
 
-def _cmd_tomo_simulate(args) -> int:
+def _cmd_tomo_simulate(args):
     from .tomography import counts_to_csv, simulate_counts
     g, dims, _ = _load_state(args.state)
     counts = simulate_counts(g, dims, args.shots, args.seed)
-    counts_to_csv(counts, args.out)
-    _emit({
+    counts_to_csv(counts, args.csv)
+    return {
         "state": str(args.state),
         "settings": len(counts.labels),
         "shots_requested": args.shots,
         "total_shots": int(counts.total_shots),
         "seed": args.seed,
-        "csv": str(args.out),
-    }, None, "json")
-    return 0
+        "csv": str(args.csv),
+    }, 0
 
 
-def _cmd_tomo_reconstruct(args) -> int:
+def _cmd_tomo_reconstruct(args):
     from .tomography import reconstruct
-    counts, dims, g = _counts_for(args)
+    counts, dims, g = _counts_for(args, ("shots", "seed"))
     rho = reconstruct(counts, dims)
     out = {
         "settings": len(counts.labels),
@@ -408,17 +407,16 @@ def _cmd_tomo_reconstruct(args) -> int:
         out["non_markovianity_reconstructed"] = {
             "value": state_non_markovianity(rho, dims)}
     if args.matrix_out:
-        _emit(_state_to_json(rho, dims), args.matrix_out)
+        write_json(_state_to_json(rho, dims), args.matrix_out)
         out["matrix_file"] = str(args.matrix_out)
     else:
         out["matrix"] = mat_to_json(rho)
-    _emit(out, args.out, "json")
-    return 0
+    return out, 0
 
 
-def _cmd_tomo_bootstrap(args) -> int:
+def _cmd_tomo_bootstrap(args):
     from .tomography import bootstrap
-    counts, dims, g = _counts_for(args)
+    counts, dims, g = _counts_for(args, ("shots",))
     if g is not None:
         from .memory import state_non_markovianity
         name, stat = "non_markovianity", (
@@ -428,38 +426,26 @@ def _cmd_tomo_bootstrap(args) -> int:
             lambda sigma: float(np.trace(sigma @ sigma).real))
     mean, err = bootstrap(counts, dims, stat, resamples=args.resamples,
                           seed=args.seed)
-    _emit({
+    return {
         "statistic": name,
         "resamples": args.resamples,
         "seed": args.seed,
         "total_shots": int(counts.total_shots),
         "mean": {"value": mean},
         "stderr": {"value": err},
-    }, args.out, "json")
-    return 0
+    }, 0
 
 
-def _cmd_preset(args) -> int:
-    return _run_preset(args.name, seed=args.seed, out=args.out,
-                       fmt=args.format)
-
-
-def _cmd_run(args) -> int:
-    cfg = _load_config(args.config)
-    preset = cfg["preset"]
-    if preset == "custom":
-        command = cfg.get("command")
-        if (not isinstance(command, list)
-                or not all(isinstance(t, str) for t in command)):
-            raise ValueError("custom preset needs 'command': [args...]")
-        if command and command[0] == "run":
-            raise ValueError("custom command cannot nest 'run'")
-        parsed = build_parser(_CommandParser).parse_args(command)
-        return parsed.func(parsed)
-    return _run_preset(preset, seed=cfg.get("seed"),
-                       out=cfg.get("output"),
-                       fmt=cfg.get("format", "json"),
-                       tols=cfg.get("tolerances"))
+def _cmd_preset(args):
+    """A preset typed as a command or named by a config, whose
+    tolerances it alone carries."""
+    if args.seed is not None and args.name not in PRESET_SEEDS:
+        raise ValueError(f"preset {args.name!r} takes no seed, got "
+                         f"{args.seed}")
+    seeded = {"seed": args.seed} if args.name in PRESET_SEEDS else {}
+    bundle = PRESETS[args.name](refs=references(args.name, args.tolerances),
+                                **seeded)
+    return {"preset": args.name, **bundle}, 0
 
 
 # ---------------------------------------------------------------- parser
@@ -489,6 +475,7 @@ def build_parser(parser=argparse.ArgumentParser) -> argparse.ArgumentParser:
         prog="proctensor",
         description="process-tensor toolkit for three-step common-cause "
                     "processes")
+    ap.set_defaults(out=None, format="json", tolerances=None)
     sub = ap.add_subparsers(dest="command", required=True)
 
     def group(name, help):
@@ -548,7 +535,7 @@ def build_parser(parser=argparse.ArgumentParser) -> argparse.ArgumentParser:
                     help="scan azimuthal angles too")
     sp.add_argument("--noise", type=float, default=0.0,
                     help="leg-local depolarizing strength on the true state")
-    sp.add_argument("--out", required=True)
+    sp.add_argument("--out", dest="csv", metavar="OUT", required=True)
 
     walk = group("walk", "quantum-walk circuits")
     sp = add(walk, "verify", _cmd_walk_verify,
@@ -565,7 +552,7 @@ def build_parser(parser=argparse.ArgumentParser) -> argparse.ArgumentParser:
              out=False)
     sp.add_argument("--shots", type=int, default=TOMO_SHOTS)
     sp.add_argument("--seed", type=_seed, default=PRESET_SEEDS["tomo"])
-    sp.add_argument("--out", required=True)
+    sp.add_argument("--out", dest="csv", metavar="OUT", required=True)
     for nm, fn, hp in (("reconstruct", _cmd_tomo_reconstruct,
                         "linear-inversion state estimate"),
                        ("bootstrap", _cmd_tomo_bootstrap,
@@ -573,8 +560,8 @@ def build_parser(parser=argparse.ArgumentParser) -> argparse.ArgumentParser:
         sp = add(tomo, nm, fn, hp, out=False)
         sp.add_argument("--counts")
         sp.add_argument("--state")
-        sp.add_argument("--shots", type=int, default=TOMO_SHOTS)
-        sp.add_argument("--seed", type=_seed, default=PRESET_SEEDS["tomo"])
+        sp.add_argument("--shots", type=int)  # defaults: _counts_for
+        sp.add_argument("--seed", type=_seed)
         sp.add_argument("--out")
         if nm == "reconstruct":
             sp.add_argument("--matrix-out")
@@ -587,7 +574,7 @@ def build_parser(parser=argparse.ArgumentParser) -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=_seed)
     sp.add_argument("--format", default="json", choices=["json", "csv"])
     sp.add_argument("--out")
-    add(sub, "run", _cmd_run, "run from a JSON config file", "--config",
+    add(sub, "run", None, "run from a JSON config file", "--config",
         out=False)
     return ap
 
@@ -595,7 +582,13 @@ def build_parser(parser=argparse.ArgumentParser) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if args.command == "run":
+            args = _config_args(args.config)
+        if "" in (args.out, getattr(args, "csv", None)):
+            raise ValueError("--out must be a file path, got ''")
+        record, code = args.func(args)
+        _emit(record, args.out, args.format)
+        return code
     except (ValueError, KeyError, OSError, np.linalg.LinAlgError) as exc:
         # str() of a KeyError quotes its message; print the message itself
         msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc

@@ -62,6 +62,12 @@ def _leg_bases(d: int) -> list[tuple[str, np.ndarray]]:
     raise ValueError(f"no basis set for leg dimension {d}")
 
 
+def label_dims(label: str) -> tuple:
+    """Leg dimensions a setting label implies: a one-letter basis ('X')
+    is a qubit leg's, any other ('01X') a qutrit leg's."""
+    return tuple(2 if len(leg) == 1 else 3 for leg in label.split("/"))
+
+
 def product_settings(dims) -> list[tuple[str, np.ndarray]]:
     """All products of per-leg bases; labels join leg labels with '/'."""
     labels, U = _settings(dims)

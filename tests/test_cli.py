@@ -260,6 +260,7 @@ ZERO_SHOTS = _lambda_counts(lambda rows: [rows[0]] + [
     f"X/X/X,{k},0" for k in range(8)] + rows[9:])
 NO_COUNT_COLUMN = ("counts.csv", "setting,outcome\nX/X/X,0\n")
 UNKNOWN_BASIS = ("counts.csv", "setting,outcome,count\nQ/X/X,0,5\n")
+LAMBDA_COUNTS = _lambda_counts(lambda rows: rows)
 # a label longer than csv's default field limit (131072 characters)
 HUGE_CELL = ("counts.csv",
              "setting,outcome,count\n" + "X" * 200000 + ",0,5\n")
@@ -477,6 +478,20 @@ PROCESS2_KEYS = ("['cmi', 'non_markovianity', 'qutrit_sharp_event_memory', "
      "counts table names column(s) ['count'] more than once"),
     (["walk", "verify", "--target", "theta", "--circuit"], _dropped_port(),
      "circuit 'theta': walker reached undeclared ports [2]"),
+    (["tomo", "reconstruct", "--shots", "5", "--counts"], LAMBDA_COUNTS,
+     "--shots would be ignored with --counts"),
+    (["tomo", "reconstruct", "--seed", "9", "--counts"], LAMBDA_COUNTS,
+     "--seed would be ignored with --counts"),
+    (["tomo", "reconstruct", "--seed", "9", "--shots", "5", "--counts"],
+     LAMBDA_COUNTS, "--shots, --seed would be ignored with --counts"),
+    (["tomo", "bootstrap", "--shots", "5", "--counts"], LAMBDA_COUNTS,
+     "--shots would be ignored with --counts"),
+    (["tomo", "reconstruct", "--state", "omega", "--counts"], LAMBDA_COUNTS,
+     "--state 'omega' has dims (2, 3, 2), but the counts' labels imply "
+     "dims (2, 2, 2)"),
+    (["tomo", "bootstrap", "--state", "omega", "--counts"], LAMBDA_COUNTS,
+     "--state 'omega' has dims (2, 3, 2), but the counts' labels imply "
+     "dims (2, 2, 2)"),
 ], ids=["reconstruct-header-only", "bootstrap-header-only",
         "reconstruct-no-count-column", "bootstrap-no-count-column",
         "reconstruct-unknown-basis", "bootstrap-unknown-basis",
@@ -508,7 +523,10 @@ PROCESS2_KEYS = ("['cmi', 'non_markovianity', 'qutrit_sharp_event_memory', "
         "survey-samples-over-cap", "bootstrap-resamples-over-cap",
         "walk-target-qutrit", "scan-noise-over-one",
         "reconstruct-repeated-column", "bootstrap-repeated-column",
-        "walk-dropped-port"])
+        "walk-dropped-port", "reconstruct-counts-shots",
+        "reconstruct-counts-seed", "reconstruct-counts-shots-seed",
+        "bootstrap-counts-shots", "reconstruct-counts-state-dims",
+        "bootstrap-counts-state-dims"])
 def test_malformed_input_exits_two(tmp_path, monkeypatch, capsys, argv,
                                    bad_input, expect):
     # no malformed input may get as far as building a scan's grid or
@@ -1129,6 +1147,50 @@ def test_run_config(tmp_path, capsys):
     cfg.write_text(json.dumps({"preset": "nothere"}))
     code, _, _ = run_cli(capsys, ["run", "--config", str(cfg)])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, config, named", [
+    (["states", "emit", "--name", "lambda", "--out", ""], None, "--out"),
+    (["tomo", "simulate", "--state", "lambda", "--out", ""], None, "--out"),
+    (["run", "--config", "cfg.json"], {"preset": "walk_verify",
+                                       "output": ""}, "output"),
+    (["run", "--config", "cfg.json"], {"preset": "custom", "command": [
+        "states", "emit", "--name", "lambda", "--out", ""]}, "--out"),
+], ids=["json-command", "csv-command", "config-output", "custom-command"])
+def test_empty_out_exits_two(tmp_path, monkeypatch, capsys, argv, config,
+                             named):
+    # an empty path is no path: every command, typed or from a config,
+    # exits 2 naming the option before it runs or writes anything
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {named} must be a file path, got ''\n"
+    assert [p.name for p in tmp_path.iterdir()] == (["cfg.json"] if config
+                                                    else [])
+
+
+@pytest.mark.parametrize("config, typed", [
+    ({"preset": "walk_verify", "seed": 5, "format": "csv",
+      "output": "config.out"},
+     ["preset", "walk_verify", "--seed", "5", "--format", "csv"]),
+    ({"preset": "custom", "command": ["memory", "strength", "--process",
+                                      "lambda", "--instrument", "theta",
+                                      "--out", "config.out"]},
+     ["memory", "strength", "--process", "lambda", "--instrument",
+      "theta"]),
+], ids=["preset", "custom"])
+def test_config_writes_the_typed_commands_bytes(tmp_path, monkeypatch,
+                                                capsys, config, typed):
+    # a config runs as the command it names: same output file bytes, and
+    # nothing on stdout
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    assert run_cli(capsys, ["run", "--config", "cfg.json"]) == (0, "", "")
+    assert run_cli(capsys, typed + ["--out", "typed.out"]) == (0, "", "")
+    assert (tmp_path / "config.out").read_bytes() == (
+        tmp_path / "typed.out").read_bytes()
 
 
 @pytest.mark.parametrize("preset", ["Custom", " CUSTOM "])
