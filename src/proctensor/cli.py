@@ -457,6 +457,10 @@ class _CommandParser(argparse.ArgumentParser):
     def error(self, message):
         raise ValueError(f"custom preset 'command': {message}")
 
+    def print_help(self, file=None):
+        raise ValueError("custom preset 'command': -h/--help prints usage "
+                         "and runs nothing")
+
 
 def _seed(text) -> int:
     """Type of every --seed: an int >= 0, checked before numpy sees it."""
@@ -584,8 +588,10 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             args = _config_args(args.config)
-        if "" in (args.out, getattr(args, "csv", None)):
-            raise ValueError("--out must be a file path, got ''")
+        for flag, dest in (("--out", "out"), ("--out", "csv"),
+                           ("--matrix-out", "matrix_out")):
+            if getattr(args, dest, None) == "":
+                raise ValueError(f"{flag} must be a file path, got ''")
         record, code = args.func(args)
         _emit(record, args.out, args.format)
         return code

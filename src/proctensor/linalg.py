@@ -158,17 +158,13 @@ def _relative_entropy(x: np.ndarray, wx: np.ndarray, y: np.ndarray) -> float:
     return t1 - t2
 
 
-def sqrtm_psd(rho: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(hermitize(np.asarray(rho, dtype=complex)))
-    return (v * np.sqrt(np.clip(w, 0, None))) @ v.conj().T
-
-
 def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Squared fidelity F = (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2."""
+    """Squared fidelity F = (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, with
+    sqrt(rho) built from the eigh of rho's density check."""
     _same_shape(rho, sigma)
-    check_density(rho)
+    w, v = check_density(np.asarray(rho, dtype=complex), vectors=True)
     check_density(sigma)
-    s = sqrtm_psd(rho)
+    s = (v * np.sqrt(np.clip(w, 0, None))) @ v.conj().T
     w = np.clip(np.linalg.eigvalsh(hermitize(s @ sigma @ s)), 0, None)
     return float(np.sum(np.sqrt(w)) ** 2)
 

@@ -133,30 +133,29 @@ def memory_strength(p: ProcessTensor, inst: Instrument) -> MemoryReport:
     the middle party's instrument fires, plus uniform and probability
     weighted aggregates. Impossible events are flagged, numbered from 1.
     Built once per (process, instrument), beside its events in p._memo."""
-    events = _events(p, inst)
-    memo = p._memo[inst]
+    memo = p._memo.setdefault(inst, {})
     if "report" not in memo:
-        memo["report"] = _report(events)
+        memo["report"] = _report(_events(p, inst))
     return memo["report"]
 
 
 def _report(events: tuple) -> MemoryReport:
-    """memory_strength's report from one _events pass. The surviving
-    events' states, marginals and distances to product each go through
-    one stacked entropy or trace distance: one density check and one
-    eigvalsh per stack."""
-    probs, states, rA, rC = map(np.array, zip(*filter(None, events)))
-    mi = np.maximum(von_neumann_entropy(rA) + von_neumann_entropy(rC)
-                    - von_neumann_entropy(states), 0.0)
-    live = iter(zip(probs.tolist(), mi.tolist(),
-                    trace_distance(states, kron(rA, rC)).tolist()))
-    ps, mis, tds = zip(*[(0.0, 0.0, 0.0) if ev is None else next(live)
-                         for ev in events])
-    w = np.array(mis)
+    """memory_strength's report from one _events table: one density check
+    and eigvalsh per stacked entropy or trace distance, with the
+    impossible events read as 0."""
+    probs, live, states, rA, rC = events
+    if not live.any():
+        raise ValueError("no event is live: every event probability is "
+                         "at or below PROB_TOL")
+    mi = np.where(live, np.maximum(
+        von_neumann_entropy(rA) + von_neumann_entropy(rC)
+        - von_neumann_entropy(states), 0.0), 0.0)
+    tds = np.where(live, trace_distance(states, kron(rA, rC)), 0.0)
     flags = tuple(f"event {i}: zero probability"
-                  for i, pr in enumerate(ps, 1) if pr == 0.0)
-    return MemoryReport(tuple(zip(ps, mis)), float(w.mean()),
-                        float(np.array(ps) @ w), float(w.max()), tds, flags)
+                  for i in (np.flatnonzero(~live) + 1).tolist())
+    return MemoryReport(tuple(zip(probs.tolist(), mi.tolist())),
+                        float(mi.mean()), float(probs @ mi), float(mi.max()),
+                        tuple(tds.tolist()), flags)
 
 
 def markov_order_test(p: ProcessTensor, inst: Instrument,
@@ -243,7 +242,7 @@ def _survey_views(blocks: tuple, n: int, dA: int, dC: int) -> SimpleNamespace:
         tT=table.T, c=c, c1=c[1, :n], c2=c[2, :n], c3=c[3, :n],
         proj=c[1:, :n], comp=c[1:, n:], x=x, x0=x[0], x1=x[1:], w=w,
         drop=np.empty((nw, cols), bool), h=h, groups=groups,
-        sums=((t[0], list(h[dA + dC:])), (t[1], list(h[:dA + dC]))),
+        sums=((t[0], h[dA + dC:]), (t[1], h[:dA + dC])),
         mi=t[0], marg=t[1], proj_mi=t[0, :n], comp_mi=t[0, n:])
 
 
@@ -299,13 +298,8 @@ def _worst_event_mi(v: SimpleNamespace, out: np.ndarray) -> np.ndarray:
     np.copyto(v.w, 1.0, where=v.drop)  # 1 log 1 = 0 drops the entry
     np.log2(v.w, v.h)
     np.multiply(v.w, v.h, v.h)
-    for total, rows in v.sums:  # row by row, as ndarray.sum(axis=0) adds
-        if len(rows) == 1:
-            np.copyto(total, rows[0])
-        else:
-            np.add(rows[0], rows[1], total)
-        for row in rows[2:]:
-            np.add(total, row, total)
+    for total, rows in v.sums:
+        np.add.reduce(rows, axis=0, out=total)
     np.subtract(v.mi, v.marg, v.mi)
     m = len(out)
     return np.maximum(v.proj_mi[:m], v.comp_mi[:m], out=out)

@@ -220,14 +220,14 @@ def preset_process2(refs=REFERENCES["process2"]) -> dict:
                                       "xi_max_event_memory")
     # the Werner residuals read the conditional states of the report's pass
     reps = memory_strength(p, sharp)
-    events = _events(p, sharp)
+    states = _events(p, sharp)[2]
     r["qutrit_sharp_memory"] = reps.as_dict()
     r["qutrit_sharp_event_memory"] = [
         _entry(mi, refs, "qutrit_sharp_event_memory", i)
         for i, (_, mi) in enumerate(reps.per_event)]
     change = kron(np.eye(2), _WERNER_FRAME)
     lit = rot = 0.0
-    for i, (_, state, _, _) in enumerate(events[:4]):
+    for i, state in enumerate(states[:4]):
         lit = max(lit, min(
             trace_distance(state, werner(x, 1.0 / 3.0))
             for x in (1, 2, 3, 4)))

@@ -198,53 +198,61 @@ class ConditionalProcess:
         return self.unnormalized
 
 
-def condition(p: ProcessTensor, party: str,
-              element: np.ndarray) -> ConditionalProcess:
-    """Condition the process on one instrument event at one party.
-
-    cond = tr_party[gamma (element at party)], one einsum for any party:
-    the party's ket index is summed against the element and its bra index
-    is tied to the ket. The remaining parties keep their legs; the
-    probability is the trace of cond.
-    """
+def _condition(p: ProcessTensor, party: str, elements) -> tuple:
+    """Condition the process on a stack (n, d, d) of elements at one party
+    in one einsum, cond = tr_party[gamma (element at party)]: the party's
+    ket index is summed against each element and its bra index is tied to
+    the ket. Returns the (n, D, D) unnormalized states on the remaining
+    legs, their traces (the probabilities) and the remaining dims."""
     if party not in PARTIES:
         raise KeyError(f"unknown party {party!r} (expected A, B, or C)")
     k = PARTIES.index(party)
-    element = np.asarray(element, dtype=complex)
+    elements = np.asarray(elements, dtype=complex)
     dk = p.input_dims[k]
-    if element.shape != (dk, dk):
-        raise ValueError(f"element of shape {element.shape} does not fit "
-                         f"party {party}'s input leg of dimension {dk}")
+    if elements.shape[1:] != (dk, dk):
+        raise ValueError(f"element of shape {elements.shape[1:]} does not "
+                         f"fit party {party}'s input leg of dimension {dk}")
     x = "abc"[k]
     rest = "abc".replace(x, "")
     g_sub = "abc".replace(x, "D") + "ABC".replace(x.upper(), x)
     dims = tuple(d for i, d in enumerate(p.input_dims) if i != k)
     g6 = p.gamma.reshape(*p.input_dims, *p.input_dims)
-    cond = np.einsum(f"{x}D,{g_sub}->{rest}{rest.upper()}", element, g6)
-    cond = cond.reshape(dims[0] * dims[1], dims[0] * dims[1])
-    prob = float(np.real(np.trace(cond)))
-    return ConditionalProcess(cond, prob, dims)
+    cond = np.einsum(f"n{x}D,{g_sub}->n{rest}{rest.upper()}", elements, g6)
+    cond = cond.reshape(-1, dims[0] * dims[1], dims[0] * dims[1])
+    return cond, np.trace(cond, axis1=1, axis2=2).real, dims
+
+
+def condition(p: ProcessTensor, party: str,
+              element: np.ndarray) -> ConditionalProcess:
+    """Condition the process on one instrument event at one party."""
+    cond, probs, dims = _condition(p, party, np.asarray(element)[None])
+    return ConditionalProcess(cond[0], float(probs[0]), dims)
 
 
 def condition_instrument(p: ProcessTensor, party: str,
                          inst: Instrument) -> list[ConditionalProcess]:
-    return [condition(p, party, e.matrix) for e in inst.elements]
+    cond, probs, dims = _condition(p, party, inst.matrices())
+    return [ConditionalProcess(c, pr, dims)
+            for c, pr in zip(cond, probs.tolist())]
 
 
 def _events(p: ProcessTensor, inst: Instrument) -> tuple:
-    """Per middle-instrument event: (probability, normalized A:C state, A
-    marginal, C marginal), or None for one at or below PROB_TOL. Built
-    once per (process, instrument) and kept in p._memo; the arrays are
-    read-only, since every later caller shares them."""
+    """The middle instrument's event table, built by one _condition and
+    kept in p._memo: read-only stacks (probabilities, live, A:C states, A
+    marginals, C marginals) in event order. An event at or below PROB_TOL
+    is stored as (0, I/dA x I/dC, I/dA, I/dC), so every row is a state."""
     memo = p._memo.setdefault(inst, {})
     if "events" not in memo:
         dA, _, dC = p.input_dims
-        memo["events"] = tuple(
-            None if cp.probability <= PROB_TOL else
-            (cp.probability, *map(read_only, (
-                cp.state, partial_trace(cp.state, (dA, dC), (0,)),
-                partial_trace(cp.state, (dA, dC), (1,)))))
-            for cp in condition_instrument(p, "B", inst))
+        cond, probs, _ = _condition(p, "B", inst.matrices())
+        live = probs > PROB_TOL
+        states = cond / np.where(live, probs, 1.0)[:, None, None]
+        s6 = states.reshape(-1, dA, dC, dA, dC)
+        rA, rC = s6.trace(axis1=2, axis2=4), s6.trace(axis1=1, axis2=3)
+        states[~live] = np.eye(dA * dC) / (dA * dC)
+        rA[~live], rC[~live] = np.eye(dA) / dA, np.eye(dC) / dC
+        memo["events"] = tuple(map(read_only, (
+            np.where(live, probs, 0.0), live, states, rA, rC)))
     return memo["events"]
 
 

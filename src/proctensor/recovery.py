@@ -53,19 +53,12 @@ def recover(p: ProcessTensor, inst: Instrument) -> RecoveredProcess:
     operator, weighted by the event probability and tensored with the
     normalized conditional marginals of the two outer parties.
     """
-    dA, dB, dC = p.input_dims
-    frame = dual_frame(inst)
-    gamma_rec = np.zeros((dA * dB * dC, dA * dB * dC), dtype=complex)
-    events = []
-    for ev, dual in zip(_events(p, inst), frame.duals):
-        if ev is None:
-            events.append((0.0, np.eye(dA) / dA, np.eye(dC) / dC))
-            continue
-        prob, _, gA, gC = ev
-        gamma_rec = gamma_rec + prob * kron(gA, dual, gC)
-        events.append((prob, gA, gC))
+    probs, _, _, rA, rC = _events(p, inst)
+    terms = probs[:, None, None] * kron(rA, dual_frame(inst).duals, rC)
+    # from +0 in event order, as a loop adds: JSON prints a zero's sign
+    gamma_rec = np.add.reduce(terms, axis=0, initial=0.0)
     return RecoveredProcess(gamma_rec, p.input_dims, p.output_dims, inst,
-                            tuple(events))
+                            tuple(zip(probs.tolist(), rA, rC)))
 
 
 @dataclass(frozen=True)

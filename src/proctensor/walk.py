@@ -34,10 +34,6 @@ class WalkState:
     checks the norm; coins and translations then preserve it."""
     amplitudes: dict
 
-    @property
-    def positions(self) -> tuple:
-        return tuple(sorted({x for x, _ in self.amplitudes}))
-
 
 def coin_state(vec) -> WalkState:
     """Walker at the origin with the given coin amplitudes (H, V)."""

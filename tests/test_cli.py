@@ -492,6 +492,16 @@ PROCESS2_KEYS = ("['cmi', 'non_markovianity', 'qutrit_sharp_event_memory', "
     (["tomo", "bootstrap", "--state", "omega", "--counts"], LAMBDA_COUNTS,
      "--state 'omega' has dims (2, 3, 2), but the counts' labels imply "
      "dims (2, 2, 2)"),
+    (["run", "--config"], ("cfg.json", json.dumps({
+        "preset": "custom", "command": ["--help"]})),
+     "custom preset 'command': -h/--help prints usage and runs nothing"),
+    (["run", "--config"], ("cfg.json", json.dumps({
+        "preset": "custom", "command": ["memory", "-h"]})),
+     "custom preset 'command': -h/--help prints usage and runs nothing"),
+    (["run", "--config"], ("cfg.json", json.dumps({
+        "preset": "custom", "command": ["memory", "strength", "--process",
+                                        "lambda", "-h"]})),
+     "custom preset 'command': -h/--help prints usage and runs nothing"),
 ], ids=["reconstruct-header-only", "bootstrap-header-only",
         "reconstruct-no-count-column", "bootstrap-no-count-column",
         "reconstruct-unknown-basis", "bootstrap-unknown-basis",
@@ -526,7 +536,8 @@ PROCESS2_KEYS = ("['cmi', 'non_markovianity', 'qutrit_sharp_event_memory', "
         "walk-dropped-port", "reconstruct-counts-shots",
         "reconstruct-counts-seed", "reconstruct-counts-shots-seed",
         "bootstrap-counts-shots", "reconstruct-counts-state-dims",
-        "bootstrap-counts-state-dims"])
+        "bootstrap-counts-state-dims", "config-custom-help",
+        "config-custom-group-help", "config-custom-subcommand-help"])
 def test_malformed_input_exits_two(tmp_path, monkeypatch, capsys, argv,
                                    bad_input, expect):
     # no malformed input may get as far as building a scan's grid or
@@ -783,17 +794,17 @@ def test_one_event_table_per_process_instrument(monkeypatch, capsys, argv,
 
 
 def test_process2_conditions_each_event_once(monkeypatch, capsys):
-    # xi's 2 events once for both its report and recover, qutrit_sharp's 5
-    # once for both its report and the Werner residuals
-    condition, calls = process.condition, []
+    # xi's 2 events in one conditioning for both its report and recover,
+    # qutrit_sharp's 5 in one for both its report and the Werner residuals
+    condition, calls = process._condition, []
 
-    def counted(p, party, element):
+    def counted(p, party, elements):
         calls.append(party)
-        return condition(p, party, element)
-    monkeypatch.setattr(process, "condition", counted)
+        return condition(p, party, elements)
+    monkeypatch.setattr(process, "_condition", counted)
     code, _, _ = run_cli(capsys, ["preset", "process2"])
     assert code == 0
-    assert calls == ["B"] * 7
+    assert calls == ["B"] * 2
 
 
 def test_process1_reduces_each_process_to_ac_data_once(monkeypatch, capsys):
@@ -817,10 +828,9 @@ def test_bad_event_state_exits_two_with_the_density_message(monkeypatch,
     # check_density's message for it
     bad = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
     bad[0, 3] = bad[3, 0] = 0.6
-    cps = [process.ConditionalProcess(m / 2, 0.5, (2, 2))
-           for m in (np.eye(4, dtype=complex) / 4, bad)]
-    monkeypatch.setattr(process, "condition_instrument",
-                        lambda p, party, inst: cps)
+    cond = np.stack([np.eye(4, dtype=complex) / 4, bad]) / 2
+    monkeypatch.setattr(process, "_condition", lambda p, party, elements:
+                        (cond, np.array([0.5, 0.5]), (2, 2)))
     code, out, err = run_cli(capsys, ["memory", "strength", "--process",
                                       "lambda", "--instrument", "z"])
     assert (code, out) == (2, "")
@@ -1156,7 +1166,10 @@ def test_run_config(tmp_path, capsys):
                                        "output": ""}, "output"),
     (["run", "--config", "cfg.json"], {"preset": "custom", "command": [
         "states", "emit", "--name", "lambda", "--out", ""]}, "--out"),
-], ids=["json-command", "csv-command", "config-output", "custom-command"])
+    (["tomo", "reconstruct", "--state", "lambda", "--matrix-out", ""], None,
+     "--matrix-out"),
+], ids=["json-command", "csv-command", "config-output", "custom-command",
+        "matrix-out"])
 def test_empty_out_exits_two(tmp_path, monkeypatch, capsys, argv, config,
                              named):
     # an empty path is no path: every command, typed or from a config,

@@ -8,7 +8,7 @@ import pytest
 from proctensor.linalg import (
     check_density, fidelity, hermitize,
     is_hermitian, kron, mat_from_json, mat_to_json, partial_trace,
-    relative_entropy, sqrtm_psd, trace_distance, trace_norm,
+    relative_entropy, trace_distance, trace_norm,
     von_neumann_entropy)
 
 
@@ -307,15 +307,6 @@ def test_trace_distance_and_norm():
         td = trace_distance(a, b)
         assert 0 <= td <= 1 + 1e-12
         assert np.isclose(td, trace_norm(a - b) / 2)
-
-
-def test_sqrtm_psd():
-    rng = np.random.default_rng(10)
-    for _ in range(20):
-        rho = random_density(rng, 4)
-        s = sqrtm_psd(rho)
-        assert np.allclose(s @ s, rho)
-        assert is_hermitian(s)
 
 
 def test_mat_json_roundtrip():

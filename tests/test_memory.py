@@ -291,14 +291,14 @@ def _per_event_report(events):
     """memory_strength's report as it was computed one event at a time,
     each entropy and trace distance from its own density check."""
     rows = []
-    for ev in events:
-        if ev is None:
+    for prob, live, state, rA, rC in zip(*events):
+        if not live:
             rows.append((0.0, 0.0, 0.0))
             continue
-        prob, state, rA, rC = ev
         mi = (von_neumann_entropy(rA) + von_neumann_entropy(rC)
               - von_neumann_entropy(state))
-        rows.append((prob, max(mi, 0.0), trace_distance(state, kron(rA, rC))))
+        rows.append((float(prob), max(mi, 0.0),
+                     trace_distance(state, kron(rA, rC))))
     ps, mis, tds = zip(*rows)
     w = np.array(mis)
     return (tuple(zip(ps, mis)), float(w.mean()), float(np.array(ps) @ w),
@@ -340,6 +340,14 @@ def test_stacked_report_bit_equal_to_per_event_formula(dims):
                               for i in range(2, dims[1] + 1))
 
 
+def _table(*rows):
+    """An event table of (probability, A:C state, A marginal, C marginal)
+    rows, stacked as _events stores it; a row of probability 0 is an
+    impossible event."""
+    probs, states, rA, rC = map(np.array, zip(*rows))
+    return probs, probs > 0, states, rA, rC
+
+
 GOOD4 = np.eye(4, dtype=complex) / 4
 HALF = np.eye(2, dtype=complex) / 2
 BELL4 = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
@@ -362,30 +370,38 @@ def test_stacked_report_raises_the_density_message(slot, kind):
     event[slot] = BAD[kind][slot > 1]
     with pytest.raises(ValueError) as alone:
         check_density(event[slot])
-    events = ((0.5, GOOD4, HALF, HALF), None, tuple(event))
+    events = _table((0.5, GOOD4, HALF, HALF), (0.0, GOOD4, HALF, HALF),
+                    tuple(event))
     with pytest.raises(ValueError,
                        match=f"^{re.escape(str(alone.value))}$"):
+        memory._report(events)
+
+
+def test_report_of_a_table_with_no_live_event_raises():
+    events = _table((0.0, GOOD4, HALF, HALF), (0.0, GOOD4, HALF, HALF))
+    with pytest.raises(ValueError, match="^no event is live: every event "
+                       "probability is at or below PROB_TOL$"):
         memory._report(events)
 
 
 def test_one_event_pass_per_process_and_instrument(monkeypatch):
     # the report, the Markov-order view and recover share one conditioning
     # of each event; another process or instrument object conditions again
-    condition, calls = process.condition, []
+    condition, calls = process._condition, []
 
-    def counted(p, party, element):
+    def counted(p, party, elements):
         calls.append(party)
-        return condition(p, party, element)
-    monkeypatch.setattr(process, "condition", counted)
+        return condition(p, party, elements)
+    monkeypatch.setattr(process, "_condition", counted)
     p, theta = lam_process(), instrument_by_name("theta")
     rep = memory_strength(p, theta)
     assert markov_order_test(p, theta) == rep.markov_order()
     recover(p, theta)
     assert memory_strength(p, theta) is rep
-    assert calls == ["B"] * 3
+    assert calls == ["B"]
     memory_strength(lam_process(), theta)
     memory_strength(p, instrument_by_name("theta"))
-    assert calls == ["B"] * 9
+    assert calls == ["B"] * 3
 
 
 def test_event_tables_hold_their_instrument_weakly():
@@ -400,10 +416,9 @@ def test_event_tables_hold_their_instrument_weakly():
 
 def test_shared_event_arrays_are_read_only():
     p, theta = lam_process(), instrument_by_name("theta")
-    for ev in process._events(p, theta):
-        for a in ev[1:]:
-            with pytest.raises(ValueError, match="read-only"):
-                a[0, 0] = 0.0
+    for a in process._events(p, theta):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
 
 
 def test_qutrit_sharp_memory_frozen():

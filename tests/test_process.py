@@ -6,13 +6,15 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
-from proctensor.instruments import (dual_frame, instrument_by_name,
-                                    random_projective)
+from proctensor.instruments import (INSTRUMENTS, dual_frame, instrument,
+                                    instrument_by_name, random_projective,
+                                    z_basis)
 from proctensor.linalg import kron, partial_trace
 from proctensor.process import (
-    LEGS, ProcessTensor, born_probability, born_rule, build_common_cause,
-    check_causality, condition, condition_instrument, cp_divisibility_check,
-    final_choi, marginals, markov_product, measure_discard_choi)
+    LEGS, PROB_TOL, ProcessTensor, _events, born_probability, born_rule,
+    build_common_cause, check_causality, condition, condition_instrument,
+    cp_divisibility_check, final_choi, marginals, markov_product,
+    measure_discard_choi)
 from proctensor.memory import quantum_cmi_choi
 from proctensor.recovery import _ac_bloch, deviation_scan, recover
 from proctensor.states import state_by_name
@@ -170,6 +172,72 @@ def test_condition_on_each_party():
         assert np.isclose(np.trace(c.state).real, 1.0)
     with pytest.raises(KeyError):
         condition(p, "D", np.eye(2))
+
+
+def _condition_reference(p, party, element):
+    """One element's conditioning, its own einsum: (cond, probability)."""
+    k = "ABC".index(party)
+    x = "abc"[k]
+    rest = "abc".replace(x, "")
+    g_sub = "abc".replace(x, "D") + "ABC".replace(x.upper(), x)
+    d = int(np.prod(p.input_dims)) // p.input_dims[k]
+    g6 = p.gamma.reshape(*p.input_dims, *p.input_dims)
+    cond = np.einsum(f"{x}D,{g_sub}->{rest}{rest.upper()}",
+                     np.asarray(element, dtype=complex), g6).reshape(d, d)
+    return cond, float(np.real(np.trace(cond)))
+
+
+def _random_basis(rng, d):
+    """A projective instrument on a random orthonormal basis."""
+    q = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+    return instrument([np.outer(v, v.conj()) for v in q.T], "basis")
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2), (3, 2, 2),
+                                  (2, 2, 3), (3, 2, 3)])
+def test_stacked_conditioning_bit_equal_to_per_element_einsum(dims):
+    # full-rank, rank-one and B-in-|0> states (the last gives impossible z
+    # events): the event table, condition and condition_instrument at every
+    # party, to the last bit
+    rng = np.random.default_rng(60 + sum(dims))
+    d = int(np.prod(dims))
+    dA, dB, dC = dims
+    v = rng.normal(size=d) + 1j * rng.normal(size=d)
+    rho = random_density(rng, dA * dC).reshape(dA, dC, dA, dC)
+    zero = np.einsum("acAC,bB->abcABC", rho, np.diag(np.arange(dB) == 0))
+    states = [random_density(rng, d), np.outer(v, v.conj()) / (v.conj() @ v),
+              zero.reshape(d, d)]
+    insts = [i for i in map(instrument_by_name, INSTRUMENTS)
+             if i.dim == dB] + [z_basis(dB), _random_basis(rng, dB)]
+    dead = 0
+    for g in states:
+        p = build_common_cause(g, dims, dims[:2])
+        for inst in insts:
+            probs, live, st, rA, rC = _events(p, inst)
+            for i, e in enumerate(inst.matrices()):
+                cond, prob = _condition_reference(p, "B", e)
+                assert live[i] == (prob > PROB_TOL)
+                if live[i]:
+                    state = cond / prob
+                    ref = (prob, state,
+                           partial_trace(state, (dA, dC), (0,)),
+                           partial_trace(state, (dA, dC), (1,)))
+                else:
+                    dead += 1
+                    ref = (0.0, np.eye(dA * dC) / (dA * dC), np.eye(dA) / dA,
+                           np.eye(dC) / dC)
+                got = (probs[i], st[i], rA[i], rC[i])
+                assert [np.asarray(x, complex).tobytes() for x in got] == \
+                    [np.asarray(x, complex).tobytes() for x in ref]
+        for party, dk in zip("ABC", dims):
+            inst = _random_basis(rng, dk)
+            cps = condition_instrument(p, party, inst)
+            for cp, e in zip(cps, inst.matrices()):
+                for got in (cp, condition(p, party, e)):
+                    cond, prob = _condition_reference(p, party, e)
+                    assert got.unnormalized.tobytes() == cond.tobytes()
+                    assert got.probability == prob
+    assert dead >= dB - 1  # at least z's impossible events
 
 
 def test_marginals_and_markov_product():
