@@ -423,7 +423,7 @@ def _cmd_tomo_bootstrap(args):
             lambda sigma: state_non_markovianity(sigma, dims))
     else:
         name, stat = "purity", (
-            lambda sigma: float(np.trace(sigma @ sigma).real))
+            lambda sigma: np.trace(sigma @ sigma, axis1=1, axis2=2).real)
     mean, err = bootstrap(counts, dims, stat, resamples=args.resamples,
                           seed=args.seed)
     return {

@@ -137,25 +137,36 @@ def _same_shape(x: np.ndarray, y: np.ndarray) -> None:
                          f"and {np.shape(y)}")
 
 
-def relative_entropy(x: np.ndarray, y: np.ndarray) -> float:
-    """S(x||y) = tr[x(log x - log y)] in bits.
+def relative_entropy(x: np.ndarray, y: np.ndarray):
+    """S(x||y) = tr[x(log x - log y)] in bits; a float, or an array of one
+    divergence per pair for stacks (..., d, d).
 
     Raises if the support of x is not contained in the support of y.
     """
     _same_shape(x, y)
-    return _relative_entropy(x, check_density(x, vectors=True)[0], y)
+    return _relative_entropy(x, check_density(x, vectors=True)[0],
+                             *check_density(y, vectors=True))
 
 
-def _relative_entropy(x: np.ndarray, wx: np.ndarray, y: np.ndarray) -> float:
-    """relative_entropy for a checked x whose eigh eigenvalues are wx."""
-    wy, vy = check_density(y, vectors=True)
-    ker = vy[:, wy <= CLIP_EPS]
-    if ker.shape[1] and np.linalg.norm(ker.conj().T @ x @ ker) > 1e-10:
-        raise ValueError("support violation: divergence is infinite")
+def _relative_entropy(x: np.ndarray, wx: np.ndarray, wy: np.ndarray,
+                      vy: np.ndarray):
+    """relative_entropy for a checked x whose eigh eigenvalues are wx and a
+    checked y whose eigh is (wy, vy), or for stacks of them. y's kernel
+    columns are masked, not sliced, since each state's kernel differs; a
+    stack's support violation names its first failing state."""
+    ker = wy <= CLIP_EPS
+    if ker.any():
+        k = vy * ker[..., None, :]
+        bad = np.flatnonzero(np.linalg.norm(
+            k.conj().swapaxes(-1, -2) @ x @ k, axis=(-2, -1)) > 1e-10)
+        if bad.size:
+            at = f" (state {bad[0]})" if wy.ndim > 1 else ""
+            raise ValueError(f"support violation{at}: divergence is infinite")
     t1 = -_spectrum_entropy(wx)
-    log_y = (vy * np.log2(np.clip(wy, CLIP_EPS, None))) @ vy.conj().T
-    t2 = float((x @ log_y).trace().real)
-    return t1 - t2
+    log_wy = np.log2(np.clip(wy, CLIP_EPS, None))
+    log_y = (vy * log_wy[..., None, :]) @ vy.conj().swapaxes(-1, -2)
+    s = t1 - np.trace(x @ log_y, axis1=-2, axis2=-1).real
+    return float(s) if s.ndim == 0 else s
 
 
 def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:

@@ -15,29 +15,34 @@ from types import SimpleNamespace
 import numpy as np
 
 from .instruments import PAULI, Instrument
-from .linalg import (CLIP_EPS, _relative_entropy, _spectrum_entropy, kron,
-                     partial_trace, trace_distance, von_neumann_entropy)
-from .process import (ProcessTensor, _events, build_common_cause, marginals,
+from .linalg import (CLIP_EPS, _relative_entropy, _spectrum_entropy,
+                     check_density, kron, partial_trace, trace_distance,
+                     von_neumann_entropy)
+from .process import (ProcessTensor, _events, build_common_cause,
                       markov_product)
 
 MARKOV_TOL = 1e-8  # markov_order's default trace-distance tolerance
 
 
-def non_markovianity(p: ProcessTensor) -> float:
-    """Relative entropy to the nearest memoryless process, in bits.
+def non_markovianity(p: ProcessTensor):
+    """Relative entropy to the nearest memoryless process, in bits; a
+    float, or an array of one value per state for a process built on a
+    stack of states.
 
     The minimizer is the product of the process marginals, so the value is
     the total correlation of the input-leg state; identity output legs
-    cancel between the two normalized Choi operators.
+    cancel between the two normalized Choi operators. The product's
+    spectrum is the one its build checked.
     """
-    gA, gB, gC = marginals(p)
-    return _relative_entropy(p.gamma, p.spectrum[0], kron(gA, gB, gC))
+    return _relative_entropy(p.gamma, p.spectrum[0],
+                             *markov_product(p).spectrum)
 
 
-def state_non_markovianity(gamma: np.ndarray, dims) -> float:
+def state_non_markovianity(gamma: np.ndarray, dims):
     """non_markovianity of the common-cause process on a tripartite state,
-    its output legs of the first two input legs' dims: the statistic the
-    tomography reports give for a reconstructed state."""
+    or on each state of a stack (m, d, d), its output legs of the first
+    two input legs' dims: the statistic the tomography reports give for a
+    reconstructed state."""
     return non_markovianity(build_common_cause(gamma, dims, dims[:2]))
 
 
@@ -50,7 +55,8 @@ def non_markovianity_choi(p: ProcessTensor) -> float:
     """
     norm = math.prod(p.output_dims)  # the Choi trace
     y = markov_product(p).matrix / norm
-    return _relative_entropy(p.matrix / norm, p.choi_spectrum, y)
+    return _relative_entropy(p.matrix / norm, p.choi_spectrum,
+                             *check_density(y, vectors=True))
 
 
 def mutual_information(rho: np.ndarray, split: tuple[int, int]) -> float:

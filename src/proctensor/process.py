@@ -95,12 +95,14 @@ def build_common_cause(gamma: np.ndarray,
     """Promote a tripartite input-leg state to a full process tensor.
     Only gamma is validated (Hermitian, PSD, unit trace): the Choi
     spectrum is gamma's, repeated. The check's spectrum stays on the
-    process for reuse."""
+    process for reuse. A stack (m, d, d) of states gives one process
+    that the gamma-only paths (spectrum, marginals, markov_product,
+    non_markovianity) read state by state."""
     gamma = np.asarray(gamma, dtype=complex)
     if len(input_dims) != 3:
         raise ValueError(f"dims must list 3 input legs, got {input_dims}")
     dA, dB, dC = input_dims
-    if gamma.shape != (dA * dB * dC, dA * dB * dC):
+    if gamma.shape[-2:] != (dA * dB * dC, dA * dB * dC):
         raise ValueError("state dimension does not match input_dims")
     p = ProcessTensor(gamma, tuple(input_dims), tuple(output_dims))
     p.spectrum  # the density check: raises unless gamma is a state
@@ -257,18 +259,26 @@ def _events(p: ProcessTensor, inst: Instrument) -> tuple:
 
 
 def marginals(p: ProcessTensor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Single-party marginals of gamma: partial_trace's traces, axes and
-    order for keep = (0,), (1,), (2,), with B and C sharing the A-trace."""
-    g6 = np.asarray(p.gamma, dtype=complex).reshape(p.input_dims * 2)
-    gA = g6.trace(axis1=1, axis2=4).trace(axis1=1, axis2=3)
-    g4 = g6.trace(axis1=0, axis2=3)
-    return gA, g4.trace(axis1=1, axis2=3), g4.trace(axis1=0, axis2=2)
+    """Single-party marginals of gamma, or of each state of a stack:
+    partial_trace's traces, axes and order for keep = (0,), (1,), (2,),
+    with B and C sharing the A-trace."""
+    g = np.asarray(p.gamma, dtype=complex)
+    g6 = g.reshape(g.shape[:-2] + tuple(p.input_dims) * 2)
+    gA = g6.trace(axis1=-5, axis2=-2).trace(axis1=-3, axis2=-1)
+    g4 = g6.trace(axis1=-6, axis2=-3)
+    return gA, g4.trace(axis1=-3, axis2=-1), g4.trace(axis1=-4, axis2=-2)
 
 
 def markov_product(p: ProcessTensor) -> ProcessTensor:
-    """The memoryless process with the same single-party marginals."""
-    gA, gB, gC = marginals(p)
-    return build_common_cause(kron(gA, gB, gC), p.input_dims, p.output_dims)
+    """The memoryless process with the same single-party marginals, built
+    once per process and kept on it, so its one density check serves
+    non_markovianity and the Choi cross-check alike."""
+    q = vars(p).get("_markov_product")
+    if q is None:
+        gA, gB, gC = marginals(p)
+        q = vars(p)["_markov_product"] = build_common_cause(
+            kron(gA, gB, gC), p.input_dims, p.output_dims)
+    return q
 
 
 def cp_divisibility_check(p: ProcessTensor) -> dict:

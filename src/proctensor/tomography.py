@@ -269,18 +269,21 @@ def resample_counts(counts: CountsTable, rng) -> CountsTable:
 
 def bootstrap(counts: CountsTable, dims, statistic, resamples: int = 500,
               seed=None) -> tuple[float, float]:
-    """Bootstrap mean and standard error of statistic(reconstructed state).
+    """Bootstrap mean and standard error of statistic(reconstructed states).
 
     Each resample redraws every setting's counts with its own generator,
     spawned from seed, so the result does not depend on evaluation order.
     All resamples share the table's cached pseudo-inverse and are
     projected as one batch; each state is the one reconstruct() gives for
-    the same redrawn counts.
+    the same redrawn counts. statistic takes the whole (resamples, d, d)
+    stack of states and returns one value per state, so it runs as one
+    batched pass; any other shape raises.
     """
     if resamples < 2:
         raise ValueError("need at least 2 resamples")
-    # a resample's redrawn counts, frequencies and state take 35-42 bytes
-    # a count entry on lambda and omega: 2**24 entries bound them at 0.7 GiB
+    # with non_markovianity as the statistic, a bootstrap at the cap peaks
+    # at 41-50 bytes a count entry (690 MiB RSS on omega, 838 MiB on
+    # lambda): 2**24 entries bound the working set near 0.8 GiB
     entries = sum(map(len, counts.counts))
     if resamples * entries > 2 ** 24:
         raise ValueError(f"resamples {resamples} of {entries} count entries "
@@ -293,7 +296,12 @@ def bootstrap(counts: CountsTable, dims, statistic, resamples: int = 500,
         counts.shots, p) for child in children])
     freqs = draws / draws.sum(axis=-1, keepdims=True)
     states = _estimate(inv, freqs.reshape(resamples, -1), d)
-    vals = np.array([float(statistic(rho)) for rho in states])
+    del draws, freqs  # the statistic's batched copies take their place
+    vals = np.asarray(statistic(states))
+    if vals.shape != (resamples,):  # checked before a cast could warn
+        raise ValueError(f"statistic must map the {states.shape} stack to "
+                         f"shape ({resamples},), got shape {vals.shape}")
+    vals = vals.astype(float)
     return float(vals.mean()), float(vals.std())
 
 

@@ -282,6 +282,21 @@ def test_relative_entropy_klein_and_support():
         relative_entropy(np.eye(2) / 2, pure)
 
 
+def test_stacked_relative_entropy_names_its_first_failing_state():
+    # y's kernel differs state by state, so each is masked, not sliced
+    half, up, down = np.eye(2) / 2, np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    x, y = np.array([half, up, down, up]), np.array([half, up, up, down])
+    with pytest.raises(ValueError, match=r"^support violation \(state 2\): "
+                       "divergence is infinite$"):
+        relative_entropy(x, y)
+    with pytest.raises(ValueError, match="^support violation: divergence "
+                       "is infinite$"):
+        relative_entropy(down, up)
+    got = relative_entropy(x[:2], y[:2])
+    assert got.tolist() == [relative_entropy(a, b)
+                            for a, b in zip(x[:2], y[:2])]
+
+
 def test_fidelity_pure_states_and_bounds():
     rng = np.random.default_rng(8)
     for _ in range(20):

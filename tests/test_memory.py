@@ -18,7 +18,7 @@ from proctensor.memory import (
     _bloch_blocks, _survey_mi, _survey_views, _worst_event_mi,
     confusion_probability, markov_order_test, memory_strength,
     mutual_information, non_markovianity, non_markovianity_choi,
-    projective_survey, quantum_cmi, quantum_cmi_choi)
+    projective_survey, quantum_cmi, quantum_cmi_choi, state_non_markovianity)
 from proctensor.process import ProcessTensor, build_common_cause, marginals
 from proctensor.recovery import recover
 from proctensor.states import bell, state_by_name
@@ -68,6 +68,49 @@ def test_non_markovianity_bit_equal_to_relative_entropy(dims):
         ref = relative_entropy(g, kron(*marginals(p)))
         assert (np.float64(non_markovianity(p)).tobytes()
                 == np.float64(ref).tobytes())
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2), (3, 2, 2),
+                                  (2, 2, 3)])
+def test_stacked_non_markovianity_bit_equal_to_each_state(dims):
+    """A process on a stack gives each state's value bit for bit. The
+    stack mixes ranks 1, 2, d/2 and d with states whose A leg is pure, so
+    the Markov product's kernel differs from state to state."""
+    d = int(np.prod(dims))
+    rng = np.random.default_rng(40 + d + dims[0])
+    stack = []
+    for rank in (1, 2, d // 2, d) * 5:
+        v = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+        rho = v @ v.conj().T
+        stack.append(rho / np.trace(rho).real)
+        pure_a = np.zeros((dims[0], dims[0]))
+        pure_a[0, 0] = 1.0
+        stack.append(kron(pure_a, random_density(rng, d // dims[0])))
+    stack = np.array(stack)
+    each = [state_non_markovianity(g, dims) for g in stack]
+    assert all(type(x) is float for x in each)
+    assert state_non_markovianity(stack, dims).tolist() == each
+    p = build_common_cause(stack, dims, dims[:2])
+    assert non_markovianity(p).tolist() == each
+    for got, legs in zip(marginals(p), (0, 1, 2)):
+        assert got.tobytes() == np.array(
+            [partial_trace(g, dims, (legs,)) for g in stack]).tobytes()
+    # the CLI's stacked purity, the statistic of a counts-only bootstrap
+    assert np.trace(stack @ stack, axis1=1, axis2=2).real.tolist() == [
+        float(np.trace(g @ g).real) for g in stack]
+
+
+def test_non_markovianity_and_choi_decompose_the_product_once(monkeypatch):
+    # gamma, the product's gamma (kept with markov_product on p) and the
+    # product's Choi matrix: one eigh each
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda a: calls.append(a.shape) or eigh(a))
+    p = lam_process()
+    non_markovianity(p)
+    non_markovianity_choi(p)
+    assert calls == [(8, 8), (8, 8), (32, 32)]
 
 
 def test_unvalidated_process_raises_from_non_markovianity():

@@ -15,7 +15,8 @@ from proctensor.process import (
     build_common_cause, check_causality, condition, condition_instrument,
     cp_divisibility_check, final_choi, marginals, markov_product,
     measure_discard_choi)
-from proctensor.memory import quantum_cmi_choi
+from proctensor.memory import (memory_strength, non_markovianity_choi,
+                               projective_survey, quantum_cmi_choi)
 from proctensor.recovery import _ac_bloch, deviation_scan, recover
 from proctensor.states import state_by_name
 
@@ -247,8 +248,37 @@ def test_marginals_and_markov_product():
         assert np.isclose(np.trace(m).real, 1.0)
     mp = markov_product(p)
     assert np.allclose(mp.gamma, kron(gA, gB, gC))
+    assert markov_product(p) is mp  # built once, kept on p
     rep = check_causality(mp)
     assert rep["ok"]
+
+
+def test_build_accepts_a_stack_of_states():
+    g, dims = state_by_name("lambda")
+    p = build_common_cause(np.array([g, np.eye(8) / 8]), dims, (2, 2))
+    assert p.spectrum[0].shape == (2, 8)
+    with pytest.raises(ValueError, match="state dimension does not match"):
+        build_common_cause(np.array([g[:4, :4]] * 2), dims, (2, 2))
+
+
+@pytest.mark.parametrize("call", [
+    lambda p, inst: p.matrix,
+    lambda p, inst: condition(p, "B", inst.elements[0].matrix),
+    memory_strength, recover,
+    lambda p, inst: born_probability(p),
+    lambda p, inst: check_causality(p),
+    lambda p, inst: projective_survey(p, 0.0125, 100, 0),
+    lambda p, inst: non_markovianity_choi(p)],
+    ids=["matrix", "condition", "memory_strength", "recover",
+         "born_probability", "check_causality", "projective_survey",
+         "non_markovianity_choi"])
+def test_stacked_process_raises_on_one_process_paths(call):
+    # only the gamma-only paths read a stack state by state; the Choi and
+    # conditioning paths reshape gamma as one state and so fail
+    g, dims = state_by_name("lambda")
+    p = build_common_cause(np.array([g, g, np.eye(8) / 8]), dims, (2, 2))
+    with pytest.raises((ValueError, TypeError)):
+        call(p, instrument_by_name("theta"))
 
 
 @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2), (3, 2, 3),

@@ -1,6 +1,7 @@
 """Tomography: settings, simulated counts, inversion, bootstrap, CSV."""
 import hashlib
 import io
+import re
 from functools import reduce
 
 import numpy as np
@@ -268,27 +269,44 @@ def test_resample_preserves_shape():
     g, dims = state_by_name("lambda")
     counts = simulate_counts(g, dims, 2700, seed=0)
     rng = np.random.default_rng(0)
-    re = resample_counts(counts, rng)
-    assert re.labels == counts.labels
-    assert re.shots == counts.shots
-    assert all(int(c.sum()) == s for c, s in zip(re.counts, re.shots))
+    redrawn = resample_counts(counts, rng)
+    assert redrawn.labels == counts.labels
+    assert redrawn.shots == counts.shots
+    assert all(int(c.sum()) == s
+               for c, s in zip(redrawn.counts, redrawn.shots))
+
+
+def purity(states):
+    """Stacked purity, one value per state of an (m, d, d) stack."""
+    return np.trace(states @ states, axis1=1, axis2=2).real
 
 
 def test_bootstrap_deterministic_and_zero_variance():
     g, dims = state_by_name("lambda")
     counts = simulate_counts(g, dims, 2700, seed=0)
-
-    def purity(rho):
-        return float(np.trace(rho @ rho).real)
-
     m1, e1 = bootstrap(counts, dims, purity, resamples=25, seed=4)
     m2, e2 = bootstrap(counts, dims, purity, resamples=25, seed=4)
     assert m1 == m2 and e1 == e2
     assert e1 > 0
-    m3, e3 = bootstrap(counts, dims, lambda rho: 1.0, resamples=10, seed=4)
+    m3, e3 = bootstrap(counts, dims, lambda s: np.ones(len(s)), resamples=10,
+                       seed=4)
     assert m3 == 1.0 and e3 == 0.0
     with pytest.raises(ValueError):
         bootstrap(counts, dims, purity, resamples=1, seed=4)
+
+
+@pytest.mark.parametrize("statistic, shape", [
+    (lambda s: 1.0, "()"), (np.trace, "(8,)"),
+    (lambda s: np.ones((len(s), 1)), "(12, 1)")],
+    ids=["scalar", "trace", "column"])
+def test_bootstrap_rejects_a_statistic_of_the_wrong_shape(statistic, shape):
+    # the statistic gets the whole stack and must give one value per state
+    g, dims = state_by_name("lambda")
+    counts = simulate_counts(g, dims, 2700, seed=0)
+    with pytest.raises(ValueError, match=re.escape(
+            "statistic must map the (12, 8, 8) stack to shape (12,), got "
+            f"shape {shape}")):
+        bootstrap(counts, dims, statistic, resamples=12, seed=0)
 
 
 def test_counts_csv_roundtrip(tmp_path):
@@ -454,17 +472,24 @@ def test_bootstrap_equals_resample_loop(dims):
     d = int(np.prod(dims))
     g = random_density(np.random.default_rng(29), d)
     counts = simulate_counts(g, dims, 20000, seed=6)
-    states = []
+    stacks = []
 
-    def record(rho):
-        states.append(rho.copy())
-        return float(np.trace(rho @ rho).real)
+    def record(states):
+        stacks.append(states.copy())
+        return purity(states)
 
     mean, err = bootstrap(counts, dims, record, resamples=12, seed=8)
-    ref = [reconstruct(resample_counts(counts, np.random.default_rng(c)),
-                       dims)
-           for c in np.random.SeedSequence(8).spawn(12)]
-    assert [s.tobytes() for s in states] == [r.tobytes() for r in ref]
+    # each resample redraws setting by setting from its own child
+    # generator; the table checks that every redraw sums to its shots
+    ref = []
+    for child in np.random.SeedSequence(8).spawn(12):
+        rng = np.random.default_rng(child)
+        redrawn = tuple(rng.multinomial(s, c / c.sum())
+                        for c, s in zip(counts.counts, counts.shots))
+        ref.append(reconstruct(
+            CountsTable(counts.labels, redrawn, counts.shots), dims))
+    assert len(stacks) == 1 and stacks[0].shape == (12, d, d)
+    assert [s.tobytes() for s in stacks[0]] == [r.tobytes() for r in ref]
     assert reconstruct(counts, dims).tobytes() == \
         _reconstruct_reference(counts, dims).tobytes()
     vals = np.array([float(np.trace(r @ r).real) for r in ref])
@@ -474,9 +499,9 @@ def test_bootstrap_equals_resample_loop(dims):
 def test_resample_counts_equals_per_setting_draws():
     g, dims = state_by_name("omega")
     counts = simulate_counts(g, dims, 8100, seed=2)
-    re = resample_counts(counts, np.random.default_rng(3))
+    redrawn = resample_counts(counts, np.random.default_rng(3))
     rng = np.random.default_rng(3)
-    for c, s, new in zip(counts.counts, counts.shots, re.counts):
+    for c, s, new in zip(counts.counts, counts.shots, redrawn.counts):
         assert np.array_equal(new, rng.multinomial(s, c / c.sum()))
 
 
