@@ -68,8 +68,10 @@ def partial_trace(m: np.ndarray, dims: tuple[int, ...],
                   keep: tuple[int, ...]) -> np.ndarray:
     """Trace out all legs not in keep; kept legs stay in the order of m.
 
-    dims lists every leg dimension of the square matrix m; keep holds leg
-    positions, strictly increasing. Trace is preserved: tr(result) = tr(m).
+    dims lists every leg dimension of the square matrix m, or of each
+    matrix of a stack (..., d, d); keep holds leg positions, strictly
+    increasing. The dropped legs are traced in leg order. Trace is
+    preserved: tr(result) = tr(m).
     """
     n = len(dims)
     keep = tuple(keep)
@@ -78,15 +80,17 @@ def partial_trace(m: np.ndarray, dims: tuple[int, ...],
     if any(a >= b for a, b in zip(keep, keep[1:])):
         raise ValueError(f"keep must list leg positions in strictly "
                          f"increasing order, got {keep}")
-    if math.prod(dims) != m.shape[0] or m.shape[0] != m.shape[1]:
+    m = np.asarray(m, dtype=complex)
+    if m.ndim < 2 or m.shape[-2:] != (math.prod(dims),) * 2:
         raise ValueError("dims do not match matrix shape")
-    t = np.asarray(m, dtype=complex).reshape(*dims, *dims)
+    lead = m.shape[:-2]
+    t = m.reshape(*lead, *dims, *dims)
     drop = [i for i in range(n) if i not in keep]
     for off, i in enumerate(drop):
-        ax = i - off
+        ax = len(lead) + i - off
         t = t.trace(axis1=ax, axis2=ax + (n - off))
     d_keep = math.prod(dims[i] for i in keep)
-    return t.reshape(d_keep, d_keep)
+    return t.reshape(*lead, d_keep, d_keep)
 
 
 def check_density(rho: np.ndarray, vectors: bool = False):

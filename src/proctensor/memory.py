@@ -18,8 +18,8 @@ from .instruments import PAULI, Instrument
 from .linalg import (CLIP_EPS, _relative_entropy, _spectrum_entropy,
                      check_density, kron, partial_trace, trace_distance,
                      von_neumann_entropy)
-from .process import (ProcessTensor, _events, build_common_cause,
-                      markov_product)
+from .process import (ProcessTensor, _condition, _events,
+                      build_common_cause, markov_product)
 
 MARKOV_TOL = 1e-8  # markov_order's default trace-distance tolerance
 
@@ -186,13 +186,12 @@ def _bloch_blocks(p: ProcessTensor) -> tuple:
     t_min = tr G_0 - |(tr G_k)_k>0|. W is used only if that bound over
     t_min is below CLIP_EPS, where the entropies drop eigenvalues, so an
     accidental degeneracy that spoils the basis falls back to eigvalsh."""
-    dA, dB, dC = p.input_dims
+    dA, _, dC = p.input_dims
     d = dA * dC
-    g6 = p.gamma.reshape(dA, dB, dC, dA, dB, dC)
-    G = np.einsum('kbD,aDcAbC->kacAC', np.array(PAULI), g6) / 2
-    trace = np.einsum('kacac->k', G).real
-    marg = [np.einsum(s, G) for s in ('kacAc->kaA', 'kacaC->kcC')]
-    G = G.reshape(4, d, d)
+    G = _condition(p, "B", PAULI)[0] / 2
+    # the SURVEY_PINS fix this summation order: np.trace moves their bits
+    trace = np.einsum('kacac->k', G.reshape(4, dA, dC, dA, dC)).real
+    marg = [partial_trace(G, (dA, dC), (k,)) for k in (0, 1)]
     U = np.linalg.eigh(np.tensordot([1, 2 ** .5, 3 ** .5, 5 ** .5], G, 1))[1]
     R = U.conj().T @ G @ U
     W = np.einsum('kii->ki', R).real

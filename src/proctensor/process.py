@@ -249,8 +249,7 @@ def _events(p: ProcessTensor, inst: Instrument) -> tuple:
         cond, probs, _ = _condition(p, "B", inst.matrices())
         live = probs > PROB_TOL
         states = cond / np.where(live, probs, 1.0)[:, None, None]
-        s6 = states.reshape(-1, dA, dC, dA, dC)
-        rA, rC = s6.trace(axis1=2, axis2=4), s6.trace(axis1=1, axis2=3)
+        rA, rC = (partial_trace(states, (dA, dC), (k,)) for k in (0, 1))
         states[~live] = np.eye(dA * dC) / (dA * dC)
         rA[~live], rC[~live] = np.eye(dA) / dA, np.eye(dC) / dC
         memo["events"] = tuple(map(read_only, (
@@ -259,14 +258,9 @@ def _events(p: ProcessTensor, inst: Instrument) -> tuple:
 
 
 def marginals(p: ProcessTensor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Single-party marginals of gamma, or of each state of a stack:
-    partial_trace's traces, axes and order for keep = (0,), (1,), (2,),
-    with B and C sharing the A-trace."""
-    g = np.asarray(p.gamma, dtype=complex)
-    g6 = g.reshape(g.shape[:-2] + tuple(p.input_dims) * 2)
-    gA = g6.trace(axis1=-5, axis2=-2).trace(axis1=-3, axis2=-1)
-    g4 = g6.trace(axis1=-6, axis2=-3)
-    return gA, g4.trace(axis1=-3, axis2=-1), g4.trace(axis1=-4, axis2=-2)
+    """Single-party marginals of gamma, or of each state of a stack."""
+    return tuple(partial_trace(p.gamma, p.input_dims, (k,))
+                 for k in range(3))
 
 
 def markov_product(p: ProcessTensor) -> ProcessTensor:

@@ -18,7 +18,7 @@ import numpy as np
 from .instruments import (_REF_THETA_WEIGHTS, _RT2, Instrument, PAULI,
                           dual_frame, span_project)
 from .linalg import kron, partial_trace, path_or_handle, read_only
-from .process import ProcessTensor, _events
+from .process import ProcessTensor, _events, born_probability
 
 SPAN_TOL = 1e-10
 
@@ -109,7 +109,7 @@ def expectation(p: ProcessTensor, obs: Observable) -> float:
         if a_op.shape != (dA, dA) or b_op.shape != (dB, dB) \
                 or c_op.shape != (dC, dC):
             raise ValueError("observable term dimension mismatch")
-        val += c * float(np.real(np.trace(kron(a_op, b_op, c_op) @ p.gamma)))
+        val += c * born_probability(p, a_op, b_op, c_op)
     return val
 
 
@@ -134,8 +134,7 @@ def _ac_bloch_data(p):
         raise ValueError("deviation scan requires qubit outer parties")
     g_ac = partial_trace(p.gamma, (dA, dB, dC), (0, 2))
     r4 = g_ac.reshape(2, 2, 2, 2)
-    rA = np.einsum('acAc->aA', r4)
-    rC = np.einsum('acaC->cC', r4)
+    rA, rC = (partial_trace(g_ac, (2, 2), (k,)) for k in (0, 1))
     a = np.real(np.einsum('iAa,aA->i', _SIG, rA))
     c = np.real(np.einsum('iCc,cC->i', _SIG, rC))
     M = np.real(np.einsum('acAC,iAa,jCc->ij', r4, _SIG, _SIG))

@@ -216,11 +216,11 @@ def _cached_pseudo_inverse(labels: tuple, dims: tuple) -> np.ndarray:
 def _frequencies(counts: CountsTable, d: int) -> np.ndarray:
     """(settings, d) outcome frequencies of a table whose every setting has
     d outcomes and at least one shot."""
-    for lbl, c in zip(counts.labels, counts.counts):
+    for lbl, c, shots in zip(counts.labels, counts.counts, counts.shots):
         if len(c) != d:
             raise ValueError(f"setting {lbl!r} has {len(c)} outcomes; "
                              f"expected {d}")
-        if not c.sum():
+        if not shots:
             raise ValueError(f"setting {lbl!r} has no shots")
     c = np.array(counts.counts)
     return c / c.sum(axis=-1, keepdims=True)

@@ -1,6 +1,7 @@
 """Core linear-algebra helpers: partial traces, entropies, metrics."""
 import re
 from functools import reduce
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -101,6 +102,38 @@ def test_partial_trace_rejects_bad_args():
         partial_trace(m, (2, 2), (2,))
     with pytest.raises(ValueError):
         partial_trace(m, (2, 3), (0,))
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (1, 2), (3, 1, 2), (2, 2, 2),
+                                  (2, 3, 1, 2), (1, 1, 3, 2)])
+@pytest.mark.parametrize("lead", [(), (5,), (2, 3)])
+def test_partial_trace_stack_bit_equal_to_each_state(dims, lead):
+    """A stack (..., d, d) reduces state by state with the 2-D call's
+    bits, for every strictly increasing keep."""
+    rng = np.random.default_rng(len(dims) + len(lead))
+    d = int(np.prod(dims))
+    states = np.array([random_density(rng, d)
+                       for _ in range(int(np.prod(lead)))]).reshape(
+                           *lead, d, d)
+    legs = range(len(dims))
+    for keep in (k for r in range(len(dims) + 1)
+                 for k in combinations(legs, r)):
+        got = partial_trace(states, dims, keep)
+        dk = int(np.prod([dims[i] for i in keep]))
+        assert got.shape == (*lead, dk, dk), keep
+        ref = np.array([partial_trace(s, dims, keep)
+                        for s in states.reshape(-1, d, d)])
+        assert got.tobytes() == ref.tobytes(), keep
+
+
+@pytest.mark.parametrize("shape", [(4,), (), (5, 4, 4), (2, 8, 8),
+                                   (3, 6, 4)],
+                         ids=["1-D", "0-D", "stack-too-small",
+                              "stack-too-large", "stack-not-square"])
+def test_partial_trace_rejects_shapes_against_dims(shape):
+    dims = (2, 3) if len(shape) == 3 else (2, 2)
+    with pytest.raises(ValueError, match="^dims do not match matrix shape$"):
+        partial_trace(np.ones(shape), dims, (0,))
 
 
 @pytest.mark.parametrize("keep", [(1, 0), (0, 0), (2, 0, 1)])
