@@ -187,6 +187,8 @@ class ConditionalProcess:
     """Process left over after one party's instrument fires one event:
     the unnormalized state on the remaining input legs, in time order. The
     normalized state is derived on first access; no Choi matrix is kept.
+    condition and condition_instrument hand out a read-only unnormalized
+    array, and state is read-only, so state cannot go stale.
     """
     unnormalized: np.ndarray = field(repr=False)
     probability: float
@@ -196,7 +198,7 @@ class ConditionalProcess:
     def state(self) -> np.ndarray:
         """Normalized remaining-input state (left as is at probability 0)."""
         if self.probability > PROB_TOL:
-            return self.unnormalized / self.probability
+            return read_only(self.unnormalized / self.probability)
         return self.unnormalized
 
 
@@ -228,14 +230,14 @@ def condition(p: ProcessTensor, party: str,
               element: np.ndarray) -> ConditionalProcess:
     """Condition the process on one instrument event at one party."""
     cond, probs, dims = _condition(p, party, np.asarray(element)[None])
-    return ConditionalProcess(cond[0], float(probs[0]), dims)
+    return ConditionalProcess(read_only(cond)[0], float(probs[0]), dims)
 
 
 def condition_instrument(p: ProcessTensor, party: str,
                          inst: Instrument) -> list[ConditionalProcess]:
     cond, probs, dims = _condition(p, party, inst.matrices())
     return [ConditionalProcess(c, pr, dims)
-            for c, pr in zip(cond, probs.tolist())]
+            for c, pr in zip(read_only(cond), probs.tolist())]
 
 
 def _events(p: ProcessTensor, inst: Instrument) -> tuple:

@@ -213,16 +213,14 @@ def deviation_scan(true_p, recovered_p, grid: int = 64,
         raise ValueError(f"grid {grid} makes a scan of over 2**22 points")
     a_t, c_t, M_t = _ac_bloch(true_p)
     a_r, c_r, M_r = _ac_bloch(recovered_p)
-    thetas, phases, N1 = _scan_grid(grid, bool(full))
-    N2 = N1
-    if convention == "projector":
-        def values(a, c, M):
-            u1 = N1 @ a
-            u2 = N2 @ c
-            return 0.25 * (1.0 + u1[:, None] + u2[None, :] + N1 @ M @ N2.T)
-    else:
-        def values(a, c, M):
-            return N1 @ M @ N2.T
+    thetas, phases, N = _scan_grid(grid, bool(full))
+
+    def values(a, c, M):
+        corr = N @ M @ N.T
+        if convention == "correlator":
+            return corr
+        return 0.25 * (1.0 + (N @ a)[:, None] + (N @ c)[None, :] + corr)
+
     tv = values(a_t, c_t, M_t)
     rv = values(a_r, c_r, M_r)
     diff = np.abs(tv - rv)

@@ -17,13 +17,13 @@ from __future__ import annotations
 import csv
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product as iproduct
 from types import SimpleNamespace
 
 import numpy as np
 
-from .linalg import hermitize, path_or_handle, read_only
+from .linalg import hermitize, kron, path_or_handle, read_only
 
 _QUBIT = {
     "X": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
@@ -88,8 +88,8 @@ def _cached_settings(dims: tuple) -> tuple[tuple, np.ndarray]:
 
 
 def _unitaries(labels, dims) -> np.ndarray:
-    """(n, d, d) stack of the product unitaries the labels name, built by
-    one broadcast multiply per leg: the products np.kron forms."""
+    """(n, d, d) stack of the product unitaries the labels name: the kron
+    of one (n, d_i, d_i) stack per leg."""
     lookup = [dict(_leg_bases(int(d))) for d in dims]
     parts = [lbl.split("/") for lbl in labels]
     for lbl, part in zip(labels, parts):
@@ -102,13 +102,9 @@ def _unitaries(labels, dims) -> np.ndarray:
                     f"setting {lbl!r}: unknown basis {name!r} on leg {i} "
                     f"(dimension {dims[i]}; expected one of {list(leg)})")
     n = len(labels)
-    U = np.ones((n, 1, 1), dtype=complex)
-    for i, leg in enumerate(lookup):
-        a, b = U.shape[1], int(dims[i])
-        B = np.array([leg[part[i]] for part in parts]).reshape(n, b, b)
-        U = (U[:, :, None, :, None] * B[:, None, :, None, :]).reshape(
-            n, a * b, a * b)
-    return U
+    stacks = [np.array([leg[part[i]] for part in parts]).reshape(n, d, d)
+              for i, (leg, d) in enumerate(zip(lookup, map(int, dims)))]
+    return kron(*stacks)
 
 
 def born_probabilities(rho: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -121,33 +117,35 @@ def born_probabilities(rho: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CountsTable:
-    """Measured counts per setting and outcome."""
+    """Measured counts per setting and outcome. Each setting's total is
+    derived from its counts, exact, and must lie in the int64 range."""
     labels: tuple
     counts: tuple  # one integer array per setting
-    shots: tuple  # per-setting totals
+    shots: tuple = field(init=False)  # per-setting totals, as Python ints
 
     def __post_init__(self):
         counts = tuple(np.asarray(c, dtype=np.int64) for c in self.counts)
-        shots = tuple(int(s) for s in self.shots)
-        if len(self.labels) != len(counts) or len(counts) != len(shots):
-            raise ValueError("labels, counts, shots must align")
+        if len(self.labels) != len(counts):
+            raise ValueError("labels and counts must align")
         # one pass over the whole table: a trailing 0 keeps every segment
-        # start in range, and an empty setting's reductions go unread
+        # start in range, an empty setting's reductions go unread, and the
+        # totals add up as Python ints, so they cannot wrap
         sizes = [c.size for c in counts]
         flat = np.concatenate([*(c.ravel() for c in counts), [0]])
-        starts = np.cumsum([0, *sizes[:-1]])
+        starts = np.cumsum([0, *sizes])[:-1]
         low = np.minimum.reduceat(flat, starts).tolist()
-        total = np.add.reduceat(flat, starts).tolist()
-        for lbl, size, lo, t, s in zip(self.labels, sizes, low, total, shots):
+        shots = np.add.reduceat(flat.astype(object), starts).tolist()
+        for lbl, size, lo, total in zip(self.labels, sizes, low, shots):
             if not size:
                 raise ValueError(f"setting {lbl!r} has no outcomes")
             if lo < 0:
                 raise ValueError("negative count")
-            if t != s:
-                raise ValueError("per-setting counts must sum to shots")
+            if total > _INT64_MAX:
+                raise ValueError(f"setting {lbl!r}: counts sum beyond the "
+                                 "int64 range")
         object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "shots", shots)
+        object.__setattr__(self, "shots", tuple(shots))
 
     @property
     def total_shots(self) -> int:
@@ -174,7 +172,7 @@ def simulate_counts(gamma: np.ndarray, dims, shots: int,
     P = born_probabilities(gamma, U)
     # one 2-D draw takes the rows from the stream in setting order
     counts = np.random.default_rng(seed).multinomial(shots_per, P)
-    return CountsTable(labels, tuple(counts), (shots_per,) * n)
+    return CountsTable(labels, tuple(counts))
 
 
 def inversion_matrix(mats, d: int) -> np.ndarray:
@@ -264,7 +262,7 @@ def resample_counts(counts: CountsTable, rng) -> CountsTable:
     """One bootstrap resample: multinomial redraw per setting."""
     c = np.array(counts.counts)
     new = rng.multinomial(counts.shots, c / c.sum(axis=-1, keepdims=True))
-    return CountsTable(counts.labels, tuple(new), counts.shots)
+    return CountsTable(counts.labels, tuple(new))
 
 
 def bootstrap(counts: CountsTable, dims, statistic, resamples: int = 500,
@@ -379,7 +377,7 @@ def counts_from_csv(path) -> CountsTable:
             raise ValueError(f"setting {lbl!r} has negative count {n} for "
                              f"outcome {k}")
         outcomes[k] = n
-    values, sizes, shots = [], [], []
+    values, sizes = [], []
     for lbl, outcomes in per.items():
         # distinct outcomes >= 0 cover 0..m-1 exactly when the largest is m-1
         m = len(outcomes)
@@ -387,14 +385,12 @@ def counts_from_csv(path) -> CountsTable:
             gap = next(k for k in range(m) if k not in outcomes)
             raise ValueError(f"setting {lbl!r} has no row for outcome {gap}")
         ordered = [outcomes[k] for k in range(m)]
-        total = sum(ordered)
-        if total > _INT64_MAX:
+        if sum(ordered) > _INT64_MAX:  # bounds each cell before the array
             raise ValueError(f"setting {lbl!r}: column 'count' sums beyond "
                              "the int64 range")
         values += ordered
         sizes.append(m)
-        shots.append(total)
     flat = np.array(values, dtype=np.int64)
     ends = np.cumsum(sizes).tolist()
     counts = [flat[a:b] for a, b in zip([0, *ends], ends)]
-    return CountsTable(tuple(per), tuple(counts), tuple(shots))
+    return CountsTable(tuple(per), tuple(counts))

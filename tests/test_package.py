@@ -54,6 +54,25 @@ def _python(code, cwd=None):
     return proc.stdout
 
 
+def test_failing_given_test_is_reported_not_crashed(tmp_path):
+    # on a failing @given test hypothesis imports libcst to print a patch;
+    # that import warns, which the suite's filters must not turn into an
+    # INTERNALERROR that aborts the run
+    (tmp_path / "test_given.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 0\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-p", "no:cacheprovider", "-c",
+         str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path),
+         "test_given.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    out = proc.stdout + proc.stderr
+    assert proc.returncode == 1, out
+    assert "1 failed" in out and "INTERNALERROR" not in out
+
+
 def test_public_api_is_pinned():
     assert len(PUBLIC) == 84 and PUBLIC == sorted(PUBLIC)
     assert proctensor.__all__ == PUBLIC

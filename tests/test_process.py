@@ -175,6 +175,27 @@ def test_condition_on_each_party():
         condition(p, "D", np.eye(2))
 
 
+def test_conditional_arrays_are_read_only():
+    # a write to either array would leave the cached state stale; the
+    # B-in-|0> process makes z's second event impossible (state is the
+    # unnormalized array itself)
+    zero = build_common_cause(kron(np.eye(2) / 2, np.diag([1.0, 0.0]),
+                                   np.eye(2) / 2), (2, 2, 2), (2, 2))
+    theta = instrument_by_name("theta")
+    conds = [condition(lam_process(), "B", theta.matrices()[0]),
+             *condition_instrument(lam_process(), "B", theta),
+             *condition_instrument(ome_process(), "A", z_basis(2)),
+             *condition_instrument(zero, "B", z_basis(2))]
+    assert conds[-1].probability == 0.0
+    for c in conds:
+        before = c.unnormalized.tobytes(), c.state.tobytes()
+        for arr in (c.unnormalized, c.state):
+            with pytest.raises(ValueError,
+                               match="assignment destination is read-only"):
+                arr[0, 0] += 1
+        assert (c.unnormalized.tobytes(), c.state.tobytes()) == before
+
+
 def _condition_reference(p, party, element):
     """One element's conditioning, its own einsum: (cond, probability)."""
     k = "ABC".index(party)
