@@ -13,9 +13,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import (FieldsPickle, builtin, hermitize, is_hermitian,
-                     json_number, json_object, kron, mat_from_json,
-                     mat_to_json, read_only)
+from .linalg import (Record, builtin, hermitize, is_hermitian, json_number,
+                     json_object, kron, mat_from_json, mat_to_json)
 
 PAULI = (
     np.eye(2, dtype=complex),
@@ -29,25 +28,26 @@ GRAM_COND_MAX = 1e12
 COMPLETENESS_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class PovmElement(FieldsPickle):
-    """One element, its matrix kept as a private read-only copy."""
+@dataclass(frozen=True, eq=False)
+class PovmElement(Record):
+    """One element: its matrix, as complex, and its label."""
     matrix: np.ndarray
     label: str = ""
 
     def __post_init__(self):
-        m = read_only(np.array(self.matrix, dtype=complex))
-        object.__setattr__(self, "matrix", m)
-        if not is_hermitian(m):
+        object.__setattr__(self, "matrix",
+                           np.asarray(self.matrix, dtype=complex))
+        super().__post_init__()
+        if not is_hermitian(self.matrix):
             raise ValueError(f"element {self.label!r} is not Hermitian")
-        w = np.linalg.eigvalsh(hermitize(m))
+        w = np.linalg.eigvalsh(hermitize(self.matrix))
         if w.min() < -1e-10 or w.max() > 1 + 1e-10:
             raise ValueError(
                 f"element {self.label!r} eigenvalues outside [0, 1]")
 
 
 @dataclass(frozen=True, eq=False)
-class Instrument(FieldsPickle):
+class Instrument(Record):
     """Elements summing to the identity. Compared and hashed by identity,
     so a process can key the event tables it keeps on it. A pickle holds
     the elements and name; the dual frame is built again on first use."""
@@ -55,6 +55,7 @@ class Instrument(FieldsPickle):
     name: str = ""
 
     def __post_init__(self):
+        super().__post_init__()
         if not self.elements:
             raise ValueError("instrument needs at least one element")
         dims = {e.matrix.shape for e in self.elements}
@@ -89,14 +90,14 @@ class Instrument(FieldsPickle):
                 f"instrument elements are not linearly independent "
                 f"(Gram condition number {cond:.2e})")
         Ginv = np.linalg.inv(G)
-        duals = tuple(read_only(hermitize(sum(Ginv[y, x] * m
-                                              for y, m in enumerate(mats))))
+        duals = tuple(hermitize(sum(Ginv[y, x] * m
+                                    for y, m in enumerate(mats)))
                       for x in range(len(mats)))
-        return DualFrame(duals, read_only(G))
+        return DualFrame(duals, G)
 
 
-@dataclass(frozen=True)
-class DualFrame:
+@dataclass(frozen=True, eq=False)
+class DualFrame(Record):
     duals: tuple[np.ndarray, ...]
     gram: np.ndarray
 

@@ -1,5 +1,5 @@
-"""Dense complex linear algebra on small tensor legs, read-only kept
-arrays, and JSON file helpers.
+"""Dense complex linear algebra on small tensor legs, the base of the
+package's read-only array records, and JSON file helpers.
 
 Everything here operates on plain numpy arrays. Entropic quantities are in
 bits (log base 2) throughout the package; eigenvalues below CLIP_EPS are
@@ -28,15 +28,35 @@ def is_hermitian(m: np.ndarray) -> bool:
 
 def read_only(m: np.ndarray) -> np.ndarray:
     """m, set to raise on any in-place write: for arrays that are kept."""
-    m.flags.writeable = False
+    m.setflags(write=False)  # half the cost of assigning flags.writeable
     return m
 
 
-class FieldsPickle:
-    """Pickles a frozen dataclass as its fields alone and reruns
-    __post_init__ on load, so what it derives and caches is rebuilt on use
-    and its kept arrays, which numpy unpickles writable, are read-only
-    again."""
+def _private(value):
+    """value, with every ndarray in it, alone or inside tuples and dicts,
+    replaced by a read-only copy."""
+    if isinstance(value, np.ndarray):
+        return read_only(np.array(value))
+    if isinstance(value, tuple):
+        return tuple(map(_private, value))
+    if isinstance(value, dict):
+        return {k: _private(v) for k, v in value.items()}
+    return value
+
+
+class Record:
+    """Base of the package's array records, frozen dataclasses declared
+    eq=False: compared and hashed by identity, since arrays give a
+    generated __eq__ no truth value. __post_init__, which a subclass's own
+    calls, replaces every ndarray field, and every ndarray in a tuple or
+    dict field, by a read-only private copy, so nothing a record derives
+    goes stale and the caller's arrays stay writable. A record pickles as
+    its fields alone and reruns __post_init__ on load, rebuilding what it
+    derives and copying again the arrays numpy unpickles writable."""
+
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            object.__setattr__(self, f.name, _private(getattr(self, f.name)))
 
     def __getstate__(self):
         return {f.name: getattr(self, f.name)
@@ -175,8 +195,12 @@ def _relative_entropy(x: np.ndarray, wx: np.ndarray, wy: np.ndarray,
 
 def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Squared fidelity F = (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, with
-    sqrt(rho) built from the eigh of rho's density check."""
+    sqrt(rho) built from the eigh of rho's density check. Takes one pair
+    of states; stacks are refused."""
     _same_shape(rho, sigma)
+    if np.ndim(rho) > 2:
+        raise ValueError(f"fidelity takes one pair of states; the operands "
+                         f"are stacks of {math.prod(np.shape(rho)[:-2])}")
     w, v = check_density(np.asarray(rho, dtype=complex), vectors=True)
     check_density(sigma)
     s = (v * np.sqrt(np.clip(w, 0, None))) @ v.conj().T
@@ -192,9 +216,11 @@ def trace_distance(a: np.ndarray, b: np.ndarray):
     return float(s) if s.ndim == 0 else s
 
 
-def trace_norm(m: np.ndarray) -> float:
-    s = np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False)
-    return float(np.sum(s))
+def trace_norm(m: np.ndarray):
+    """Sum of the singular values; a float, or an array of one norm per
+    matrix for a stack (..., r, c)."""
+    s = np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False).sum(-1)
+    return float(s) if s.ndim == 0 else s
 
 
 def mat_to_json(m: np.ndarray) -> dict:

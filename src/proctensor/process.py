@@ -19,8 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .instruments import Instrument
-from .linalg import (FieldsPickle, check_density, kron, partial_trace,
-                     read_only)
+from .linalg import Record, check_density, kron, partial_trace, read_only
 
 PARTIES = ("A", "B", "C")
 # the Choi matrix's (label, direction) legs in chronological order
@@ -31,32 +30,37 @@ LEGS = (("A_in", "input"), ("A_out", "output"), ("B_in", "input"),
 PROB_TOL = 1e-14
 
 
+def _one_state(gamma: np.ndarray, what: str) -> np.ndarray:
+    """gamma, refused by name when it is a stack of states: what reads a
+    process's gamma as one state."""
+    if gamma.ndim > 2:
+        raise ValueError(f"{what} takes one state; the process holds a stack "
+                         f"of {math.prod(gamma.shape[:-2])}")
+    return gamma
+
+
 def _choi(gamma: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
     """Choi matrix on LEGS of dims (dA, dAo, dB, dBo, dC): gamma on the
     input legs times an identity on A_out and B_out, each leg broadcast
     onto its chronological axis."""
     dA, dAo, dB, dBo, dC = dims
-    m = np.asarray(gamma).reshape((dA, 1, dB, 1, dC) * 2)
+    m = _one_state(gamma, "the Choi matrix").reshape((dA, 1, dB, 1, dC) * 2)
     m = m * np.eye(dAo).reshape(1, dAo, 1, 1, 1, 1, dAo, 1, 1, 1)
     m = m * np.eye(dBo).reshape(1, 1, 1, dBo, 1, 1, 1, 1, dBo, 1)
     d = math.prod(dims)
     return m.reshape(d, d)
 
 
-@dataclass(frozen=True)
-class ProcessTensor(FieldsPickle):
+@dataclass(frozen=True, eq=False)
+class ProcessTensor(Record):
     """Common-cause process: its input-leg state gamma on (A_in, B_in,
-    C_in), kept as a private read-only copy, since everything derived
-    from it is kept too. The Choi matrix on LEGS, gamma with an identity
-    on each output leg, and its choi_dims are built on first access. A
-    pickle holds the fields alone: the memo holds its instruments weakly,
-    so cannot be pickled."""
+    C_in), a record array, since everything derived from it is kept. The
+    Choi matrix on LEGS, gamma with an identity on each output leg, and
+    its choi_dims are built on first access. A pickle holds the fields
+    alone: the memo holds its instruments weakly, so cannot be pickled."""
     gamma: np.ndarray = field(repr=False)
     input_dims: tuple[int, int, int]
     output_dims: tuple[int, int]
-
-    def __post_init__(self):
-        object.__setattr__(self, "gamma", read_only(np.array(self.gamma)))
 
     @cached_property
     def choi_dims(self) -> tuple[int, int, int, int, int]:
@@ -66,13 +70,13 @@ class ProcessTensor(FieldsPickle):
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        return _choi(self.gamma, self.choi_dims)
+        return read_only(_choi(self.gamma, self.choi_dims))
 
     @cached_property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """eigh (w, v) of hermitize(gamma), from the density check that
-        raises unless gamma is a state."""
-        return check_density(self.gamma, vectors=True)
+        """eigh (w, v) of hermitize(gamma), read-only, from the density
+        check that raises unless gamma is a state."""
+        return tuple(map(read_only, check_density(self.gamma, vectors=True)))
 
     @cached_property
     def choi_spectrum(self) -> np.ndarray:
@@ -178,17 +182,17 @@ def born_probability(p: ProcessTensor,
     EA = np.eye(dA) if a_element is None else np.asarray(a_element)
     EB = np.eye(dB) if b_element is None else np.asarray(b_element)
     EC = np.eye(dC) if c_element is None else np.asarray(c_element)
-    val = complex(np.trace(kron(EA, EB, EC) @ p.gamma))
+    gamma = _one_state(p.gamma, "born_probability")
+    val = complex(np.trace(kron(EA, EB, EC) @ gamma))
     return float(val.real)
 
 
-@dataclass(frozen=True)
-class ConditionalProcess:
+@dataclass(frozen=True, eq=False)
+class ConditionalProcess(Record):
     """Process left over after one party's instrument fires one event:
     the unnormalized state on the remaining input legs, in time order. The
-    normalized state is derived on first access; no Choi matrix is kept.
-    condition and condition_instrument hand out a read-only unnormalized
-    array, and state is read-only, so state cannot go stale.
+    normalized state is derived on first access, read-only like the
+    record's arrays, so it cannot go stale; no Choi matrix is kept.
     """
     unnormalized: np.ndarray = field(repr=False)
     probability: float
@@ -220,7 +224,8 @@ def _condition(p: ProcessTensor, party: str, elements) -> tuple:
     rest = "abc".replace(x, "")
     g_sub = "abc".replace(x, "D") + "ABC".replace(x.upper(), x)
     dims = tuple(d for i, d in enumerate(p.input_dims) if i != k)
-    g6 = p.gamma.reshape(*p.input_dims, *p.input_dims)
+    g6 = _one_state(p.gamma, "conditioning").reshape(*p.input_dims,
+                                                      *p.input_dims)
     cond = np.einsum(f"n{x}D,{g_sub}->n{rest}{rest.upper()}", elements, g6)
     cond = cond.reshape(-1, dims[0] * dims[1], dims[0] * dims[1])
     return cond, np.trace(cond, axis1=1, axis2=2).real, dims
@@ -230,14 +235,14 @@ def condition(p: ProcessTensor, party: str,
               element: np.ndarray) -> ConditionalProcess:
     """Condition the process on one instrument event at one party."""
     cond, probs, dims = _condition(p, party, np.asarray(element)[None])
-    return ConditionalProcess(read_only(cond)[0], float(probs[0]), dims)
+    return ConditionalProcess(cond[0], float(probs[0]), dims)
 
 
 def condition_instrument(p: ProcessTensor, party: str,
                          inst: Instrument) -> list[ConditionalProcess]:
     cond, probs, dims = _condition(p, party, inst.matrices())
     return [ConditionalProcess(c, pr, dims)
-            for c, pr in zip(read_only(cond), probs.tolist())]
+            for c, pr in zip(cond, probs.tolist())]
 
 
 def _events(p: ProcessTensor, inst: Instrument) -> tuple:

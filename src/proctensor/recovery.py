@@ -17,8 +17,8 @@ import numpy as np
 
 from .instruments import (_REF_THETA_WEIGHTS, _RT2, Instrument, PAULI,
                           dual_frame, span_project)
-from .linalg import kron, partial_trace, path_or_handle, read_only
-from .process import ProcessTensor, _events, born_probability
+from .linalg import Record, kron, partial_trace, path_or_handle, read_only
+from .process import ProcessTensor, _events, _one_state, born_probability
 
 SPAN_TOL = 1e-10
 
@@ -26,24 +26,17 @@ SPAN_TOL = 1e-10
 _SIG = np.stack(PAULI[1:])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RecoveredProcess(ProcessTensor):
     """Process-shaped reconstruction valid on one instrument's span.
 
     A ProcessTensor, so conditioning and the Born fast path apply
     unchanged. Positivity holds on the instrument span only, not
-    globally, so recover() does not validate it. Its event marginals are
-    private read-only copies.
+    globally, so recover() does not validate it.
     """
     source_instrument: Instrument
     # per-event (probability, A marginal, C marginal) of the true process
     events: tuple = field(repr=False, default=())
-
-    def __post_init__(self):
-        super().__post_init__()
-        object.__setattr__(self, "events", tuple(
-            (prob, *(read_only(np.array(m)) for m in marg))
-            for prob, *marg in self.events))
 
 
 def recover(p: ProcessTensor, inst: Instrument) -> RecoveredProcess:
@@ -61,8 +54,8 @@ def recover(p: ProcessTensor, inst: Instrument) -> RecoveredProcess:
                             tuple(zip(probs.tolist(), rA, rC)))
 
 
-@dataclass(frozen=True)
-class Observable:
+@dataclass(frozen=True, eq=False)
+class Observable(Record):
     """Multi-time observable sum_y c_y A^(y) x B^(y) x C^(y)."""
     terms: tuple  # of (coefficient, alice_op, bob_op, charlie_op)
 
@@ -72,6 +65,7 @@ class Observable:
              np.asarray(b, dtype=complex), np.asarray(g, dtype=complex))
             for c, a, b, g in self.terms)
         object.__setattr__(self, "terms", terms)
+        super().__post_init__()
 
 
 def observable(coefficient, alice_op, bob_op, charlie_op) -> Observable:
@@ -132,7 +126,8 @@ def _ac_bloch_data(p):
     dA, dB, dC = p.input_dims
     if dA != 2 or dC != 2:
         raise ValueError("deviation scan requires qubit outer parties")
-    g_ac = partial_trace(p.gamma, (dA, dB, dC), (0, 2))
+    g_ac = partial_trace(_one_state(p.gamma, "the deviation scan"),
+                         (dA, dB, dC), (0, 2))
     r4 = g_ac.reshape(2, 2, 2, 2)
     rA, rC = (partial_trace(g_ac, (2, 2), (k,)) for k in (0, 1))
     a = np.real(np.einsum('iAa,aA->i', _SIG, rA))
@@ -163,8 +158,8 @@ def _scan_grid(grid: int, full: bool) -> tuple:
                      (thetas, phases, _bloch_vectors(thetas, phases))))
 
 
-@dataclass(frozen=True)
-class ScanResult:
+@dataclass(frozen=True, eq=False)
+class ScanResult(Record):
     """True/reconstructed values and differences over pairs of directions
     in thetas x phases, theta slow; to_csv writes each pair's angles."""
     convention: str

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import builtin, check_density, kron
+from .linalg import Record, builtin, check_density, kron
 
 LAMBDA_DIMS = (2, 2, 2)
 OMEGA_DIMS = (2, 3, 2)
@@ -66,8 +66,8 @@ def omega_state() -> np.ndarray:
     return rho
 
 
-@dataclass(frozen=True)
-class StateEnsemble:
+@dataclass(frozen=True, eq=False)
+class StateEnsemble(Record):
     """Pure-state ensemble: (amplitude vector, weight) pairs.
 
     Members are normalized after construction; weights must sum to 1.
@@ -76,6 +76,7 @@ class StateEnsemble:
     dims: tuple[int, ...]
 
     def __post_init__(self):
+        super().__post_init__()
         tot = sum(w for _, w in self.members)
         if abs(tot - 1.0) > 1e-12:
             raise ValueError(f"weights sum to {tot}, not 1")

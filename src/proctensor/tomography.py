@@ -23,7 +23,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .linalg import hermitize, kron, path_or_handle, read_only
+from .linalg import Record, hermitize, kron, path_or_handle, read_only
 
 _QUBIT = {
     "X": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
@@ -115,8 +115,8 @@ def born_probabilities(rho: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return p / p.sum(axis=-1, keepdims=True)
 
 
-@dataclass(frozen=True)
-class CountsTable:
+@dataclass(frozen=True, eq=False)
+class CountsTable(Record):
     """Measured counts per setting and outcome. Each setting's total is
     derived from its counts, exact, and must lie in the int64 range."""
     labels: tuple
@@ -146,6 +146,7 @@ class CountsTable:
         object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "shots", tuple(shots))
+        super().__post_init__()
 
     @property
     def total_shots(self) -> int:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instruments import COMPLETENESS_TOL, PAULI, Instrument, instrument
-from .linalg import (builtin, json_number, json_object, mat_from_json,
+from .linalg import (Record, builtin, json_number, json_object, mat_from_json,
                      mat_to_json, write_json)
 
 NORM_TOL = 1e-12
@@ -88,8 +88,8 @@ def _apply(s: WalkState, ops: dict) -> WalkState:
     return WalkState(out)
 
 
-@dataclass(frozen=True)
-class WalkCircuit:
+@dataclass(frozen=True, eq=False)
+class WalkCircuit(Record):
     """Ordered coin maps (one per step, translation follows each) plus the
     port-to-element assignment, which is circuit data."""
     steps: tuple
@@ -104,6 +104,7 @@ class WalkCircuit:
         if sorted(ports.values()) != list(range(1, len(ports) + 1)):
             raise ValueError("'ports' must assign elements 1..n once each")
         object.__setattr__(self, "ports", ports)
+        super().__post_init__()
 
 
 def run_protocol(initial_coin, circuit: WalkCircuit) -> dict:

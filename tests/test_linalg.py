@@ -255,13 +255,14 @@ def test_stacks_bit_equal_to_their_matrices(d):
         stack.append(rho / np.trace(rho).real)
     stack = np.array(stack)
     other = stack[::-1]
-    entropies, distances = [], []
+    entropies, distances, norms = [], [], []
     for a, b in zip(stack, other):
         w = np.linalg.eigvalsh(hermitize(a))
         w = w[w > 1e-12]
         entropies.append(float(-np.sum(w * np.log2(w))))
         w = np.linalg.eigvalsh(hermitize(a - b))
         distances.append(float(np.sum(np.abs(w)) / 2))
+        norms.append(float(np.sum(np.linalg.svd(a - b, compute_uv=False))))
     assert check_density(stack).tobytes() == np.linalg.eigvalsh(
         hermitize(stack)).tobytes()
     for got in (von_neumann_entropy(stack).tolist(),
@@ -270,6 +271,9 @@ def test_stacks_bit_equal_to_their_matrices(d):
     for got in (trace_distance(stack, other).tolist(),
                 [trace_distance(a, b) for a, b in zip(stack, other)]):
         assert got == distances
+    for got in (trace_norm(stack - other).tolist(),
+                [trace_norm(a - b) for a, b in zip(stack, other)]):
+        assert got == norms
     small = stack[:, :2, :2]
     assert kron(small, other).tobytes() == np.array(
         [kron(a, b) for a, b in zip(small, other)]).tobytes()

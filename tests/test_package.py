@@ -1,17 +1,22 @@
-"""The package namespace: the public API, lazy module loading, and the
+"""The package namespace: the public API, lazy module loading, the
 contract with perfbench/tracer.py (a lookup through the package sees a
-patched function and never outlives its restore)."""
+patched function and never outlives its restore), and the one rule for
+its array records."""
 import ast
+import dataclasses
 import importlib
 import inspect
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import proctensor
+from proctensor.linalg import Record
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -162,3 +167,122 @@ def test_benchmark_traces_public_functions(module, names):
         assert not name.startswith("_"), name
         assert inspect.isfunction(obj), f"{module}.{name} is not a function"
         assert obj.__module__ == mod.__name__, f"{module}.{name} is imported"
+
+
+def _array_record(name):
+    """The array record name, built directly from fresh writable arrays,
+    and those arrays."""
+    fresh = []
+
+    def arr(values, dtype=complex):
+        fresh.append(np.array(values, dtype=dtype))
+        return fresh[-1]
+    gamma = proctensor.state_by_name("lambda")[0]
+    half, x = np.eye(2) / 2, [[0, 1], [1, 0]]
+    make = {
+        "ProcessTensor": lambda: proctensor.ProcessTensor(
+            arr(gamma), (2, 2, 2), (2, 2)),
+        "RecoveredProcess": lambda: proctensor.RecoveredProcess(
+            arr(gamma), (2, 2, 2), (2, 2), proctensor.theta_povm(),
+            ((1.0, arr(half), arr(half)),)),
+        "PovmElement": lambda: proctensor.PovmElement(arr(half)),
+        "DualFrame": lambda: proctensor.DualFrame(
+            (arr(half), arr(x)), arr(np.eye(2))),
+        "CountsTable": lambda: proctensor.CountsTable(
+            ("Z", "X"), (arr([3, 7], np.int64), arr([4, 6], np.int64))),
+        "ConditionalProcess": lambda: proctensor.ConditionalProcess(
+            arr(half), 0.5, (2, 1)),
+        "ScanResult": lambda: proctensor.ScanResult(
+            "projector", arr([0.0, 1.0], float), arr([0.0], float),
+            *(arr([0.25, 0.5, 0.5, 0.25], float) for _ in range(3)), 0.0,
+            {"theta1": 0.0, "phi": 0.0, "theta2": 0.0, "psi": 0.0}),
+        "StateEnsemble": lambda: proctensor.StateEnsemble(
+            ((arr([1, 0]), 0.5), (arr([0, 1]), 0.5)), (2,)),
+        "WalkCircuit": lambda: proctensor.WalkCircuit(
+            ({0: arr(x)},), {-1: 1, 1: 2}),
+        "Observable": lambda: proctensor.Observable(
+            ((1.0, arr(x), arr(half), arr(x)),)),
+    }
+    return make[name](), fresh
+
+
+def _arrays(value):
+    """Every ndarray in value, alone or inside tuples and dicts."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, dict):
+        value = tuple(value.values())
+    if isinstance(value, tuple):
+        return [a for v in value for a in _arrays(v)]
+    return []
+
+
+def _field_arrays(record):
+    return [a for f in dataclasses.fields(record)
+            for a in _arrays(getattr(record, f.name))]
+
+
+@pytest.mark.parametrize("name", [
+    "ProcessTensor", "RecoveredProcess", "PovmElement", "DualFrame",
+    "CountsTable", "ConditionalProcess", "ScanResult", "StateEnsemble",
+    "WalkCircuit", "Observable"])
+def test_array_record_keeps_read_only_copies_compared_by_identity(name):
+    record, fresh = _array_record(name)
+    if name == "ConditionalProcess":
+        record.state  # derived before the caller's array is written
+    kept = _field_arrays(record)
+    assert len(kept) == len(fresh)
+    before = [a.tobytes() for a in kept]
+    for a in fresh:  # the caller's arrays stay writable and unshared
+        a += 1
+    assert [a.tobytes() for a in _field_arrays(record)] == before
+    if name == "ConditionalProcess":
+        assert record.state.tobytes() == (
+            record.unnormalized / record.probability).tobytes()
+    for a in kept:
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 0
+    loaded = pickle.loads(pickle.dumps(record))
+    assert record == record and loaded == loaded and record != loaded
+    assert len({record, loaded, record}) == 2
+    assert [a.tobytes() for a in _field_arrays(loaded)] == before
+    assert not any(a.flags.writeable for a in _field_arrays(loaded))
+
+
+def _walk_state():
+    from proctensor.walk import coin_state, translate
+    return translate(coin_state([0.6, 0.8j]))
+
+
+def _memory_report():
+    g, dims = proctensor.state_by_name("lambda")
+    return proctensor.memory_strength(
+        proctensor.build_common_cause(g, dims, (2, 2)),
+        proctensor.theta_povm())
+
+
+# dataclasses that hold no arrays, so keep value equality, each with a
+# builder of a sample
+VALUE_RECORDS = {"MemoryReport": _memory_report, "WalkState": _walk_state}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_array_records_are_identity_compared_records(module):
+    """A dataclass holding arrays gets a generated __eq__ and __hash__
+    that can only raise; each must be a linalg.Record declared eq=False,
+    or hold no arrays and be listed in VALUE_RECORDS."""
+    mod = importlib.import_module(f"proctensor.{module}")
+    for cls in vars(mod).values():
+        if not (dataclasses.is_dataclass(cls)
+                and cls.__module__ == mod.__name__):
+            continue
+        if cls.__name__ in VALUE_RECORDS:
+            build = VALUE_RECORDS[cls.__name__]
+            sample = build()
+            assert type(sample) is cls and not _field_arrays(sample)
+            assert sample == build()
+            continue
+        assert issubclass(cls, Record), f"{cls.__name__} is not a Record"
+        assert (cls.__eq__ is object.__eq__
+                and cls.__hash__ is object.__hash__), (
+            f"{cls.__name__} is not declared eq=False")

@@ -9,7 +9,7 @@ import pytest
 from proctensor.instruments import (INSTRUMENTS, dual_frame, instrument,
                                     instrument_by_name, random_projective,
                                     z_basis)
-from proctensor.linalg import kron, partial_trace
+from proctensor.linalg import fidelity, kron, partial_trace
 from proctensor.process import (
     LEGS, PROB_TOL, ProcessTensor, _events, born_probability, born_rule,
     build_common_cause, check_causality, condition, condition_instrument,
@@ -289,16 +289,22 @@ def test_build_accepts_a_stack_of_states():
     lambda p, inst: born_probability(p),
     lambda p, inst: check_causality(p),
     lambda p, inst: projective_survey(p, 0.0125, 100, 0),
-    lambda p, inst: non_markovianity_choi(p)],
+    lambda p, inst: non_markovianity_choi(p),
+    lambda p, inst: quantum_cmi_choi(p),
+    lambda p, inst: deviation_scan(p, p, grid=4),
+    lambda p, inst: fidelity(p.gamma, p.gamma)],
     ids=["matrix", "condition", "memory_strength", "recover",
          "born_probability", "check_causality", "projective_survey",
-         "non_markovianity_choi"])
+         "non_markovianity_choi", "quantum_cmi_choi", "deviation_scan",
+         "fidelity"])
 def test_stacked_process_raises_on_one_process_paths(call):
-    # only the gamma-only paths read a stack state by state; the Choi and
-    # conditioning paths reshape gamma as one state and so fail
+    # only the gamma-only paths read a stack state by state; every Choi,
+    # conditioning, Born and scan path refuses it by name
     g, dims = state_by_name("lambda")
     p = build_common_cause(np.array([g, g, np.eye(8) / 8]), dims, (2, 2))
-    with pytest.raises((ValueError, TypeError)):
+    with pytest.raises(ValueError, match=r"^.+ takes one (state|pair of "
+                       r"states); the (process holds a stack|operands are "
+                       r"stacks) of 3$"):
         call(p, instrument_by_name("theta"))
 
 
@@ -333,14 +339,15 @@ def test_cp_divisibility():
 
 def test_gamma_is_a_read_only_copy():
     # the process keeps what it derives from gamma (its spectrum and event
-    # tables), so its gamma cannot change; the caller's array still can
+    # tables), so its gamma cannot change, nor can the Choi matrix and
+    # spectrum it keeps; the caller's array still can
     g, dims = state_by_name("lambda")
     g = g.copy()
     p = build_common_cause(g, dims, (2, 2))
     rec = recover(p, instrument_by_name("theta"))
-    for gamma in (p.gamma, rec.gamma):
+    for kept in (p.gamma, rec.gamma, p.matrix, *p.spectrum):
         with pytest.raises(ValueError, match="read-only"):
-            gamma[0, 0] = 0.0
+            kept[0] = 0.0
     g[0, 0] += 1.0
     assert p.gamma[0, 0] != g[0, 0]
     assert p.gamma.tobytes() == state_by_name("lambda")[0].tobytes()

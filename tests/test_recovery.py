@@ -240,7 +240,8 @@ def test_scan_results_do_not_depend_on_scan_order(full):
 
 def test_scan_shares_its_ac_data_and_grid(monkeypatch):
     # one AC reduction per process and one grid per (grid, full), kept
-    # read-only; the patched builders see every miss
+    # read-only, of which a scan keeps its own copy; the patched builders
+    # see every miss
     ac, bloch, calls = recovery._ac_bloch_data, recovery._bloch_vectors, []
 
     def counted_ac(p):
@@ -262,7 +263,9 @@ def test_scan_shares_its_ac_data_and_grid(monkeypatch):
     assert calls == ["ProcessTensor", "RecoveredProcess", ("grid", 6, 1),
                      "RecoveredProcess", ("grid", 6, 5)]
     thetas, phases, n1 = recovery._scan_grid(5, True)
-    assert scan.thetas is thetas and scan.phases is phases
+    for kept, grid_axis in ((scan.thetas, thetas), (scan.phases, phases)):
+        assert kept is not grid_axis
+        assert kept.tobytes() == grid_axis.tobytes()
     for arr in (*recovery._ac_bloch(p), *recovery._ac_bloch(recs[1]),
                 thetas, phases, n1):
         with pytest.raises(ValueError, match="read-only"):
