@@ -70,7 +70,8 @@ def omega_state() -> np.ndarray:
 class StateEnsemble(Record):
     """Pure-state ensemble: (amplitude vector, weight) pairs.
 
-    Members are normalized after construction; weights must sum to 1.
+    Members are kept as given, unnormalized vectors included;
+    ensemble_to_state normalizes each one. Weights must sum to 1.
     """
     members: tuple[tuple[np.ndarray, float], ...]
     dims: tuple[int, ...]

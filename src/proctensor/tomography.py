@@ -23,7 +23,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .linalg import Record, hermitize, kron, path_or_handle, read_only
+from .linalg import (Record, check_density, hermitize, kron, path_or_handle,
+                     read_only)
 
 _QUBIT = {
     "X": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
@@ -117,33 +118,36 @@ def born_probabilities(rho: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CountsTable(Record):
-    """Measured counts per setting and outcome. Each setting's total is
-    derived from its counts, exact, and must lie in the int64 range."""
+    """Measured counts as an int64 (settings, outcomes) matrix, from a 2-D
+    array or equal-length rows. Each setting's total is derived from its
+    row, exact, and must lie in the int64 range."""
     labels: tuple
-    counts: tuple  # one integer array per setting
+    counts: np.ndarray
     shots: tuple = field(init=False)  # per-setting totals, as Python ints
 
     def __post_init__(self):
-        counts = tuple(np.asarray(c, dtype=np.int64) for c in self.counts)
-        if len(self.labels) != len(counts):
+        labels, counts = tuple(self.labels), self.counts
+        if len(labels) != len(counts):
             raise ValueError("labels and counts must align")
-        # one pass over the whole table: a trailing 0 keeps every segment
-        # start in range, an empty setting's reductions go unread, and the
-        # totals add up as Python ints, so they cannot wrap
-        sizes = [c.size for c in counts]
-        flat = np.concatenate([*(c.ravel() for c in counts), [0]])
-        starts = np.cumsum([0, *sizes])[:-1]
-        low = np.minimum.reduceat(flat, starts).tolist()
-        shots = np.add.reduceat(flat.astype(object), starts).tolist()
-        for lbl, size, lo, total in zip(self.labels, sizes, low, shots):
-            if not size:
-                raise ValueError(f"setting {lbl!r} has no outcomes")
-            if lo < 0:
-                raise ValueError("negative count")
+        if not isinstance(counts, np.ndarray):  # rows: refuse ragged ones
+            widths = [len(row) for row in counts]
+            for lbl, width in zip(labels, widths):
+                if width != widths[0]:
+                    raise ValueError(f"setting {labels[0]!r} has {widths[0]} "
+                                     f"outcomes, but setting {lbl!r} has "
+                                     f"{width}")
+        counts = np.asarray(counts, dtype=np.int64)
+        if counts.ndim != 2 or not counts.size:
+            raise ValueError("counts must be a (settings, outcomes) matrix with "
+                             f"both axes nonempty, got shape {counts.shape}")
+        if counts.min() < 0:
+            raise ValueError("negative count")
+        shots = counts.sum(axis=1, dtype=object).tolist()  # exact, no wrap
+        for lbl, total in zip(labels, shots):
             if total > _INT64_MAX:
                 raise ValueError(f"setting {lbl!r}: counts sum beyond the "
                                  "int64 range")
-        object.__setattr__(self, "labels", tuple(self.labels))
+        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "shots", tuple(shots))
         super().__post_init__()
@@ -160,9 +164,13 @@ def simulate_counts(gamma: np.ndarray, dims, shots: int,
     shots is the total budget, split evenly across settings (at least one
     shot per setting) and rounded to the nearest integer; the number of
     settings is odd (a product of 3s and 9s), so the rounding has no tie.
+    gamma must be a density matrix.
     """
     if not shots >= 1:  # NaN too
         raise ValueError(f"shots must be at least 1, got {shots}")
+    check_density(gamma)
+    if isinstance(shots, np.integer):  # split as a Python int: no wrap
+        shots = int(shots)
     labels, U = _settings(dims)
     n = len(labels)
     split = (2 * shots + n) // (2 * n)
@@ -173,7 +181,7 @@ def simulate_counts(gamma: np.ndarray, dims, shots: int,
     P = born_probabilities(gamma, U)
     # one 2-D draw takes the rows from the stream in setting order
     counts = np.random.default_rng(seed).multinomial(shots_per, P)
-    return CountsTable(labels, tuple(counts))
+    return CountsTable(labels, counts)
 
 
 def inversion_matrix(mats, d: int) -> np.ndarray:
@@ -215,13 +223,13 @@ def _cached_pseudo_inverse(labels: tuple, dims: tuple) -> np.ndarray:
 def _frequencies(counts: CountsTable, d: int) -> np.ndarray:
     """(settings, d) outcome frequencies of a table whose every setting has
     d outcomes and at least one shot."""
-    for lbl, c, shots in zip(counts.labels, counts.counts, counts.shots):
-        if len(c) != d:
-            raise ValueError(f"setting {lbl!r} has {len(c)} outcomes; "
-                             f"expected {d}")
-        if not shots:
-            raise ValueError(f"setting {lbl!r} has no shots")
-    c = np.array(counts.counts)
+    c = counts.counts
+    if c.shape[1] != d:
+        raise ValueError(f"setting {counts.labels[0]!r} has {c.shape[1]} "
+                         f"outcomes; expected {d}")
+    if 0 in counts.shots:
+        raise ValueError(f"setting {counts.labels[counts.shots.index(0)]!r} "
+                         "has no shots")
     return c / c.sum(axis=-1, keepdims=True)
 
 
@@ -261,9 +269,9 @@ def reconstruct(counts: CountsTable, dims) -> np.ndarray:
 
 def resample_counts(counts: CountsTable, rng) -> CountsTable:
     """One bootstrap resample: multinomial redraw per setting."""
-    c = np.array(counts.counts)
+    c = counts.counts
     new = rng.multinomial(counts.shots, c / c.sum(axis=-1, keepdims=True))
-    return CountsTable(counts.labels, tuple(new))
+    return CountsTable(counts.labels, new)
 
 
 def bootstrap(counts: CountsTable, dims, statistic, resamples: int = 500,
@@ -283,7 +291,7 @@ def bootstrap(counts: CountsTable, dims, statistic, resamples: int = 500,
     # with non_markovianity as the statistic, a bootstrap at the cap peaks
     # at 41-50 bytes a count entry (690 MiB RSS on omega, 838 MiB on
     # lambda): 2**24 entries bound the working set near 0.8 GiB
-    entries = sum(map(len, counts.counts))
+    entries = counts.counts.size
     if resamples * entries > 2 ** 24:
         raise ValueError(f"resamples {resamples} of {entries} count entries "
                          "each redraw over 2**24 counts")
@@ -378,7 +386,7 @@ def counts_from_csv(path) -> CountsTable:
             raise ValueError(f"setting {lbl!r} has negative count {n} for "
                              f"outcome {k}")
         outcomes[k] = n
-    values, sizes = [], []
+    rows = []
     for lbl, outcomes in per.items():
         # distinct outcomes >= 0 cover 0..m-1 exactly when the largest is m-1
         m = len(outcomes)
@@ -389,9 +397,5 @@ def counts_from_csv(path) -> CountsTable:
         if sum(ordered) > _INT64_MAX:  # bounds each cell before the array
             raise ValueError(f"setting {lbl!r}: column 'count' sums beyond "
                              "the int64 range")
-        values += ordered
-        sizes.append(m)
-    flat = np.array(values, dtype=np.int64)
-    ends = np.cumsum(sizes).tolist()
-    counts = [flat[a:b] for a, b in zip([0, *ends], ends)]
-    return CountsTable(tuple(per), tuple(counts))
+        rows.append(ordered)
+    return CountsTable(tuple(per), rows)

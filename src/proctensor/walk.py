@@ -34,6 +34,9 @@ class WalkState:
     checks the norm; coins and translations then preserve it."""
     amplitudes: dict
 
+    def __hash__(self):  # equal dicts hold equal items, which hash equal
+        return hash(frozenset(self.amplitudes.items()))
+
 
 def coin_state(vec) -> WalkState:
     """Walker at the origin with the given coin amplitudes (H, V)."""

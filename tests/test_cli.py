@@ -2,6 +2,7 @@
 import hashlib
 import io
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -308,6 +309,11 @@ def _nonhermitian_state():
     return "state.json", json.dumps({"dims": list(dims), "matrix": matrix})
 
 
+# Hermitian with trace 2 and a negative eigenvalue
+NONPSD_STATE = ("state.json", json.dumps({"dims": [2, 2, 2], "matrix": (
+    mat_to_json(np.diag([1.5, -0.5, 0.5, 0.5, 0, 0, 0, 0])))}))
+
+
 # a valid three-element instrument on a qutrit, not a qubit
 QUTRIT_Z = ("qutrit_z.json", json.dumps(
     {"dim": 3, "name": "qutrit_z",
@@ -363,13 +369,13 @@ PROCESS2_KEYS = ("['cmi', 'non_markovianity', 'qutrit_sharp_event_memory', "
     (["memory", "survey", "--samples", "100", "--process"],
      _mixed_state((2, 3, 2)), "input dims are (2, 3, 2)"),
     (["tomo", "reconstruct", "--counts"], MISSING_ROW,
-     "setting 'X/X/X' has 7 outcomes; expected 8"),
+     "setting 'X/X/X' has 7 outcomes, but setting 'X/X/Y' has 8"),
     (["tomo", "bootstrap", "--counts"], MISSING_ROW,
-     "setting 'X/X/X' has 7 outcomes; expected 8"),
+     "setting 'X/X/X' has 7 outcomes, but setting 'X/X/Y' has 8"),
     (["tomo", "reconstruct", "--counts"], EXTRA_OUTCOME,
-     "setting 'X/X/X' has 9 outcomes; expected 8"),
+     "setting 'X/X/X' has 9 outcomes, but setting 'X/X/Y' has 8"),
     (["tomo", "bootstrap", "--counts"], EXTRA_OUTCOME,
-     "setting 'X/X/X' has 9 outcomes; expected 8"),
+     "setting 'X/X/X' has 9 outcomes, but setting 'X/X/Y' has 8"),
     (["tomo", "reconstruct", "--counts"], ZERO_SHOTS,
      "setting 'X/X/X' has no shots"),
     (["tomo", "bootstrap", "--counts"], ZERO_SHOTS,
@@ -421,6 +427,18 @@ PROCESS2_KEYS = ("['cmi', 'non_markovianity', 'qutrit_sharp_event_memory', "
     (["process", "build", "--state"], _nonhermitian_state(), "not Hermitian"),
     (["memory", "strength", "--instrument", "z", "--process"],
      _nonhermitian_state(), "not Hermitian"),
+    (["tomo", "simulate", "--out", os.devnull, "--state"], NONPSD_STATE,
+     "negative eigenvalue -5.000e-01"),
+    (["tomo", "reconstruct", "--state"], NONPSD_STATE,
+     "negative eigenvalue -5.000e-01"),
+    (["tomo", "bootstrap", "--state"], NONPSD_STATE,
+     "negative eigenvalue -5.000e-01"),
+    (["tomo", "simulate", "--out", os.devnull, "--state"],
+     _nonhermitian_state(), "not Hermitian"),
+    (["tomo", "reconstruct", "--state"], _nonhermitian_state(),
+     "not Hermitian"),
+    (["tomo", "bootstrap", "--state"], _nonhermitian_state(),
+     "not Hermitian"),
     (["memory", "survey", "--samples", "100", "--cutoff", "nan",
       "--process"], _mixed_state((2, 2, 2)),
      "cutoff must be positive and finite, got nan"),
@@ -523,7 +541,10 @@ PROCESS2_KEYS = ("['cmi', 'non_markovianity', 'qutrit_sharp_event_memory', "
         "bootstrap-text-outcome", "reconstruct-text-count",
         "bootstrap-text-count", "reconstruct-negative-count",
         "bootstrap-negative-count", "build-nonhermitian-state",
-        "strength-nonhermitian-state", "survey-nan-cutoff",
+        "strength-nonhermitian-state", "simulate-nonpsd-state",
+        "reconstruct-nonpsd-state", "bootstrap-nonpsd-state",
+        "simulate-nonhermitian-state", "reconstruct-nonhermitian-state",
+        "bootstrap-nonhermitian-state", "survey-nan-cutoff",
         "survey-inf-cutoff", "config-custom-negative-seed",
         "preset-seedless-seed", "config-seedless-seed",
         "config-seedless-zero-seed", "config-unknown-preset",

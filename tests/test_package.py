@@ -189,7 +189,7 @@ def _array_record(name):
         "DualFrame": lambda: proctensor.DualFrame(
             (arr(half), arr(x)), arr(np.eye(2))),
         "CountsTable": lambda: proctensor.CountsTable(
-            ("Z", "X"), (arr([3, 7], np.int64), arr([4, 6], np.int64))),
+            ("Z", "X"), arr([[3, 7], [4, 6]], np.int64)),
         "ConditionalProcess": lambda: proctensor.ConditionalProcess(
             arr(half), 0.5, (2, 1)),
         "ScanResult": lambda: proctensor.ScanResult(
@@ -280,7 +280,7 @@ def test_array_records_are_identity_compared_records(module):
             build = VALUE_RECORDS[cls.__name__]
             sample = build()
             assert type(sample) is cls and not _field_arrays(sample)
-            assert sample == build()
+            assert sample == build() and hash(sample) == hash(build())
             continue
         assert issubclass(cls, Record), f"{cls.__name__} is not a Record"
         assert (cls.__eq__ is object.__eq__

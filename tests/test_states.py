@@ -50,6 +50,8 @@ def test_ensembles_reproduce_states_exactly():
 def test_lambda_ensemble_is_eigendecomposition():
     le = lambda_ensemble()
     rho = lambda_state()
+    # members are kept as given: ensemble_to_state normalizes them
+    assert np.isclose(np.linalg.norm(le.members[0][0]), 2 * np.sqrt(2))
     for vec, w in le.members:
         v = vec / np.linalg.norm(vec)
         assert np.allclose(rho @ v, w * v, atol=1e-12)

@@ -63,41 +63,73 @@ def test_counts_table_validation():
         CountsTable(("Z",), (np.array([-1, 11]),))
     with pytest.raises(ValueError, match="^labels and counts must align$"):
         CountsTable(("Z", "X"), (np.array([5, 5]),))
-    with pytest.raises(ValueError, match="^setting 'X' has no outcomes$"):
+    with pytest.raises(ValueError, match="^setting 'Z' has 2 outcomes, but "
+                       "setting 'X' has 0$"):
         CountsTable(("Z", "X"), (np.array([5, 5]), np.array([], int)))
+    # an empty table, a table without outcomes and a stack are refused
+    for labels, counts, shape in (((), (), (0,)),
+                                  (("Z", "X"), np.zeros((2, 0)), (2, 0)),
+                                  (("Z",), np.ones((1, 2, 2)), (1, 2, 2))):
+        with pytest.raises(ValueError, match=re.escape(
+                "counts must be a (settings, outcomes) matrix with both "
+                f"axes nonempty, got shape {shape}")):
+            CountsTable(labels, counts)
+
+
+@pytest.mark.parametrize("counts", [
+    np.array([[3, 7], [4, 6]], dtype=np.int32),
+    ([3, 7], [4, 6]), [np.array([3, 7]), [4, 6]]],
+    ids=["2-d-array", "tuple-of-lists", "list-of-rows"])
+def test_counts_table_is_one_read_only_matrix(counts):
+    table = CountsTable(["Z", "X"], counts)
+    assert table.labels == ("Z", "X") and table.shots == (10, 10)
+    assert table.counts.dtype == np.int64
+    assert table.counts.tolist() == [[3, 7], [4, 6]]
+    assert not table.counts.flags.writeable
+    assert [row.tolist() for row in table.counts] == [[3, 7], [4, 6]]
 
 
 def test_counts_table_totals_are_exact():
     # an int64 sum would wrap: [2**62, 2**62] sums to -2**63 in int64
     top = 2 ** 63 - 1
-    table = CountsTable(("Z", "X"), (np.array([top - 1, 1]), np.array([4])))
+    table = CountsTable(("Z", "X"), ([top - 1, 1], [4, 0]))
     assert table.shots == (top, 4) and type(table.shots[0]) is int
     assert table.total_shots == top + 4
-    for c in ([2 ** 62, 2 ** 62], [top] * 3):
+    for c in ([2 ** 62, 2 ** 62], [top, top]):
         with pytest.raises(ValueError, match="^setting 'X': counts sum "
                            "beyond the int64 range$"):
-            CountsTable(("Z", "X"), (np.array([1]), np.array(c)))
+            CountsTable(("Z", "X"), np.array([[1, 0], c]))
 
 
 def _table_error_reference(labels, counts):
-    """The per-setting loop the one-pass table check replaced."""
+    """The per-setting loops the one-matrix table check replaced: rows of
+    unequal width first, then each setting in turn."""
+    for lbl, c in zip(labels, counts):
+        if len(c) != len(counts[0]):
+            return (f"setting {labels[0]!r} has {len(counts[0])} outcomes, "
+                    f"but setting {lbl!r} has {len(c)}")
     for lbl, c in zip(labels, counts):
         c = np.asarray(c, dtype=np.int64)
         if not c.size:
-            return f"setting {lbl!r} has no outcomes"
+            return ("counts must be a (settings, outcomes) matrix with both "
+                    f"axes nonempty, got shape {(len(counts), 0)}")
         if c.min() < 0:
             return "negative count"
     return None
 
 
 def test_table_check_equals_per_setting_loop():
-    # ragged tables with at most a few defects: the first failing setting
-    # raises its first failing check, as the loop did
+    # rectangular tables with at most a few defects, and ragged ones: the
+    # first failing setting raises its first failing check, as the loops do
     rng = np.random.default_rng(31)
+    ragged = 0
     for _ in range(400):
-        n = int(rng.integers(0, 6))
-        counts = [rng.integers(0, 9, size=rng.integers(0, 5))
-                  for _ in range(n)]
+        n, width = int(rng.integers(1, 6)), int(rng.integers(0, 5))
+        counts = [rng.integers(0, 9, size=width) for _ in range(n)]
+        if rng.random() < 0.2:
+            i = int(rng.integers(n))
+            counts[i] = rng.integers(0, 9, size=int(rng.integers(0, 5)))
+        ragged += len({c.size for c in counts}) > 1
         for i in range(n):
             if counts[i].size and rng.random() < 0.15:
                 counts[i][rng.integers(counts[i].size)] = -rng.integers(1, 4)
@@ -105,12 +137,14 @@ def test_table_check_equals_per_setting_loop():
         expect = _table_error_reference(labels, counts)
         if expect is None:
             table = CountsTable(labels, counts)
+            assert table.counts.tolist() == [c.tolist() for c in counts]
             assert table.shots == tuple(int(c.sum()) for c in counts)
             assert all(type(s) is int for s in table.shots)
         else:
             with pytest.raises(ValueError) as exc:
                 CountsTable(labels, counts)
             assert str(exc.value) == expect
+    assert ragged > 20
 
 
 def test_settings_built_once_per_dims(monkeypatch):
@@ -341,8 +375,8 @@ def _quoting_table():
     # labels csv must quote (a comma, a '"', a line break), one it must not
     # (a leading space) and an empty one
     labels = ("a,b", 'say "hi"', " lead", "", "x\ny")
-    counts = ([1, 2], [3], [0, 4, 5], [6], [7, 0])
-    return CountsTable(labels, tuple(map(np.array, counts)))
+    counts = ([1, 2, 0], [3, 0, 9], [0, 4, 5], [6, 1, 0], [7, 0, 2])
+    return CountsTable(labels, counts)
 
 
 def _random_232_table():
@@ -359,7 +393,7 @@ CSV_PINS = [
     (_random_232_table,
      "87fed0904aced449060735bf916a3769901924ca7798623be3cbbb709a0d1249"),
     (_quoting_table,
-     "657a3d3d51fdffd1853795f7f536460415abe741f3f8adf7b977e8201755e560"),
+     "9c7b0ab3f1901857c30c573aeeafecc2fa2c38f2373859fa1bdbd371a6ca0b5a"),
 ]
 
 
@@ -618,17 +652,47 @@ def test_simulate_counts_rejects_nonpositive_shots():
         simulate_counts(g, dims, float("inf"), seed=0)
 
 
+def test_simulate_counts_splits_a_numpy_integer_budget_exactly():
+    # a numpy integer budget splits as the Python int does, with no wrap
+    # (pytest turns an overflow RuntimeWarning into an error)
+    g, dims = state_by_name("lambda")
+    python = simulate_counts(g, dims, 2 ** 62, seed=0)
+    numpy = simulate_counts(g, dims, np.int64(2 ** 62), seed=0)
+    assert numpy.shots == python.shots == (170803185867681033,) * 27
+    assert np.array_equal(numpy.counts, python.counts)
+
+
+@pytest.mark.parametrize("gamma, msg", [
+    (np.diag([1.5, -0.5, 0.5, 0.5, 0, 0, 0, 0]).astype(complex),
+     "negative eigenvalue -5.000e-01"),
+    (np.eye(8) / 8 + np.eye(8, k=1) / 20, "not Hermitian"),
+    (np.eye(8) / 4, "trace 2.0 deviates from 1")],
+    ids=["non-psd", "non-hermitian", "trace-two"])
+def test_simulate_counts_refuses_a_non_state_before_any_draw(
+        monkeypatch, gamma, msg):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a random draw was seeded")
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    with pytest.raises(ValueError, match=msg):
+        simulate_counts(gamma, (2, 2, 2), 2700, seed=0)
+
+
 def test_reconstruct_and_bootstrap_reject_ragged_tables():
+    # a ragged table cannot be built; a table of the wrong width or with a
+    # zero-shot setting reaches reconstruct and bootstrap, which refuse it
     g, dims = state_by_name("lambda")
     counts = simulate_counts(g, dims, 2700, seed=0)
+    label = counts.labels
     short = list(counts.counts)
     short[1] = short[1][:-1]
-    empty = list(counts.counts)
-    empty[2] = np.zeros(8, dtype=np.int64)
-    label = counts.labels
+    with pytest.raises(ValueError, match=f"^setting {label[0]!r} has 8 "
+                       f"outcomes, but setting {label[1]!r} has 7$"):
+        CountsTable(label, short)
+    empty = counts.counts.copy()
+    empty[2] = 0
     for table, msg in (
-            (CountsTable(label, short),
-             f"setting {label[1]!r} has 7 outcomes; expected 8"),
+            (CountsTable(label, counts.counts[:, :-1]),
+             f"setting {label[0]!r} has 7 outcomes; expected 8"),
             (CountsTable(label, empty),
              f"setting {label[2]!r} has no shots")):
         with pytest.raises(ValueError, match=msg):
