@@ -4,6 +4,11 @@ package's read-only array records, and JSON file helpers.
 Everything here operates on plain numpy arrays. Entropic quantities are in
 bits (log base 2) throughout the package; eigenvalues below CLIP_EPS are
 treated as exact zeros when taking logarithms.
+
+The two-state metrics (relative_entropy, fidelity, trace_distance) take
+one pair of states or two stacks (..., d, d) of equal shape, giving a
+float or one value per pair; any other pair, a stack against one state
+included, is refused with a message naming both shapes.
 """
 from __future__ import annotations
 
@@ -193,24 +198,23 @@ def _relative_entropy(x: np.ndarray, wx: np.ndarray, wy: np.ndarray,
     return float(s) if s.ndim == 0 else s
 
 
-def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Squared fidelity F = (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, with
-    sqrt(rho) built from the eigh of rho's density check. Takes one pair
-    of states; stacks are refused."""
+def fidelity(rho: np.ndarray, sigma: np.ndarray):
+    """Squared fidelity (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2 from the eigh
+    of rho's density check; a float, or one per pair for stacks (..., d, d)."""
     _same_shape(rho, sigma)
-    if np.ndim(rho) > 2:
-        raise ValueError(f"fidelity takes one pair of states; the operands "
-                         f"are stacks of {math.prod(np.shape(rho)[:-2])}")
     w, v = check_density(np.asarray(rho, dtype=complex), vectors=True)
     check_density(sigma)
-    s = (v * np.sqrt(np.clip(w, 0, None))) @ v.conj().T
+    s = (v * np.sqrt(w.clip(0))[..., None, :]) @ v.conj().swapaxes(-1, -2)
     w = np.clip(np.linalg.eigvalsh(hermitize(s @ sigma @ s)), 0, None)
-    return float(np.sum(np.sqrt(w)) ** 2)
+    # pow squares as a float's ** 2 does; an array's ** 2, x * x, can differ
+    f = np.float_power(np.sum(np.sqrt(w), axis=-1), 2)
+    return float(f) if f.ndim == 0 else f
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray):
     """Half the trace norm of a - b; a float, or an array of one distance
     per pair for stacks (..., d, d)."""
+    _same_shape(a, b)
     w = np.linalg.eigvalsh(hermitize(np.asarray(a) - np.asarray(b)))
     s = np.sum(np.abs(w), axis=-1) / 2
     return float(s) if s.ndim == 0 else s

@@ -27,6 +27,10 @@ SURVEY_CUTOFF = 0.0125
 SURVEY_SAMPLES = 100000
 TOMO_SHOTS = 1000000
 TOMO_RESAMPLES = 100
+# the recovery presets' deviation-scan grid, and the random coin states on
+# which walk_verify checks each port probability against the Born rule
+_SCAN_GRID = 64
+_BORN_TRIALS = 100
 
 # single-qubit change of frame carrying the sharp-instrument conditional
 # states onto Bell-diagonal form, with the event -> Bell index map
@@ -130,10 +134,10 @@ def _entry(value, refs, key, i=None) -> dict:
     return {"value": val, "reference": rendered}
 
 
-def _scan_pair(p, rec, grid=64):
+def _scan_pair(p, rec):
     from .recovery import deviation_scan
-    proj = deviation_scan(p, rec, grid=grid, convention="projector")
-    corr = deviation_scan(p, rec, grid=grid, convention="correlator")
+    proj = deviation_scan(p, rec, grid=_SCAN_GRID, convention="projector")
+    corr = deviation_scan(p, rec, grid=_SCAN_GRID, convention="correlator")
     return proj, corr
 
 
@@ -253,11 +257,11 @@ def preset_process2(refs=REFERENCES["process2"]) -> dict:
     return r
 
 
-def _walk_born_consistency(circuit, inst, seed, trials=100):
+def _walk_born_consistency(circuit, inst, seed):
     from .walk import port_probabilities
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(_BORN_TRIALS):
         v = rng.normal(size=2) + 1j * rng.normal(size=2)
         v = v / np.linalg.norm(v)
         probs = port_probabilities(v, circuit)

@@ -116,11 +116,20 @@ def born_probabilities(rho: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return p / p.sum(axis=-1, keepdims=True)
 
 
+def _is_int64(n) -> bool:
+    """Whether n is a whole number that int64 holds exactly."""
+    try:
+        return n == int(n) and -_INT64_MAX - 1 <= n <= _INT64_MAX
+    except (TypeError, ValueError, OverflowError):  # e.g. None, NaN, inf
+        return False
+
+
 @dataclass(frozen=True, eq=False)
 class CountsTable(Record):
     """Measured counts as an int64 (settings, outcomes) matrix, from a 2-D
-    array or equal-length rows. Each setting's total is derived from its
-    row, exact, and must lie in the int64 range."""
+    array or equal-length rows of integers in the int64 range. Each
+    setting's total is derived from its row, exact, and must lie in the
+    int64 range too."""
     labels: tuple
     counts: np.ndarray
     shots: tuple = field(init=False)  # per-setting totals, as Python ints
@@ -136,10 +145,19 @@ class CountsTable(Record):
                     raise ValueError(f"setting {labels[0]!r} has {widths[0]} "
                                      f"outcomes, but setting {lbl!r} has "
                                      f"{width}")
-        counts = np.asarray(counts, dtype=np.int64)
+        counts = np.asarray(counts)
         if counts.ndim != 2 or not counts.size:
             raise ValueError("counts must be a (settings, outcomes) matrix with "
                              f"both axes nonempty, got shape {counts.shape}")
+        # floats, strings, objects, uint64: the cast may truncate or wrap
+        if not np.can_cast(counts.dtype, np.int64):
+            for lbl, row in zip(labels, counts.tolist()):
+                for k, n in enumerate(row):
+                    if not _is_int64(n):
+                        raise ValueError(f"setting {lbl!r}: count {n!r} for "
+                                         f"outcome {k} is not an integer in "
+                                         "the int64 range")
+        counts = np.asarray(counts, dtype=np.int64)
         if counts.min() < 0:
             raise ValueError("negative count")
         shots = counts.sum(axis=1, dtype=object).tolist()  # exact, no wrap
@@ -164,10 +182,15 @@ def simulate_counts(gamma: np.ndarray, dims, shots: int,
     shots is the total budget, split evenly across settings (at least one
     shot per setting) and rounded to the nearest integer; the number of
     settings is odd (a product of 3s and 9s), so the rounding has no tie.
-    gamma must be a density matrix.
+    gamma must be a density matrix of the size dims give.
     """
     if not shots >= 1:  # NaN too
         raise ValueError(f"shots must be at least 1, got {shots}")
+    dims = tuple(int(x) for x in dims)
+    d = math.prod(dims)
+    if np.shape(gamma) != (d, d):
+        size = " x ".join(map(str, np.shape(gamma))) or "a scalar"
+        raise ValueError(f"state is {size}, but dims {dims} give {d} x {d}")
     check_density(gamma)
     if isinstance(shots, np.integer):  # split as a Python int: no wrap
         shots = int(shots)

@@ -11,6 +11,7 @@ from proctensor.linalg import (
     is_hermitian, kron, mat_from_json, mat_to_json, partial_trace,
     relative_entropy, trace_distance, trace_norm,
     von_neumann_entropy)
+from proctensor.memory import mutual_information, quantum_cmi
 
 
 def random_density(rng, d):
@@ -146,12 +147,18 @@ def test_partial_trace_rejects_unordered_keep(keep):
         partial_trace(np.eye(12) / 12, (2, 3, 2), keep)
 
 
-@pytest.mark.parametrize("call", [relative_entropy, fidelity],
-                         ids=["relative_entropy", "fidelity"])
+@pytest.mark.parametrize(
+    "call", [relative_entropy, fidelity, trace_distance],
+    ids=["relative_entropy", "fidelity", "trace_distance"])
 def test_metrics_reject_mismatched_shapes(call):
-    msg = "operands have different shapes (2, 2) and (4, 4)"
-    with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
-        call(np.eye(2) / 2, np.eye(4) / 4)
+    # one pair of states or two equal stacks: a stack is not broadcast
+    # against one state
+    half = np.eye(2) / 2
+    for x, y in ((half, np.eye(4) / 4), (np.array([half] * 3), half),
+                 (half, np.array([half] * 3))):
+        msg = f"operands have different shapes {x.shape} and {y.shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+            call(x, y)
 
 
 def test_check_density_raises():
@@ -255,11 +262,15 @@ def test_stacks_bit_equal_to_their_matrices(d):
         stack.append(rho / np.trace(rho).real)
     stack = np.array(stack)
     other = stack[::-1]
-    entropies, distances, norms = [], [], []
+    entropies, distances, norms, fidelities = [], [], [], []
     for a, b in zip(stack, other):
         w = np.linalg.eigvalsh(hermitize(a))
         w = w[w > 1e-12]
         entropies.append(float(-np.sum(w * np.log2(w))))
+        w, v = np.linalg.eigh(hermitize(a))
+        s = (v * np.sqrt(np.clip(w, 0, None))) @ v.conj().T
+        w = np.clip(np.linalg.eigvalsh(hermitize(s @ b @ s)), 0, None)
+        fidelities.append(float(np.sum(np.sqrt(w)) ** 2))
         w = np.linalg.eigvalsh(hermitize(a - b))
         distances.append(float(np.sum(np.abs(w)) / 2))
         norms.append(float(np.sum(np.linalg.svd(a - b, compute_uv=False))))
@@ -274,6 +285,18 @@ def test_stacks_bit_equal_to_their_matrices(d):
     for got in (trace_norm(stack - other).tolist(),
                 [trace_norm(a - b) for a, b in zip(stack, other)]):
         assert got == norms
+    for got in (fidelity(stack, other).tolist(),
+                [fidelity(a, b) for a, b in zip(stack, other)]):
+        assert got == fidelities
+    assert fidelity(stack.reshape(5, 1, d, d), other.reshape(5, 1, d, d)
+                    ).tolist() == [[f] for f in fidelities]
+    split = {2: (1, 2), 3: (3, 1), 4: (2, 2), 6: (3, 2), 9: (3, 3)}[d]
+    assert mutual_information(stack, split).tolist() == [
+        mutual_information(a, split) for a in stack]
+    tri = {2: (2, 1, 1), 3: (1, 3, 1), 4: (2, 1, 2), 6: (2, 3, 1),
+           9: (3, 1, 3)}[d]
+    assert quantum_cmi(stack, tri).tolist() == [
+        quantum_cmi(a, tri) for a in stack]
     small = stack[:, :2, :2]
     assert kron(small, other).tobytes() == np.array(
         [kron(a, b) for a, b in zip(small, other)]).tobytes()

@@ -89,6 +89,16 @@ def test_counts_table_is_one_read_only_matrix(counts):
     assert [row.tolist() for row in table.counts] == [[3, 7], [4, 6]]
 
 
+@pytest.mark.parametrize("cell", [2.7, float("nan"), 2 ** 70],
+                         ids=["fraction", "nan", "beyond-int64"])
+def test_counts_table_refuses_a_cell_int64_cannot_hold(cell):
+    # the int64 cast would truncate, raise numpy's own error or overflow
+    with pytest.raises(ValueError, match=re.escape(
+            f"setting 'X': count {cell!r} for outcome 0 is not an integer "
+            "in the int64 range")):
+        CountsTable(("Z", "X"), [[2, 3], [cell, 1]])
+
+
 def test_counts_table_totals_are_exact():
     # an int64 sum would wrap: [2**62, 2**62] sums to -2**63 in int64
     top = 2 ** 63 - 1
@@ -334,6 +344,20 @@ def test_bootstrap_deterministic_and_zero_variance():
     assert m3 == 1.0 and e3 == 0.0
     with pytest.raises(ValueError):
         bootstrap(counts, dims, purity, resamples=1, seed=4)
+
+
+@pytest.mark.parametrize("name", ["lambda", "omega"])
+def test_bootstrap_takes_fidelity_to_the_true_state(name):
+    # fidelity pairs the stack with the true state broadcast to its shape,
+    # bit for bit as a loop over the states does
+    g, dims = state_by_name(name)
+    counts = simulate_counts(g, dims, 100000, seed=3)
+    stacked = bootstrap(counts, dims, lambda s: fidelity(
+        s, np.broadcast_to(g, s.shape)), resamples=100, seed=4)
+    looped = bootstrap(counts, dims, lambda s: np.array(
+        [fidelity(x, g) for x in s]), resamples=100, seed=4)
+    assert stacked == looped
+    assert 0.9 < stacked[0] < 1 and stacked[1] > 0
 
 
 @pytest.mark.parametrize("statistic, shape", [
@@ -666,8 +690,9 @@ def test_simulate_counts_splits_a_numpy_integer_budget_exactly():
     (np.diag([1.5, -0.5, 0.5, 0.5, 0, 0, 0, 0]).astype(complex),
      "negative eigenvalue -5.000e-01"),
     (np.eye(8) / 8 + np.eye(8, k=1) / 20, "not Hermitian"),
-    (np.eye(8) / 4, "trace 2.0 deviates from 1")],
-    ids=["non-psd", "non-hermitian", "trace-two"])
+    (np.eye(8) / 4, "trace 2.0 deviates from 1"),
+    (np.eye(4) / 4, r"^state is 4 x 4, but dims \(2, 2, 2\) give 8 x 8$")],
+    ids=["non-psd", "non-hermitian", "trace-two", "wrong-size"])
 def test_simulate_counts_refuses_a_non_state_before_any_draw(
         monkeypatch, gamma, msg):
     def no_draw(*args, **kwargs):
