@@ -222,9 +222,10 @@ def dual_frame(inst: Instrument) -> DualFrame:
 
 def span_project(m: np.ndarray, mats) -> np.ndarray:
     """Orthogonal projection of m onto span{mats} (Hilbert-Schmidt)."""
-    basis = np.array([b.reshape(-1) for b in mats])
+    m = np.asarray(m)
+    basis = np.reshape(mats, (len(mats), -1))
     g = basis.conj() @ basis.T
-    coeff = np.linalg.solve(g, basis.conj() @ np.asarray(m).reshape(-1))
+    coeff = np.linalg.solve(g, basis.conj() @ m.reshape(-1))
     return (coeff @ basis).reshape(m.shape)
 
 

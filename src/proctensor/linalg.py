@@ -73,6 +73,7 @@ class Record:
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
+    m = np.asarray(m)
     return (m + m.conj().swapaxes(-1, -2)) / 2
 
 
@@ -126,6 +127,7 @@ def check_density(rho: np.ndarray, vectors: bool = False):
     vectors is set, so a caller reuses it instead of decomposing rho
     again. The conjugate transpose is formed once, for is_hermitian's
     test and hermitize's mean alike."""
+    rho = np.asarray(rho)
     adj = rho.conj().swapaxes(-1, -2)
     if not np.abs(rho - adj).max() <= HERM_TOL:
         raise ValueError("density matrix is not Hermitian")

@@ -8,6 +8,10 @@ Contractions follow the Choi convention in which a CP map's Choi matrix
 carries the transposed POVM element on its input leg and the Born trace
 transposes the instrument side; the net effect is the plain pairing
 tr[(E_A x E_B x E_C) gamma], which the fast paths below use directly.
+
+What a process derives from gamma (its Choi matrix, spectra, Markov
+product and AC Bloch data) is a cached property of it; what it derives
+per instrument (event tables, memory reports) is kept in its weak _memo.
 """
 from __future__ import annotations
 
@@ -18,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .instruments import Instrument
+from .instruments import PAULI, Instrument
 from .linalg import Record, check_density, kron, partial_trace, read_only
 
 PARTIES = ("A", "B", "C")
@@ -28,6 +32,9 @@ LEGS = (("A_in", "input"), ("A_out", "output"), ("B_in", "input"),
 
 # events at or below this probability count as impossible
 PROB_TOL = 1e-14
+
+# Pauli stack without the identity, for Bloch decompositions
+_SIG = np.stack(PAULI[1:])
 
 
 def _one_state(gamma: np.ndarray, what: str) -> np.ndarray:
@@ -85,6 +92,29 @@ class ProcessTensor(Record):
         of it."""
         return read_only(check_density(
             self.matrix / math.prod(self.output_dims)))
+
+    @cached_property
+    def _markov_product(self) -> ProcessTensor:
+        """The memoryless process with the same single-party marginals."""
+        gA, gB, gC = marginals(self)
+        return build_common_cause(kron(gA, gB, gC), self.input_dims,
+                                  self.output_dims)
+
+    @cached_property
+    def _ac_bloch(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(a, c, M), read-only: Bloch marginals and correlation matrix of
+        the AC state, the deviation scan's data; qubit outer legs only."""
+        dA, dB, dC = self.input_dims
+        if dA != 2 or dC != 2:
+            raise ValueError("deviation scan requires qubit outer parties")
+        g_ac = partial_trace(_one_state(self.gamma, "the deviation scan"),
+                             (dA, dB, dC), (0, 2))
+        r4 = g_ac.reshape(2, 2, 2, 2)
+        rA, rC = (partial_trace(g_ac, (2, 2), (k,)) for k in (0, 1))
+        a = np.real(np.einsum('iAa,aA->i', _SIG, rA))
+        c = np.real(np.einsum('iCc,cC->i', _SIG, rC))
+        M = np.real(np.einsum('acAC,iAa,jCc->ij', r4, _SIG, _SIG))
+        return tuple(map(read_only, (a, c, M)))
 
     @cached_property
     def _memo(self) -> weakref.WeakKeyDictionary:
@@ -271,15 +301,10 @@ def marginals(p: ProcessTensor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def markov_product(p: ProcessTensor) -> ProcessTensor:
-    """The memoryless process with the same single-party marginals, built
-    once per process and kept on it, so its one density check serves
+    """The memoryless process with the same single-party marginals, a
+    cached property of p, so its one density check serves
     non_markovianity and the Choi cross-check alike."""
-    q = vars(p).get("_markov_product")
-    if q is None:
-        gA, gB, gC = marginals(p)
-        q = vars(p)["_markov_product"] = build_common_cause(
-            kron(gA, gB, gC), p.input_dims, p.output_dims)
-    return q
+    return p._markov_product
 
 
 def cp_divisibility_check(p: ProcessTensor) -> dict:

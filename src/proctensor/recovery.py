@@ -5,7 +5,8 @@ The reconstructed object replaces the middle input leg by dual-frame
 operators weighted with event probabilities and conditional marginals. It
 is a faithful predictor only for middle-party observables inside the span
 of the instrument it was built from, and it need not be globally positive;
-expectation therefore validates observables before contracting.
+expectation therefore validates observables before contracting. The
+deviation scan reads each process's cached AC Bloch data (_ac_bloch).
 """
 from __future__ import annotations
 
@@ -15,15 +16,12 @@ from itertools import product
 
 import numpy as np
 
-from .instruments import (_REF_THETA_WEIGHTS, _RT2, Instrument, PAULI,
+from .instruments import (_REF_THETA_WEIGHTS, _RT2, Instrument,
                           dual_frame, span_project)
 from .linalg import Record, kron, partial_trace, path_or_handle, read_only
-from .process import ProcessTensor, _events, _one_state, born_probability
+from .process import ProcessTensor, _events, born_probability
 
 SPAN_TOL = 1e-10
-
-# Pauli stack without the identity, for Bloch decompositions
-_SIG = np.stack(PAULI[1:])
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,31 +119,6 @@ def _bloch_vectors(thetas, phases):
     return n.reshape(-1, 3)
 
 
-def _ac_bloch_data(p):
-    """(a, c, M): Bloch marginals and correlation matrix of the AC state."""
-    dA, dB, dC = p.input_dims
-    if dA != 2 or dC != 2:
-        raise ValueError("deviation scan requires qubit outer parties")
-    g_ac = partial_trace(_one_state(p.gamma, "the deviation scan"),
-                         (dA, dB, dC), (0, 2))
-    r4 = g_ac.reshape(2, 2, 2, 2)
-    rA, rC = (partial_trace(g_ac, (2, 2), (k,)) for k in (0, 1))
-    a = np.real(np.einsum('iAa,aA->i', _SIG, rA))
-    c = np.real(np.einsum('iCc,cC->i', _SIG, rC))
-    M = np.real(np.einsum('acAC,iAa,jCc->ij', r4, _SIG, _SIG))
-    return a, c, M
-
-
-def _ac_bloch(p) -> tuple:
-    """_ac_bloch_data(p) as read-only arrays, computed once per process
-    and kept beside its cached properties; a failure is not kept."""
-    data = vars(p).get("_ac_bloch")
-    if data is None:
-        data = vars(p)["_ac_bloch"] = tuple(map(read_only,
-                                                _ac_bloch_data(p)))
-    return data
-
-
 @lru_cache(maxsize=8)
 def _scan_grid(grid: int, full: bool) -> tuple:
     """(thetas, phases, N1) of a scan, read-only, built once per (grid,
@@ -206,8 +179,8 @@ def deviation_scan(true_p, recovered_p, grid: int = 64,
         raise ValueError("grid needs at least 2 steps per angle")
     if ((grid + 1) * (grid if full else 1)) ** 2 > 2 ** 22:
         raise ValueError(f"grid {grid} makes a scan of over 2**22 points")
-    a_t, c_t, M_t = _ac_bloch(true_p)
-    a_r, c_r, M_r = _ac_bloch(recovered_p)
+    a_t, c_t, M_t = true_p._ac_bloch
+    a_r, c_r, M_r = recovered_p._ac_bloch
     thetas, phases, N = _scan_grid(grid, bool(full))
 
     def values(a, c, M):

@@ -71,18 +71,14 @@ def label_dims(label: str) -> tuple:
 
 def product_settings(dims) -> list[tuple[str, np.ndarray]]:
     """All products of per-leg bases; labels join leg labels with '/'."""
-    labels, U = _settings(dims)
+    labels, U = _settings(tuple(int(d) for d in dims))
     return list(zip(labels, U.copy()))
 
 
-def _settings(dims) -> tuple[tuple, np.ndarray]:
-    """Labels and read-only (n, d, d) unitary stack of every product
-    setting, shared by every call with the same dims (list or tuple)."""
-    return _cached_settings(tuple(int(d) for d in dims))
-
-
 @functools.lru_cache(maxsize=4)
-def _cached_settings(dims: tuple) -> tuple[tuple, np.ndarray]:
+def _settings(dims: tuple) -> tuple[tuple, np.ndarray]:
+    """Labels and read-only (n, d, d) unitary stack of every product
+    setting, built once per dims, a tuple of ints."""
     per_leg = [[lbl for lbl, _ in _leg_bases(d)] for d in dims]
     labels = tuple("/".join(combo) for combo in iproduct(*per_leg))
     return labels, read_only(_unitaries(labels, dims))
@@ -214,17 +210,13 @@ def inversion_matrix(mats, d: int) -> np.ndarray:
     return np.conjugate(P, out=P).reshape(-1, d * d)
 
 
-def _pseudo_inverse(labels, dims) -> np.ndarray:
-    """Read-only pseudo-inverse of the settings' inversion matrix, shared
-    by every call with the same labels and dims (list or tuple)."""
-    return _cached_pseudo_inverse(tuple(labels), tuple(int(x) for x in dims))
-
-
 @functools.lru_cache(maxsize=4)
-def _cached_pseudo_inverse(labels: tuple, dims: tuple) -> np.ndarray:
-    """One SVD gives both the rank (matrix_rank's tolerance) and the inverse
-    (pinv's formula). Raises when the settings are informationally
-    incomplete for the dimensions; a raise is not cached.
+def _pseudo_inverse(labels: tuple, dims: tuple) -> np.ndarray:
+    """Read-only pseudo-inverse of the settings' inversion matrix, built
+    once per labels and dims, two tuples. One SVD gives both the rank
+    (matrix_rank's tolerance) and the inverse (pinv's formula). Raises
+    when the settings are informationally incomplete for the dimensions;
+    a raise is not cached.
     """
     d = math.prod(dims)
     A = inversion_matrix(_unitaries(labels, dims), d)
@@ -285,7 +277,8 @@ def reconstruct(counts: CountsTable, dims) -> np.ndarray:
     Raises when the settings in the table are informationally incomplete
     for the requested dimensions, or when a setting lacks outcomes or shots.
     """
-    d = math.prod(int(x) for x in dims)
+    dims = tuple(int(x) for x in dims)
+    d = math.prod(dims)
     inv = _pseudo_inverse(counts.labels, dims)
     return _estimate(inv, _frequencies(counts, d).reshape(1, -1), d)[0]
 
@@ -318,7 +311,8 @@ def bootstrap(counts: CountsTable, dims, statistic, resamples: int = 500,
     if resamples * entries > 2 ** 24:
         raise ValueError(f"resamples {resamples} of {entries} count entries "
                          "each redraw over 2**24 counts")
-    d = math.prod(int(x) for x in dims)
+    dims = tuple(int(x) for x in dims)
+    d = math.prod(dims)
     inv = _pseudo_inverse(counts.labels, dims)
     p = _frequencies(counts, d)
     children = np.random.SeedSequence(seed).spawn(resamples)

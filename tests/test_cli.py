@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -831,12 +832,14 @@ def test_process2_conditions_each_event_once(monkeypatch, capsys):
 def test_process1_reduces_each_process_to_ac_data_once(monkeypatch, capsys):
     # six scans of lambda against three recoveries (theta's and two noisy
     # replays'): the true process's AC Bloch data once, each recovery's once
-    ac, seen = recovery._ac_bloch_data, []
+    ac, seen = process.ProcessTensor.__dict__["_ac_bloch"].func, []
 
     def counted(p):
         seen.append(type(p).__name__)
         return ac(p)
-    monkeypatch.setattr(recovery, "_ac_bloch_data", counted)
+    prop = cached_property(counted)
+    prop.__set_name__(process.ProcessTensor, "_ac_bloch")
+    monkeypatch.setattr(process.ProcessTensor, "_ac_bloch", prop)
     code, _, _ = run_cli(capsys, ["preset", "process1"])
     assert code == 0
     assert seen == ["ProcessTensor"] + ["RecoveredProcess"] * 3
@@ -922,7 +925,7 @@ def test_tomography_bytes_cold_and_warm(tmp_path, monkeypatch, capsys):
     for cold in (True, False):
         for cmd in cmds:
             if cold:
-                tomography._cached_pseudo_inverse.cache_clear()
+                tomography._pseudo_inverse.cache_clear()
             code, out, _ = run_cli(capsys, cmd.split())
             assert code == 0, cmd
             digest = hashlib.sha256(out.encode()).hexdigest()

@@ -6,12 +6,14 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from proctensor.instruments import span_project
 from proctensor.linalg import (
     check_density, fidelity, hermitize,
     is_hermitian, kron, mat_from_json, mat_to_json, partial_trace,
     relative_entropy, trace_distance, trace_norm,
     von_neumann_entropy)
 from proctensor.memory import mutual_information, quantum_cmi
+from proctensor.tomography import simulate_counts
 
 
 def random_density(rng, d):
@@ -369,6 +371,29 @@ def test_fidelity_pure_states_and_bounds():
         assert np.isclose(fidelity(rho, rho), 1.0)
         f = fidelity(rho, random_density(rng, 3))
         assert -1e-10 <= f <= 1 + 1e-10
+
+
+# one state and one full-rank state on (2, 2, 2), as nested lists
+_LIST_PAIR = (random_density(np.random.default_rng(34), 8).tolist(),
+              (np.eye(8) / 8).tolist())
+
+
+@pytest.mark.parametrize("call", [
+    fidelity, relative_entropy,
+    lambda a, b: von_neumann_entropy(a),
+    lambda a, b: mutual_information(a, (2, 4)),
+    lambda a, b: quantum_cmi(a, (2, 2, 2)),
+    lambda a, b: simulate_counts(a, (2, 2, 2), 270, seed=0).counts,
+    lambda a, b: hermitize(a),
+    lambda a, b: span_project(a, [b, np.diag([1.0] + [0.0] * 7).tolist()])],
+    ids=["fidelity", "relative_entropy", "von_neumann_entropy",
+         "mutual_information", "quantum_cmi", "simulate_counts", "hermitize",
+         "span_project"])
+def test_public_functions_accept_nested_lists(call):
+    # a nested-list state gives, bit for bit, its array's result
+    got = call(*_LIST_PAIR)
+    want = call(*map(np.array, _LIST_PAIR))
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 def test_trace_distance_and_norm():

@@ -1,7 +1,9 @@
 """Process-tensor construction, causality, the Born rule, conditioning."""
+import dataclasses
 import pickle
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from proctensor.process import (
     measure_discard_choi)
 from proctensor.memory import (memory_strength, non_markovianity_choi,
                                projective_survey, quantum_cmi_choi)
-from proctensor.recovery import _ac_bloch, deviation_scan, recover
+from proctensor.recovery import deviation_scan, recover
 from proctensor.states import state_by_name
 
 
@@ -350,6 +352,39 @@ def test_gamma_is_a_read_only_copy():
     assert p.gamma.tobytes() == state_by_name("lambda")[0].tobytes()
 
 
+def _derived_keys_are_cached_properties(obj):
+    """Every value obj keeps beside its fields is a cached_property of its
+    type, and a pickle keeps the fields alone."""
+    fields = {f.name for f in dataclasses.fields(obj)}
+    derived = set(vars(obj)) - fields
+    assert derived
+    assert sorted(name for name in derived if not isinstance(
+        getattr(type(obj), name, None), cached_property)) == []
+    assert set(vars(pickle.loads(pickle.dumps(obj)))) == fields
+
+
+@pytest.mark.parametrize("name, inst_name", [("lambda", "theta"),
+                                             ("omega", "qutrit_sharp")])
+def test_every_derived_value_is_a_cached_property(name, inst_name):
+    # one memo rule: what a record derives is a cached property of it, run
+    # here over every derived path of a process and of its recovery
+    g, dims = state_by_name(name)
+    p = build_common_cause(g, dims, dims[:2])
+    inst = instrument_by_name(inst_name)
+    for obj in (p, recover(p, inst)):
+        obj.spectrum, obj.choi_spectrum, obj.matrix
+        markov_product(obj)
+        memory_strength(obj, inst)
+        recover(obj, inst)
+        deviation_scan(obj, obj, grid=2)
+        _derived_keys_are_cached_properties(obj)
+    dual_frame(inst)
+    cond = condition(p, "B", inst.elements[0].matrix)
+    cond.state
+    for obj in (inst, cond):
+        _derived_keys_are_cached_properties(obj)
+
+
 def test_process_pickles_without_its_event_tables():
     p = lam_process()
     theta = instrument_by_name("theta")
@@ -363,9 +398,9 @@ def test_process_pickles_without_its_event_tables():
     # and read-only again, as is the unpickled gamma
     assert "choi_spectrum" not in vars(q) and "_ac_bloch" not in vars(q)
     assert q.choi_spectrum.tobytes() == p.choi_spectrum.tobytes()
-    for got, want in zip(_ac_bloch(q), _ac_bloch(p)):
+    for got, want in zip(q._ac_bloch, p._ac_bloch):
         assert got.tobytes() == want.tobytes()
-    for arr in (q.gamma, q.choi_spectrum, *_ac_bloch(q)):
+    for arr in (q.gamma, q.choi_spectrum, *q._ac_bloch):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0
     r = pickle.loads(pickle.dumps(rec))

@@ -1,5 +1,6 @@
 """Recovered-process reconstruction, observables, scans, noise replay."""
 import io
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from proctensor import recovery
 from proctensor.instruments import (dual_frame, instrument,
                                     instrument_by_name, random_projective)
 from proctensor.linalg import fidelity, kron, partial_trace
-from proctensor.process import (born_probability, build_common_cause,
-                                condition_instrument)
+from proctensor.process import (ProcessTensor, born_probability,
+                                build_common_cause, condition_instrument)
 from proctensor.recovery import (
     Observable, deviation_scan, expectation, noisy_replay, observable,
     recover, reference_recovered_lambda, reference_recovered_omega,
@@ -242,7 +243,8 @@ def test_scan_shares_its_ac_data_and_grid(monkeypatch):
     # one AC reduction per process and one grid per (grid, full), kept
     # read-only, of which a scan keeps its own copy; the patched builders
     # see every miss
-    ac, bloch, calls = recovery._ac_bloch_data, recovery._bloch_vectors, []
+    ac = ProcessTensor.__dict__["_ac_bloch"].func
+    bloch, calls = recovery._bloch_vectors, []
 
     def counted_ac(p):
         calls.append(type(p).__name__)
@@ -251,7 +253,9 @@ def test_scan_shares_its_ac_data_and_grid(monkeypatch):
     def counted_grid(thetas, phases):
         calls.append(("grid", len(thetas), len(phases)))
         return bloch(thetas, phases)
-    monkeypatch.setattr(recovery, "_ac_bloch_data", counted_ac)
+    prop = cached_property(counted_ac)
+    prop.__set_name__(ProcessTensor, "_ac_bloch")
+    monkeypatch.setattr(ProcessTensor, "_ac_bloch", prop)
     monkeypatch.setattr(recovery, "_bloch_vectors", counted_grid)
     recovery._scan_grid.cache_clear()
     p = lam_process()
@@ -266,7 +270,7 @@ def test_scan_shares_its_ac_data_and_grid(monkeypatch):
     for kept, grid_axis in ((scan.thetas, thetas), (scan.phases, phases)):
         assert kept is not grid_axis
         assert kept.tobytes() == grid_axis.tobytes()
-    for arr in (*recovery._ac_bloch(p), *recovery._ac_bloch(recs[1]),
+    for arr in (*p._ac_bloch, *recs[1]._ac_bloch,
                 thetas, phases, n1):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0.0

@@ -158,8 +158,9 @@ def test_table_check_equals_per_setting_loop():
 
 
 def test_settings_built_once_per_dims(monkeypatch):
-    # simulate_counts reads one cached, read-only stack per dims;
-    # product_settings hands out a writable copy
+    # simulate_counts and product_settings read one cached, read-only
+    # stack per dims, however spelled; product_settings hands out a
+    # writable copy
     calls = []
     build = tomography._unitaries
 
@@ -167,13 +168,16 @@ def test_settings_built_once_per_dims(monkeypatch):
         calls.append(dims)
         return build(labels, dims)
 
-    tomography._cached_settings.cache_clear()
+    tomography._settings.cache_clear()
     monkeypatch.setattr(tomography, "_unitaries", counted)
     try:
         g, dims = state_by_name("lambda")
+        settings = product_settings(list(dims))
         first = simulate_counts(g, list(dims), 2700, seed=0)
         again = simulate_counts(g, np.array(dims), 2700, seed=0)
-        settings = product_settings(dims)
+        for spelling in (tuple(dims), np.array(dims)):
+            assert [lbl for lbl, _ in product_settings(spelling)] == [
+                lbl for lbl, _ in settings]
         assert calls == [(2, 2, 2)]
         labels, stack = tomography._settings(dims)
         assert not stack.flags.writeable
@@ -184,7 +188,7 @@ def test_settings_built_once_per_dims(monkeypatch):
         assert all(np.array_equal(a, b)
                    for a, b in zip(first.counts, again.counts))
     finally:
-        tomography._cached_settings.cache_clear()
+        tomography._settings.cache_clear()
 
 
 def test_simulate_counts_deterministic_split():
@@ -510,7 +514,7 @@ BIT_DIMS = [(2, 2, 2), (2, 3, 2), (3, 2, 2)]
 
 
 def _labels(dims):
-    return [lbl for lbl, _ in product_settings(dims)]
+    return tuple(lbl for lbl, _ in product_settings(dims))
 
 
 def _reconstruct_reference(counts, dims):
@@ -580,7 +584,8 @@ def test_pseudo_inverse_is_pinv(dims):
     assert (_pseudo_inverse(labels, dims).tobytes()
             == np.linalg.pinv(A).tobytes())
     # an incomplete table reports matrix_rank's rank
-    z_only = [lbl for lbl in labels if set(lbl.split("/")) <= {"Z", "01Z"}]
+    z_only = tuple(lbl for lbl in labels
+                   if set(lbl.split("/")) <= {"Z", "01Z"})
     rank = np.linalg.matrix_rank(inversion_matrix(
         _unitaries(z_only, dims), d))
     with pytest.raises(ValueError, match=f"rank {rank} < {d * d}"):
@@ -738,10 +743,10 @@ def inversion_builds(monkeypatch):
         calls.append(d)
         return build(mats, d)
 
-    tomography._cached_pseudo_inverse.cache_clear()
+    tomography._pseudo_inverse.cache_clear()
     monkeypatch.setattr(tomography, "inversion_matrix", counted)
     yield calls
-    tomography._cached_pseudo_inverse.cache_clear()
+    tomography._pseudo_inverse.cache_clear()
 
 
 def test_pseudo_inverse_is_read_only():
@@ -759,11 +764,17 @@ def test_equal_tables_build_one_inverse(inversion_builds):
     assert first.tobytes() != second.tobytes()
 
 
-def test_list_and_tuple_dims_share_an_inverse(inversion_builds):
-    labels = _labels((2, 2, 2))
-    inv = _pseudo_inverse(labels, (2, 2, 2))
-    assert _pseudo_inverse(tuple(labels), [2, 2, 2]) is inv
-    assert _pseudo_inverse(labels, np.array([2, 2, 2])) is inv
+def test_tuple_list_and_array_dims_share_an_inverse(inversion_builds):
+    # reconstruct and bootstrap key the inverse by dims as ints, however
+    # the caller spells them
+    g, dims = state_by_name("lambda")
+    counts = simulate_counts(g, dims, 2700, seed=0)
+    spellings = (tuple(dims), list(dims), np.array(dims))
+    states = [reconstruct(counts, x).tobytes() for x in spellings]
+    stats = [bootstrap(counts, x, lambda rho: rho[:, 0, 0].real,
+                       resamples=2, seed=0) for x in spellings]
+    assert states[0] == states[1] == states[2]
+    assert stats[0] == stats[1] == stats[2]
     assert inversion_builds == [8]
 
 
